@@ -14,16 +14,7 @@ from .rings import Ring, RingValue
 
 def _entry_cost(value: RingValue) -> int:
     """Rough size of a field element, used for pivot selection only."""
-    payload = value.payload
-    if isinstance(payload, tuple) and len(payload) == 2 and isinstance(payload[0], tuple):
-        num, den = payload
-        cost = max(0, len(num) - 1) + max(0, len(den) - 1)
-        if cost == 0 and num and num[0].is_one():
-            return 0
-        return cost + 1
-    if value.is_one():
-        return 0
-    return 1
+    return value.ring.size(value.payload)
 
 
 class ExactMatrix:

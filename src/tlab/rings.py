@@ -9,9 +9,11 @@ Four kinds of ring are supported, all fields with decidable equality:
                      (nestable, so Q(t)(u) is ``ratfun:ratfun:Q``).
 
 Every element is kept in a canonical form (reduced fraction, residue in
-[0, p), polynomial of degree < deg Phi_m, gcd-reduced numerator/denominator
-with monic denominator), so payload equality is equality in the ring and
-``is_zero`` is trivial.  Values are immutable; all operations are pure.
+[0, p), polynomial of degree < deg Phi_m; for rational functions over Q a
+coprime pair of integer polynomials, over other bases a gcd-reduced
+numerator/denominator with monic denominator), so payload equality is
+equality in the ring and ``is_zero`` is trivial.  Values are immutable; all
+operations are pure.
 
 Rational-function generators are named by nesting depth, innermost first:
 ``t``, ``u``, ``v``, ``w``.  The cyclotomic generator is always ``q``.
@@ -37,6 +39,18 @@ class RingSpecError(RingError):
 
 class ElementParseError(RingError):
     """Malformed element expression."""
+
+
+class RingLimitError(RingError):
+    """A well-formed input beyond what the ring layer computes with."""
+
+
+# Largest |exponent| accepted in rings whose payloads grow with it (Q and
+# rational-function fields).  At this limit `qnum --upto 4` over Q(t)(u)
+# with d1 = u^1000*t^-1000 takes 0.19 s and `jw --n 4` over Q(t) with both
+# loop values t^1000 takes 0.56 s; both grow about linearly with the
+# exponent (CPython 3.11 on one core of an Intel Xeon virtual machine).
+MAX_EXPONENT = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +150,11 @@ class RingValue:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
+        limit = self.ring.max_exponent
+        if limit is not None and abs(exponent) > limit:
+            raise RingLimitError(
+                f"exponent {exponent} is beyond the limit of {limit} in {self.ring}"
+            )
         base = self
         if exponent < 0:
             inv = self.inverse()
@@ -154,6 +173,10 @@ class RingValue:
 
     def is_zero(self) -> bool:
         return self.ring._is_zero(self.payload)
+
+    def __bool__(self):
+        """True for non-zero values, as for numbers."""
+        return not self.ring._is_zero(self.payload)
 
     def is_one(self) -> bool:
         return self == self.ring.one
@@ -185,6 +208,9 @@ class Ring:
     """Abstract commutative ring (in fact always a field here)."""
 
     kind = "abstract"
+    # largest |exponent| that __pow__ accepts; None where payloads stay
+    # bounded whatever the exponent
+    max_exponent: Optional[int] = None
 
     def _key(self):
         raise NotImplementedError
@@ -230,6 +256,11 @@ class Ring:
     def _to_str(self, a) -> str:
         raise NotImplementedError
 
+    def size(self, a) -> int:
+        """A rough size of a payload, for choosing cheap pivots: 0 for the
+        constant 1, at least 1 otherwise."""
+        return 0 if a == self.one.payload else 1
+
     # -- convenience -------------------------------------------------------
 
     @property
@@ -261,6 +292,7 @@ class Ring:
 
 class Rationals(Ring):
     kind = "Q"
+    max_exponent = MAX_EXPONENT
 
     def _key(self):
         return ("Q",)
@@ -288,18 +320,39 @@ class Rationals(Ring):
     def _from_int(self, n):
         return Fraction(n)
 
+    def _canon(self, num: int, den: int):
+        return Fraction(num, den)
+
     def _to_str(self, a):
         return str(a)
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster 2015); no larger modulus is accepted.
+MAX_PRIME = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < MAX_PRIME."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for w in _WITNESSES:
+        if p % w == 0:
+            return p == w
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -307,6 +360,11 @@ class PrimeField(Ring):
     kind = "Fp"
 
     def __init__(self, p: int):
+        if p >= MAX_PRIME:
+            raise RingLimitError(
+                f"Fp:{p}: the modulus must be below {MAX_PRIME}, where primality "
+                "is decided exactly"
+            )
         if not _is_prime(p):
             raise RingSpecError(f"{p} is not prime")
         self.p = p
@@ -341,64 +399,81 @@ class PrimeField(Ring):
         return str(a)
 
 
-# -- dense polynomials over Fraction, used by the cyclotomic field ----------
+# -- dense polynomials over a field --------------------------------------
+#
+# Coefficients are Fractions (the cyclotomic field) or RingValues (fraction
+# fields over Fp and cyclotomic fields); tuples ascending in degree, with no
+# trailing zero coefficient.
+
+_Q0 = Fraction(0)
 
 
-def _qtrim(cs: list) -> tuple:
-    while cs and cs[-1] == 0:
+def _trim(cs: list) -> tuple:
+    """Drop trailing zero coefficients, of any coefficient type."""
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
 
-def _qadd(a, b):
-    n = max(len(a), len(b))
-    return _qtrim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+def _padd(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return _trim(out) if len(a) == len(b) else tuple(out)
 
 
-def _qmul(a, b):
+def _pneg(a):
+    return tuple(-c for c in a)
+
+
+def _pmul(a, b, zero):
+    """The product; zero is the coefficients' zero."""
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _qtrim(out)
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = out[i + j] + ai * bj
+    return tuple(out)
 
 
-def _qdivmod(a, b):
-    """Polynomial division over Q; b must be non-zero."""
+def _pdivmod(a, b):
+    """Quotient and remainder; b must be non-zero."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(rem) >= len(b) and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(b):
-            break
-        shift = len(rem) - len(b)
-        factor = rem[-1] * inv_lead
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return _qtrim(quo), _qtrim(rem)
+    nb, inv_lead = len(b), 1 / b[-1]
+    rem, quo = list(a), []
+    for shift in range(len(a) - nb, -1, -1):
+        factor = rem[shift + nb - 1] * inv_lead
+        quo.append(factor)
+        if factor:
+            for i, c in enumerate(b):
+                rem[shift + i] = rem[shift + i] - factor * c
+    return _trim(quo[::-1]), _trim(rem[: nb - 1])
 
 
-def _qxgcd(a, b):
-    """Extended Euclid over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = _qdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _qadd(s0, _qmul((Fraction(-1),), _qmul(q, s1)))
-        t0, t1 = t1, _qadd(t0, _qmul((Fraction(-1),), _qmul(q, t1)))
-    return r0, s0, t0
+def _pgcd(a, b):
+    """The monic gcd of two polynomials, not both zero."""
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    inv = 1 / a[-1]
+    return tuple(c * inv for c in a)
+
+
+def _pinvmod(a, m, zero):
+    """The inverse of a modulo m, for a coprime to m, by extended Euclid:
+    s1 * a = r1 (mod m) holds throughout."""
+    r0, r1, s0, s1 = m, a, (), (zero + 1,)
+    while len(r1) > 1:
+        q, r = _pdivmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, _padd(s0, _pneg(_pmul(q, s1, zero)))
+    if not r1:
+        raise ZeroDivisionError("polynomial is not invertible modulo m")
+    inv = 1 / r1[0]
+    return tuple(c * inv for c in s1)
 
 
 @lru_cache(maxsize=None)
@@ -407,14 +482,12 @@ def cyclotomic_polynomial(m: int) -> tuple:
     Phi_d for proper divisors d of m."""
     if m < 1:
         raise RingSpecError("cyclotomic modulus must be >= 1")
-    num = [Fraction(0)] * (m + 1)
-    num[0], num[m] = Fraction(-1), Fraction(1)
-    num = _qtrim(num)
+    num = (Fraction(-1),) + (_Q0,) * (m - 1) + (Fraction(1),)
     den = (Fraction(1),)
     for d in range(1, m):
         if m % d == 0:
-            den = _qmul(den, cyclotomic_polynomial(d))
-    quo, rem = _qdivmod(num, den)
+            den = _pmul(den, cyclotomic_polynomial(d), _Q0)
+    quo, rem = _pdivmod(num, den)
     assert not rem, "cyclotomic division must be exact"
     return quo
 
@@ -436,25 +509,22 @@ class CyclotomicField(Ring):
         return f"cyclo:{self.m}"
 
     def _reduce(self, coeffs) -> tuple:
-        _, rem = _qdivmod(coeffs, self.modulus)
-        return rem
+        return _pdivmod(coeffs, self.modulus)[1]
 
     def _add(self, a, b):
-        return _qadd(a, b)
+        return _padd(a, b)
 
     def _neg(self, a):
-        return tuple(-c for c in a)
+        return _pneg(a)
 
     def _mul(self, a, b):
-        return self._reduce(_qmul(a, b))
+        return self._reduce(_pmul(a, b, _Q0))
 
     def _invert(self, a):
         if not a:
             return None
-        g, s, _ = _qxgcd(a, self.modulus)
-        # Phi_m is irreducible over Q, so the gcd is a non-zero constant.
-        assert len(g) == 1
-        return self._reduce(_qmul(s, (1 / g[0],)))
+        # Phi_m is irreducible over Q, so every non-zero a is invertible
+        return self._reduce(_pinvmod(a, self.modulus, _Q0))
 
     def _is_zero(self, a):
         return not a
@@ -473,250 +543,182 @@ class CyclotomicField(Ring):
         return {"q": self.gen}
 
 
-# -- polynomials with RingValue coefficients, used by fraction fields -------
-
-
-def _ptrim(cs: list) -> tuple:
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return tuple(cs)
-
-
-def _padd(ring, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ring.zero
-        y = b[i] if i < len(b) else ring.zero
-        out.append(x + y)
-    return _ptrim(out)
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
-
-
-def _pmul(ring, a, b):
-    if not a or not b:
-        return ()
-    out = [ring.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return _ptrim(out)
-
-
-def _pdivmod(ring, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(b) == 1:
-        inv = b[0].inverse()
-        assert inv is not None
-        return tuple(c * inv for c in a), ()
-    rem = list(a)
-    quo = [ring.zero] * max(0, len(a) - len(b) + 1)
-    inv_lead = b[-1].inverse()
-    assert inv_lead is not None, "leading coefficient must be invertible"
-    while len(rem) >= len(b):
-        while rem and rem[-1].is_zero():
-            rem.pop()
-        if len(rem) < len(b):
-            break
-        shift = len(rem) - len(b)
-        factor = rem[-1] * inv_lead
-        quo[shift] = factor
-        for i, c in enumerate(b):
-            rem[shift + i] = rem[shift + i] - factor * c
-        rem.pop()
-    return _ptrim(quo), _ptrim(rem)
-
-
-def _pmonic(ring, a):
-    if not a:
-        return a
-    inv = a[-1].inverse()
-    return tuple(c * inv for c in a)
-
-
-def _pgcd(ring, a, b):
-    if (a and len(a) == 1) or (b and len(b) == 1):
-        return (ring.one,)
-    while b:
-        if len(b) == 1:
-            return (ring.one,)
-        _, r = _pdivmod(ring, a, b)
-        a, b = b, r
-    return _pmonic(ring, a)
-
-
-# -- integer primitive-PRS gcd, the workhorse behind fraction-field gcds ----
+# -- Z[x1..xk]: the integer polynomial core behind fraction fields over Q ----
 #
-# Euclidean remainders over Q[t] (and worse, over Q(t)[u]) suffer severe
-# coefficient growth.  Clearing denominators and running a primitive
-# polynomial-remainder sequence over the integers keeps every intermediate
-# small; the univariate routine is reused one level up for gcds of
-# polynomials whose coefficients are themselves rational functions.
+# A polynomial in k variables is a tuple of polynomials in k - 1 variables,
+# ascending in the outermost variable, with no trailing zero coefficient; a
+# polynomial in 0 variables is an int.  Zero is () for k >= 1 and 0 for
+# k = 0, so ``not a`` tests for zero at every depth.  The "leading integer"
+# of a non-zero polynomial is the coefficient of its lexicographically
+# largest monomial (outermost variable first); it is multiplicative.
 
 
-def _ztrim(v: list) -> list:
-    while v and v[-1] == 0:
-        v.pop()
-    return v
+def _zconst(c: int, k: int):
+    for _ in range(k):
+        c = (c,) if c else ()
+    return c
 
 
-def _zprim(v: list) -> list:
-    g = 0
-    for c in v:
-        g = math.gcd(g, c)
-    if g == 0:
-        return []
-    if v[-1] < 0:
-        g = -g
-    return [c // g for c in v]
-
-
-def _zmulpoly(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _zprem(a: list, b: list) -> list:
-    """Pseudo-remainder of integer polynomials (b non-zero)."""
-    rem = list(a)
-    lb = b[-1]
-    while len(rem) >= len(b):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - len(b)
-        lead = rem[-1]
-        rem = [lb * c for c in rem]
-        for i, bc in enumerate(b):
-            rem[shift + i] -= lead * bc
-        rem.pop()
-    return _ztrim(rem)
-
-
-def _zgcd_poly(a: list, b: list) -> list:
-    """Primitive gcd of integer polynomials (primitive output, lead > 0)."""
-    a, b = _zprim(a), _zprim(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        if len(b) == 1:
-            return [1]
-        r = _zprim(_zprem(a, b))
-        a, b = b, r
+def _zlead(a, k: int) -> int:
+    for _ in range(k):
+        a = a[-1]
     return a
 
 
-def _fraction_clear(coeffs) -> list:
-    """Scale a Fraction tuple to a primitive integer coefficient list."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return _zprim([int(c * lcm) for c in coeffs])
+def _zadd(a, b, k: int):
+    if k == 0:
+        return a + b
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    if k == 1:
+        for i, c in enumerate(b):
+            out[i] += c
+    else:
+        for i, c in enumerate(b):
+            if c:
+                out[i] = _zadd(out[i], c, k - 1)
+    return _trim(out) if len(a) == len(b) else tuple(out)
 
 
-def _qgcd_fast(a, b):
-    """Monic gcd of two Fraction-coefficient polynomials via integer PRS."""
-    g = _zgcd_poly(_fraction_clear(a), _fraction_clear(b))
-    lead = Fraction(g[-1])
-    return tuple(Fraction(c) / lead for c in g)
+def _zneg(a, k: int):
+    if k == 0:
+        return -a
+    if k == 1:
+        return tuple(-c for c in a)
+    return tuple(_zneg(c, k - 1) for c in a)
 
 
-def _zdivexact(a: list, b: list) -> list:
-    """Exact division of integer polynomials (the divisor must divide)."""
+def _zsub(a, b, k: int):
+    return _zadd(a, _zneg(b, k), k)
+
+
+def _zmul(a, b, k: int):
+    if k == 0:
+        return a * b
+    if not a or not b:
+        return ()
+    # Z[x1..xk] is a domain, so the leading coefficient of the product is
+    # non-zero and nothing needs trimming
+    if k == 1:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return tuple(out)
+    out = [()] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = _zadd(out[i + j], _zmul(ai, bj, k - 1), k - 1)
+    return tuple(out)
+
+
+def _zdiv(a, b, k: int):
+    """The exact quotient a / b; ArithmeticError when b does not divide a."""
+    if k == 0:
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        return q
+    if not a:
+        return ()
+    if len(b) == 1:
+        b0 = b[0]
+        return tuple(_zdiv(c, b0, k - 1) if c else c for c in a)
+    nb, lb = len(b), b[-1]
+    if len(a) < nb:
+        raise ArithmeticError("inexact polynomial division")
     rem = list(a)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    while rem and len(rem) >= len(b):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        q, r = divmod(rem[-1], b[-1])
-        assert r == 0, "inexact integer polynomial division"
-        shift = len(rem) - len(b)
-        quo[shift] = q
-        for i, bc in enumerate(b):
-            rem[shift + i] -= q * bc
-        rem.pop()
-    assert not _ztrim(rem), "inexact integer polynomial division"
-    return _ztrim(quo)
-
-
-# Polynomials in a second variable whose coefficients are integer
-# polynomials: lists (ascending in the outer variable) of integer lists.
-
-
-def _zz_trim(A: list) -> list:
-    while A and not A[-1]:
-        A.pop()
-    return A
-
-
-def _zz_content(A: list) -> list:
-    int_content = 0
-    prim_gcd: list = []
-    for c in A:
+    quo = [0 if k == 1 else ()] * (len(a) - nb + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        c = rem[shift + nb - 1]
         if not c:
             continue
-        for x in c:
-            int_content = math.gcd(int_content, x)
-        prim_gcd = _zgcd_poly(prim_gcd, c) if prim_gcd else _zprim(c)
-    if int_content == 0:
-        return []
-    return [int_content * x for x in prim_gcd]
+        q = _zdiv(c, lb, k - 1)
+        quo[shift] = q
+        if k == 1:
+            for i, bc in enumerate(b):
+                rem[shift + i] -= q * bc
+        else:
+            for i, bc in enumerate(b):
+                if bc:
+                    rem[shift + i] = _zsub(rem[shift + i], _zmul(q, bc, k - 1), k - 1)
+    if any(rem[: nb - 1]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(quo)
 
 
-def _zz_prim(A: list) -> list:
-    content = _zz_content(A)
-    if not content:
-        return []
-    if content == [1]:
-        return [list(c) for c in A]
-    return [_zdivexact(c, content) if c else [] for c in A]
-
-
-def _zz_prem(A: list, B: list) -> list:
-    rem = [list(c) for c in A]
-    lead_b = B[-1]
-    while len(rem) >= len(B):
-        if not rem[-1]:
-            rem.pop()
+def _zprem(a, b, k: int):
+    """A pseudo-remainder of a by b (deg b >= 1): c*a mod b for some non-zero
+    c in Z[x1..x(k-1)], which is all a primitive remainder sequence needs."""
+    rem, nb, lb = list(a), len(b), b[-1]
+    while len(rem) >= nb:
+        lead = rem.pop()
+        if not lead:
             continue
-        shift = len(rem) - len(B)
-        lead = rem[-1]
-        rem = [_zmulpoly(lead_b, c) for c in rem]
-        for i, bc in enumerate(B):
-            prod = _zmulpoly(lead, bc)
-            cur = rem[shift + i]
-            if len(cur) < len(prod):
-                cur = cur + [0] * (len(prod) - len(cur))
-            for j, p in enumerate(prod):
-                cur[j] -= p
-            rem[shift + i] = _ztrim(cur)
-        rem.pop()
-    return _zz_trim(rem)
+        shift = len(rem) - nb + 1
+        if k == 1:
+            rem = [lb * c for c in rem]
+            for i in range(nb - 1):
+                rem[shift + i] -= lead * b[i]
+        else:
+            rem = [_zmul(lb, c, k - 1) for c in rem]
+            for i in range(nb - 1):
+                if b[i]:
+                    rem[shift + i] = _zsub(rem[shift + i], _zmul(lead, b[i], k - 1), k - 1)
+    return _trim(rem)
 
 
-def _zz_gcd(A: list, B: list) -> list:
-    A, B = _zz_prim(A), _zz_prim(B)
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        if len(B) == 1:
-            return [[1]]
-        R = _zz_prim(_zz_prem(A, B))
-        A, B = B, R
-    return A
+def _zcontent(a, k: int):
+    """The gcd of a's coefficients, a polynomial in k - 1 variables."""
+    g = _zconst(0, k - 1)
+    one = _zconst(1, k - 1)
+    for c in a:
+        if c:
+            g = _zgcd(g, c, k - 1)
+            if g == one:
+                break
+    return g
+
+
+def _zprim(a, k: int):
+    """The primitive part of a non-zero a, with positive leading integer."""
+    c = _zcontent(a, k)
+    if _zlead(a, k) < 0:
+        c = _zneg(c, k - 1)
+    if c == _zconst(1, k - 1):
+        return a
+    return tuple(_zdiv(x, c, k - 1) if x else x for x in a)
+
+
+def _zgcd(a, b, k: int):
+    """The gcd of a and b in Z[x1..xk], with positive leading integer: the
+    gcd of the contents times the gcd of the primitive parts, the latter
+    from a primitive polynomial remainder sequence."""
+    if k == 0:
+        return math.gcd(a, b)
+    if not a or not b:
+        g = a or b
+        return _zneg(g, k) if g and _zlead(g, k) < 0 else g
+    content = _zgcd(_zcontent(a, k), _zcontent(b, k), k - 1)
+    if len(a) == 1 or len(b) == 1:
+        return (content,)
+    a, b = _zprim(a, k), _zprim(b, k)
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _zprem(a, b, k)
+        if not r:
+            break
+        if len(r) == 1:
+            return (content,)
+        a, b = b, _zprim(r, k)
+    if content == _zconst(1, k - 1):
+        return b
+    return tuple(_zmul(content, c, k - 1) for c in b)
 
 
 _GEN_NAMES = "tuvw"
@@ -725,20 +727,30 @@ _GEN_NAMES = "tuvw"
 class FractionField(Ring):
     """Field of rational functions in one variable over a base field.
 
-    Payloads are (numerator, denominator) pairs of coefficient tuples,
-    gcd-reduced with monic denominator.
+    Over a tower that bottoms out at Q (``ratfun:Q``, ``ratfun:ratfun:Q``,
+    ...), the field is an :class:`IntFractionField`: a value of
+    Q(x1)...(xk) is a pair (P, D) of polynomials in Z[x1..xk], nested int
+    tuples, coprime (integer content included) with D's leading integer
+    positive.  Over any other base, payloads are (numerator, denominator)
+    pairs of base-value coefficient tuples, gcd-reduced with monic
+    denominator.  Either way, equal values have equal payloads.
     """
 
     kind = "ratfun"
+    max_exponent = MAX_EXPONENT
+
+    def __new__(cls, base: Ring):
+        if isinstance(base, (Rationals, IntFractionField)):
+            cls = IntFractionField
+        return super().__new__(cls)
 
     def __init__(self, base: Ring):
         self.base = base
-        depth = 0
-        r = base
-        while isinstance(r, FractionField):
-            depth += 1
-            r = r.base
-        self.var = _GEN_NAMES[depth] if depth < len(_GEN_NAMES) else f"t{depth}"
+        # 1 for the innermost rational-function level, 2 for the next, ...
+        self.depth = base.depth + 1 if isinstance(base, FractionField) else 1
+        k = self.depth - 1
+        self.var = _GEN_NAMES[k] if k < len(_GEN_NAMES) else f"t{k}"
+        self._unit = (base.one,)  # the polynomial 1
 
     def _key(self):
         return ("ratfun", self.base._key())
@@ -746,95 +758,51 @@ class FractionField(Ring):
     def spec(self):
         return f"ratfun:{self.base.spec()}"
 
-    def _one_den(self):
-        cached = getattr(self, "_one_den_cache", None)
-        if cached is None:
-            cached = (self.base.one,)
-            self._one_den_cache = cached
-        return cached
+    def size(self, a) -> int:
+        """Degree of the numerator plus degree of the denominator, plus 1;
+        0 for the constant 1."""
+        if a == self.one.payload:
+            return 0
+        return max(0, len(a[0]) - 1) + (len(a[1]) - 1) + 1
 
     def _canon(self, num, den):
         if not den:
             raise ZeroDivisionError("zero denominator in rational function")
         if not num:
-            return ((), self._one_den())
+            return ((), self._unit)
         if len(den) == 1:
             # constant denominator: already gcd-free, just normalise
             if den[0].is_one():
                 return (num, den)
             lead_inv = den[0].inverse()
-            return (tuple(c * lead_inv for c in num), self._one_den())
-        g = self._gcd(num, den)
-        if len(g) > 1 or not g[0].is_one():
-            num, _ = _pdivmod(self.base, num, g)
-            den, _ = _pdivmod(self.base, den, g)
+            return (tuple(c * lead_inv for c in num), self._unit)
+        if len(num) > 1:
+            g = _pgcd(num, den)
+            if len(g) > 1:
+                num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
         lead_inv = den[-1].inverse()
         num = tuple(c * lead_inv for c in num)
         den = tuple(c * lead_inv for c in den)
         return (num, den)
 
-    def _gcd(self, num, den):
-        """Monic gcd of two coefficient tuples, via integer-cleared
-        primitive remainder sequences when the base tower allows it."""
-        base = self.base
-        if len(num) == 1 or len(den) == 1:
-            return (base.one,)
-        if isinstance(base, Rationals):
-            g = _qgcd_fast(
-                tuple(c.payload for c in num), tuple(c.payload for c in den)
-            )
-            return tuple(RingValue(base, c) for c in g)
-        if isinstance(base, FractionField) and isinstance(base.base, Rationals):
-            G = _zz_gcd(self._to_int_tower(num), self._to_int_tower(den))
-            if len(G) == 1:
-                return (base.one,)
-            coeffs = [base._canon(tuple(RingValue(base.base, Fraction(x)) for x in c), base._one_den()) for c in G]
-            values = [RingValue(base, c) for c in coeffs]
-            lead_inv = values[-1].inverse()
-            return tuple(v * lead_inv for v in values)
-        return _pgcd(base, num, den)
-
-    def _to_int_tower(self, poly) -> list:
-        """Clear a Q(t)[u] polynomial to integer-coefficient form (a common
-        scalar multiple; gcds are only needed up to units)."""
-        common_den = (Fraction(1),)
-        for c in poly:
-            den = tuple(x.payload for x in c.payload[1])
-            if len(den) == 1 and den[0] == 1:
-                continue
-            g = _qgcd_fast(common_den, den) if len(common_den) > 1 else (Fraction(1),)
-            if len(g) > 1:
-                den, _ = _qdivmod(den, g)
-            common_den = _qmul(common_den, den)
-        cleared = []
-        lcm = 1
-        for c in poly:
-            num = tuple(x.payload for x in c.payload[0])
-            den = tuple(x.payload for x in c.payload[1])
-            scale, rem = _qdivmod(common_den, den)
-            assert not rem, "common denominator must clear every coefficient"
-            q = _qmul(num, scale)
-            cleared.append(q)
-            for f in q:
-                lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-        return _zz_trim([[int(f * lcm) for f in q] for q in cleared])
-
     def _add(self, a, b):
         (n1, d1), (n2, d2) = a, b
         if len(d1) == 1 and len(d2) == 1:
             # canonical values with constant denominator have denominator 1
-            return (_padd(self.base, n1, n2), d1)
-        num = _padd(self.base, _pmul(self.base, n1, d2), _pmul(self.base, n2, d1))
-        return self._canon(num, _pmul(self.base, d1, d2))
+            return (_padd(n1, n2), d1)
+        zero = self.base.zero
+        num = _padd(_pmul(n1, d2, zero), _pmul(n2, d1, zero))
+        return self._canon(num, _pmul(d1, d2, zero))
 
     def _neg(self, a):
         return (_pneg(a[0]), a[1])
 
     def _mul(self, a, b):
         (n1, d1), (n2, d2) = a, b
+        zero = self.base.zero
         if len(d1) == 1 and len(d2) == 1:
-            return (_pmul(self.base, n1, n2), d1)
-        return self._canon(_pmul(self.base, n1, n2), _pmul(self.base, d1, d2))
+            return (_pmul(n1, n2, zero), d1)
+        return self._canon(_pmul(n1, n2, zero), _pmul(d1, d2, zero))
 
     def _invert(self, a):
         num, den = a
@@ -846,18 +814,14 @@ class FractionField(Ring):
         return not a[0]
 
     def _from_int(self, n):
-        v = self.base.from_int(n)
-        if v.is_zero():
-            return ((), (self.base.one,))
-        return ((v,), (self.base.one,))
+        return self._constant(self.base._from_int(n))
 
     def _to_str(self, a):
         num, den = a
         num_s = self._poly_str(num)
-        if den == (self.base.one,):
+        if len(den) == 1:  # a canonical constant denominator is 1
             return num_s
-        den_s = self._poly_str(den)
-        return f"({num_s})/({den_s})"
+        return f"({num_s})/({self._poly_str(den)})"
 
     def _poly_str(self, coeffs):
         rendered = []
@@ -872,15 +836,17 @@ class FractionField(Ring):
 
     @property
     def gen(self) -> RingValue:
-        return RingValue(self, ((self.base.zero, self.base.one), (self.base.one,)))
+        return RingValue(self, ((self.base.zero, self.base.one), self._unit))
 
     def embed(self, value: RingValue) -> RingValue:
         """Embed a base-field value as a constant rational function."""
         if value.ring != self.base:
             raise RingError("embed expects a base-field value")
-        if value.is_zero():
-            return self.zero
-        return RingValue(self, ((value,), (self.base.one,)))
+        return RingValue(self, self._constant(value.payload))
+
+    def _constant(self, a):
+        """The payload of the constant with base payload a."""
+        return (((RingValue(self.base, a),) if not self.base._is_zero(a) else ()), self._unit)
 
     def generators(self):
         gens = {self.var: self.gen}
@@ -889,106 +855,124 @@ class FractionField(Ring):
         return gens
 
 
-# -- clearing fractions to integer polynomial pairs -------------------------
+class IntFractionField(FractionField):
+    """Q(x1)...(xk) on integer payloads: coprime pairs (P, D) in Z[x1..xk]
+    with D's leading integer positive; see :class:`FractionField`.
+
+    Sums and products follow Henrici: they take gcds of the operands'
+    parts, which are smaller than the gcd of the unreduced result."""
+
+    def __init__(self, base: Ring):
+        super().__init__(base)
+        self._unit = _zconst(1, self.depth)
+
+    def _canon(self, num, den):
+        k = self.depth
+        if not den:
+            raise ZeroDivisionError("zero denominator in rational function")
+        if not num:
+            return ((), self._unit)
+        g = _zgcd(num, den, k)
+        if g != self._unit:
+            num, den = _zdiv(num, g, k), _zdiv(den, g, k)
+        if _zlead(den, k) < 0:
+            num, den = _zneg(num, k), _zneg(den, k)
+        return (num, den)
+
+    def _add(self, a, b):
+        k, one = self.depth, self._unit
+        (n1, d1), (n2, d2) = a, b
+        if d1 == d2:
+            if d1 == one:
+                return (_zadd(n1, n2, k), one)
+            return self._canon(_zadd(n1, n2, k), d1)
+        g = _zgcd(d1, d2, k)
+        if g == one:
+            return (_zadd(_zmul(n1, d2, k), _zmul(n2, d1, k), k), _zmul(d1, d2, k))
+        e1, e2 = _zdiv(d1, g, k), _zdiv(d2, g, k)
+        num = _zadd(_zmul(n1, e2, k), _zmul(n2, e1, k), k)
+        if not num:
+            return ((), one)
+        h = _zgcd(num, g, k)
+        if h != one:
+            num, d2 = _zdiv(num, h, k), _zdiv(d2, h, k)
+        return (num, _zmul(e1, d2, k))
+
+    def _neg(self, a):
+        return (_zneg(a[0], self.depth), a[1])
+
+    def _mul(self, a, b):
+        k, one = self.depth, self._unit
+        (n1, d1), (n2, d2) = a, b
+        if not n1 or not n2:
+            return ((), one)
+        if d1 == one and d2 == one:
+            return (_zmul(n1, n2, k), one)
+        g1, g2 = _zgcd(n1, d2, k), _zgcd(n2, d1, k)
+        if g1 != one:
+            n1, d2 = _zdiv(n1, g1, k), _zdiv(d2, g1, k)
+        if g2 != one:
+            n2, d1 = _zdiv(n2, g2, k), _zdiv(d1, g2, k)
+        return (_zmul(n1, n2, k), _zmul(d1, d2, k))
+
+    def _invert(self, a):
+        num, den = a
+        if not num:
+            return None
+        if _zlead(num, self.depth) < 0:
+            return (_zneg(den, self.depth), _zneg(num, self.depth))
+        return (den, num)
+
+    def _to_str(self, a):
+        # rendered through the monic-denominator form of the generic path:
+        # every coefficient divided by D's leading coefficient, a base value
+        base, lead = self.base, a[1][-1]
+        return super()._to_str([[RingValue(base, base._canon(c, lead)) for c in p] for p in a])
+
+    @property
+    def gen(self) -> RingValue:
+        k = self.depth
+        return RingValue(self, ((_zconst(0, k - 1), _zconst(1, k - 1)), self._unit))
+
+    def _constant(self, a):
+        # a base payload is already a coprime pair with positive leading integer
+        num, den = a.as_integer_ratio() if self.depth == 1 else a
+        return ((num,) if num else (), (den,))
+
+
+# -- integer payloads of fraction fields over Q -----------------------------
 
 
 def fraction_field_as_int_pair(value: RingValue):
-    """Write a rational-function value over Q as P/Q for coprime integer
-    coefficient lists P, Q (ascending degree)."""
-    ring = value.ring
-    if not (isinstance(ring, FractionField) and isinstance(ring.base, Rationals)):
+    """The coprime integer coefficient tuples (P, Q), ascending in t, with
+    value = P/Q in Q(t)."""
+    if not (isinstance(value.ring, IntFractionField) and value.ring.depth == 1):
         raise RingError("expected a value in ratfun:Q")
-    num = [c.payload for c in value.payload[0]]
-    den = [c.payload for c in value.payload[1]]
-    lcm = 1
-    for f in num + den:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    P = _ztrim([int(f * lcm) for f in num])
-    Q = _ztrim([int(f * lcm) for f in den])
-    g = _zgcd_poly(P, Q) if P else [1]
-    if len(g) > 1:
-        P, Q = _zdivexact(P, g), _zdivexact(Q, g)
-    c = 0
-    for x in P + Q:
-        c = math.gcd(c, x)
-    if c > 1:
-        P = [x // c for x in P]
-        Q = [x // c for x in Q]
-    return P, Q
+    return value.payload
 
 
 def tower_as_int_pair(value: RingValue):
-    """Write a value of the tower Q(t)(u) as P/Q for coprime integer
-    bivariate polynomials (lists over u of integer lists over t)."""
-    ring = value.ring
-    if not (
-        isinstance(ring, FractionField)
-        and isinstance(ring.base, FractionField)
-        and isinstance(ring.base.base, Rationals)
-    ):
+    """The coprime pair (P, Q) in Z[t][u], tuples over u of integer tuples
+    over t, with value = P/Q in Q(t)(u)."""
+    if not (isinstance(value.ring, IntFractionField) and value.ring.depth == 2):
         raise RingError("expected a value in ratfun:ratfun:Q")
-    num, den = value.payload
-    split = len(num)
-    cleared = ring._to_int_tower(tuple(num) + tuple(den))
-    # _to_int_tower trims trailing zero coefficients of the concatenation,
-    # so rebuild the two halves with explicit padding
-    padded = cleared + [[] for _ in range(split + len(den) - len(cleared))]
-    P = _zz_trim(padded[:split])
-    Q = _zz_trim(padded[split:])
-    g = _zz_gcd([list(c) for c in P], [list(c) for c in Q]) if P else [[1]]
-    if g != [[1]]:
-        P = _zz_divexact(P, g)
-        Q = _zz_divexact(Q, g)
-    c = 0
-    for poly in P + Q:
-        for x in poly:
-            c = math.gcd(c, x)
-    if c > 1:
-        P = [[x // c for x in poly] for poly in P]
-        Q = [[x // c for x in poly] for poly in Q]
-    return P, Q
+    return value.payload
 
 
-def _zz_divexact(A: list, B: list) -> list:
-    """Exact division in Z[t][u] (the divisor must divide)."""
-    rem = [list(c) for c in A]
-    quo: list = [[] for _ in range(max(0, len(A) - len(B) + 1))]
-    while rem and len(rem) >= len(B):
-        if not _ztrim(rem[-1]):
-            rem.pop()
-            continue
-        shift = len(rem) - len(B)
-        qc = _zdivexact(rem[-1], B[-1])
-        quo[shift] = qc
-        for i, bc in enumerate(B):
-            prod = _zmulpoly(qc, bc)
-            cur = rem[shift + i]
-            if len(cur) < len(prod):
-                cur = cur + [0] * (len(prod) - len(cur))
-            for j, p in enumerate(prod):
-                cur[j] -= p
-            rem[shift + i] = _ztrim(cur)
-        rem.pop()
-    assert not _zz_trim(rem), "inexact bivariate division"
-    return _zz_trim(quo)
-
-
-def evaluate_int_poly(P: list, x: RingValue) -> RingValue:
-    """Horner evaluation of an integer coefficient list at a ring value."""
+def evaluate_int_poly(P, *points: RingValue) -> RingValue:
+    """Horner evaluation of a Z[x1..xk] polynomial at x1, ..., xk (k =
+    len(points), innermost variable first) in the points' ring."""
+    *inner, x = points
     ring = x.ring
     acc = ring.zero
     for c in reversed(P):
-        acc = acc * x + ring.from_int(c)
+        acc = acc * x + (evaluate_int_poly(c, *inner) if inner else ring.from_int(c))
     return acc
 
 
-def evaluate_int_poly2(PP: list, x: RingValue, y: RingValue) -> RingValue:
+def evaluate_int_poly2(PP, x: RingValue, y: RingValue) -> RingValue:
     """Evaluate a Z[t][u] polynomial at t = x, u = y."""
-    ring = x.ring
-    acc = ring.zero
-    for inner in reversed(PP):
-        acc = acc * y + evaluate_int_poly(inner, x)
-    return acc
+    return evaluate_int_poly(PP, x, y)
 
 
 def _poly_text(coeff_strs, var: str) -> str:

@@ -33,10 +33,7 @@ from .rings import (
     Triple,
     construct_ring,
     evaluate_int_poly,
-    evaluate_int_poly2,
-    fraction_field_as_int_pair,
     generic_tower,
-    tower_as_int_pair,
 )
 
 UP = "^"
@@ -673,35 +670,19 @@ def _jw_by_specialization(triple: Triple, n: int) -> TLMorphism:
     idempotent, general ones the two-parameter version.  The result is
     still verified against the defining properties by the caller.
     """
-    balanced = triple.delta1 == triple.delta2
-    if balanced:
-        universal = jw(_balanced_generic_triple(), n)
-        as_pair = fraction_field_as_int_pair
-
-        def eval_pair(P, Q):
-            num = evaluate_int_poly(P, triple.delta1)
-            den = evaluate_int_poly(Q, triple.delta1)
-            return num, den
-
+    if triple.delta1 == triple.delta2:
+        universal, points = jw(_balanced_generic_triple(), n), (triple.delta1,)
     else:
-        universal = jw(generic_tower(), n)
-        as_pair = tower_as_int_pair
-
-        def eval_pair(P, Q):
-            num = evaluate_int_poly2(P, triple.delta1, triple.delta2)
-            den = evaluate_int_poly2(Q, triple.delta1, triple.delta2)
-            return num, den
-
+        universal, points = jw(generic_tower(), n), (triple.delta1, triple.delta2)
     assert isinstance(universal, TLMorphism)
     word = Word.alt(n)
     terms = {}
     for matching, coeff in universal.terms.items():
-        P, Q = as_pair(coeff)
-        num, den = eval_pair(P, Q)
-        inv = den.inverse()
+        P, Q = coeff.payload
+        inv = evaluate_int_poly(Q, *points).inverse()
         if inv is None:
             raise ZeroDivisionError("universal denominator specializes to zero")
-        terms[matching] = num * inv
+        terms[matching] = evaluate_int_poly(P, *points) * inv
     return TLMorphism(triple, word, word, terms)
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -137,3 +138,46 @@ def test_verify_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["failed"] == 0
+
+
+def _timed(capsys, *argv):
+    start = time.perf_counter()
+    result = run(capsys, *argv)
+    return result, time.perf_counter() - start
+
+
+def test_exponent_ceiling_exits_one_fast(capsys):
+    for ring, d1 in (("ratfun:Q", "t^-1000000000"), ("ratfun:ratfun:Q", "u^1001"), ("Q", "3^1001")):
+        (code, _, err), took = _timed(
+            capsys, "qnum", "--ring", ring, "--d1", d1, "--d2", "1", "--upto", "2"
+        )
+        assert code == 1, (ring, d1)
+        assert "beyond the limit of 1000" in err
+        assert took < 0.5, (ring, d1, took)
+    code, _, _ = run(capsys, "qnum", "--ring", "ratfun:Q", "--d1", "t^1000", "--d2", "1", "--upto", "2")
+    assert code == 0
+
+
+def test_exponents_stay_unbounded_in_finite_payload_rings(capsys):
+    for ring, d1 in (("Fp:7", "3^-1000000000"), ("cyclo:10", "q^1000000001")):
+        (code, _, _), took = _timed(
+            capsys, "qnum", "--ring", ring, "--d1", d1, "--d2", "1", "--upto", "2"
+        )
+        assert code == 0, (ring, d1)
+        assert took < 0.5, (ring, d1, took)
+
+
+def test_prime_modulus_ceiling_exits_one_fast(capsys):
+    (code, _, err), took = _timed(
+        capsys, "qnum", "--ring", "Fp:170141183460469231731687303715884105727",
+        "--d1", "1", "--d2", "1", "--upto", "2",
+    )
+    assert code == 1
+    assert "must be below" in err
+    assert took < 0.5
+    # the largest prime below the ceiling is accepted, and decided quickly
+    (code, _, _), took = _timed(
+        capsys, "qnum", "--ring", "Fp:3317044064679887385961813", "--d1", "1", "--d2", "1",
+        "--upto", "2",
+    )
+    assert code == 0 and took < 0.5

@@ -1,0 +1,160 @@
+"""Property and differential tests for Q(t) and Q(t)(u) on integer payloads.
+
+Field axioms and canonical-form uniqueness are checked with hypothesis;
+reduced forms and gcds are compared with sympy, a test-only oracle."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tlab.rings import _zgcd, _zlead, _zmul, construct_ring
+
+QT = construct_ring("ratfun:Q")
+QTU = construct_ring("ratfun:ratfun:Q")
+RINGS = {1: QT, 2: QTU}
+SETTINGS = settings(max_examples=60, deadline=None)
+
+small = st.integers(-4, 4)
+# polynomials as {exponent tuple: coefficient}; exponents innermost first
+poly1 = st.dictionaries(st.tuples(st.integers(0, 3)), small, max_size=4)
+poly2 = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), small, max_size=4)
+POLYS = {1: poly1, 2: poly2}
+
+
+def build(ring, terms):
+    gens = [ring.generators()[name] for name in "tu"[: ring.depth]]
+    acc = ring.zero
+    for exps, c in terms.items():
+        mono = ring.from_int(c)
+        for g, e in zip(gens, exps):
+            mono = mono * g**e
+        acc = acc + mono
+    return acc
+
+
+def values(depth):
+    """Random elements num/den of the depth-level ring, with den != 0."""
+    ring = RINGS[depth]
+    nonzero = POLYS[depth].filter(lambda d: any(d.values()))
+    return st.builds(lambda n, d: build(ring, n) / build(ring, d), POLYS[depth], nonzero)
+
+
+def int_content(poly, depth):
+    if depth == 0:
+        return abs(poly)
+    return math.gcd(*(int_content(c, depth - 1) for c in poly)) if poly else 0
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_field_axioms(depth):
+    ring = RINGS[depth]
+
+    @SETTINGS
+    @given(values(depth), values(depth), values(depth))
+    def check(a, b, c):
+        assert (a + b) + c == a + (b + c)
+        assert a + b == b + a
+        assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
+        assert a * (b + c) == a * b + a * c
+        assert a + ring.zero == a and a * ring.one == a
+        assert (a - a).is_zero()
+        if a.is_zero():
+            assert a.inverse() is None
+        else:
+            assert (a * a.inverse()).is_one()
+            assert (b / a) * a == b
+
+    check()
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_canonical_form_is_unique(depth):
+    unit = RINGS[depth].one.payload[1]
+
+    ring = RINGS[depth]
+    nonzero = POLYS[depth].filter(lambda d: any(d.values()))
+
+    @SETTINGS
+    @given(values(depth), values(depth), values(depth).filter(lambda v: not v.is_zero()), nonzero)
+    def check(a, b, c, h):
+        # the same value reached along different paths
+        pairs = [(a * c / c, a), ((a + b) - b, a), (-(-a), a),
+                 ((a + c) * (a - c), a * a - c * c), ((a * c + b * c) / c, a + b)]
+        for x, y in pairs:
+            assert x == y
+            assert x.payload == y.payload
+            assert hash(x) == hash(y)
+        P, D = a.payload
+        # any common factor, of either sign, is cancelled
+        H = build(ring, h).payload[0]
+        assert ring._canon(_zmul(P, H, depth), _zmul(D, H, depth)) == a.payload
+        assert _zgcd(P, D, depth) == unit
+        assert math.gcd(int_content(P, depth), int_content(D, depth)) == 1
+        assert _zlead(D, depth) > 0
+
+    check()
+
+
+# -- sympy as an independent oracle -----------------------------------------
+
+try:
+    import sympy
+except ImportError:  # the oracle is optional; the property tests above still run
+    sympy = None
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+T, U = sympy.symbols("t u") if sympy else (None, None)
+
+
+def to_sympy(poly, depth):
+    if depth == 0:
+        return sympy.Integer(poly)
+    var = (T, U)[depth - 1]
+    return sum((to_sympy(c, depth - 1) * var**i for i, c in enumerate(poly)), sympy.Integer(0))
+
+
+def sympy_of(terms):
+    return sum((c * T ** e[0] * (U ** e[1] if len(e) > 1 else 1) for e, c in terms.items()),
+               sympy.Integer(0))
+
+
+@needs_sympy
+@pytest.mark.parametrize("depth", [1, 2])
+def test_reduced_forms_match_sympy_cancel(depth):
+    ring = RINGS[depth]
+    nonzero = POLYS[depth].filter(lambda d: any(d.values()))
+
+    @SETTINGS
+    @given(POLYS[depth], nonzero, POLYS[depth], nonzero)
+    def check(n1, d1, n2, d2):
+        ours = build(ring, n1) / build(ring, d1) + build(ring, n2) / build(ring, d2)
+        theirs = sympy.cancel(sympy_of(n1) / sympy_of(d1) + sympy_of(n2) / sympy_of(d2))
+        num, den = sympy.fraction(theirs)
+        P, D = (to_sympy(x, depth) for x in ours.payload)
+        assert sympy.expand(P * den - num * D) == 0
+        # sympy's reduced form and ours have the same degrees in every variable
+        for var in (T, U)[:depth]:
+            assert sympy.degree(P, var) == sympy.degree(num, var)
+            assert sympy.degree(D, var) == sympy.degree(den, var)
+
+    check()
+
+
+@needs_sympy
+@pytest.mark.parametrize("depth", [1, 2])
+def test_gcd_matches_sympy(depth):
+    ring = RINGS[depth]
+
+    @SETTINGS
+    @given(POLYS[depth], POLYS[depth], POLYS[depth])
+    def check(f, g, h):
+        # a common factor h makes the gcd non-trivial
+        a = (build(ring, f) * build(ring, h)).payload[0]
+        b = (build(ring, g) * build(ring, h)).payload[0]
+        got = to_sympy(_zgcd(a, b, depth), depth)
+        want = sympy.gcd(to_sympy(a, depth), to_sympy(b, depth))
+        assert sympy.expand(got - want) == 0 or sympy.expand(got + want) == 0
+
+    check()

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,8 +6,12 @@ import pytest
 
 from tlab.rings import (
     ElementParseError,
+    MAX_PRIME,
+    RingLimitError,
     RingSpecError,
     Triple,
+    _is_prime,
+    _zgcd,
     construct_ring,
     cyclotomic_polynomial,
     evaluate_int_poly,
@@ -202,3 +207,33 @@ def test_triple_membership_guard():
     Q = construct_ring("Q")
     with pytest.raises(Exception):
         Triple(F5, Q.one, F5.zero)
+
+
+def test_bivariate_gcd_keeps_common_content():
+    # t(u+1) and t(u+2) share the Z[t]-content t
+    assert _zgcd(((0, 1), (0, 1)), ((0, 2), (0, 1)), 2) == ((0, 1),)
+    T = generic_tower()
+    t, u = T.ring.generators()["t"], T.ring.generators()["u"]
+    lhs = (t * u + t) / (t * u + 2 * t)
+    rhs = (u + 1) / (u + 2)
+    assert lhs == rhs
+    assert lhs.payload == rhs.payload
+    assert hash(lhs) == hash(rhs)
+
+
+def test_miller_rabin_against_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # Carmichael numbers and strong pseudoprimes to many small bases
+    for n in (561, 1105, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n), n
+    # the ceiling is the least composite that passes all 13 witnesses, which
+    # is why Fp refuses any modulus from it on
+    assert MAX_PRIME == 1287836182261 * 2575672364521 and _is_prime(MAX_PRIME)
+    with pytest.raises(RingLimitError):
+        construct_ring(f"Fp:{MAX_PRIME}")
+    for p in (2**61 - 1, 2**31 - 1, 1_000_000_007, 3317044064679887385961813):
+        assert _is_prime(p), p

@@ -30,6 +30,25 @@ class UsageError(Exception):
     pass
 
 
+class InputLimitError(ValueError):
+    """A well-formed request beyond what the command finishes in a minute."""
+
+
+# Largest --n for `continuant` and `homology`: the largest n that finished
+# within 60 s with the default rings (CPython 3.11, one core of an Intel
+# Xeon virtual machine).  `continuant` took 1.7 s at n = 12, 4.5 s at 13,
+# 11 s at 14 and 37 s at 15 (480 MB); `homology` took 1.0 s at n = 10,
+# 3.3 s at 11, 12 s at 12 and 45 s at 13 (210 MB).  Each step costs 2.5 to
+# 3.8 times the one before, so one more n would take well over a minute.
+MAX_CONTINUANT_N = 15
+MAX_HOMOLOGY_N = 13
+
+
+def _check_n(n: int, limit: int, command: str) -> None:
+    if n > limit:
+        raise InputLimitError(f"{command} --n {n} is beyond the limit of {limit}")
+
+
 def _triple_from_args(args) -> Triple:
     try:
         ring = construct_ring(args.ring)
@@ -101,6 +120,7 @@ def cmd_rotatable(args) -> int:
 
 
 def cmd_continuant(args) -> int:
+    _check_n(args.n, MAX_CONTINUANT_N, "continuant")
     triple = _triple_from_args(args)
     build = complexes.build_continuant(args.n, args.variant, triple)
     report = complexes.validate(build)
@@ -112,6 +132,7 @@ def cmd_continuant(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    _check_n(args.n, MAX_HOMOLOGY_N, "homology")
     try:
         ring = construct_ring(args.ring)
         q = parse_element(ring, args.q)

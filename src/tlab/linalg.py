@@ -1,102 +1,89 @@
-"""Exact dense matrices over any of the coefficient fields.
+"""Exact sparse matrices over any of the coefficient fields.
 
-Rank, solving and reduced row echelon form are computed by Gaussian
-elimination with exact field arithmetic; no floating point is involved, so
-ranks remain meaningful at root-of-unity degenerations.
+Each row is a dict from column index to a non-zero entry; a zero that
+appears by cancellation is dropped, so only non-zeros are ever stored,
+multiplied or eliminated.  Rank and solving use Gaussian elimination with
+exact field arithmetic; no floating point is involved, so ranks remain
+meaningful at root-of-unity degenerations.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .rings import Ring, RingValue
 
-
-def _entry_cost(value: RingValue) -> int:
-    """Rough size of a field element, used for pivot selection only."""
-    return value.ring.size(value.payload)
+Row = Dict[int, RingValue]
 
 
 class ExactMatrix:
-    """A rows x cols matrix with entries in an exact field."""
+    """A rows x cols matrix with entries in an exact field, stored as one
+    dict {column: non-zero entry} per row in ``entries``."""
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    __slots__ = ("ring", "nrows", "ncols", "entries")
 
     def __init__(self, ring: Ring, rows: List[List[RingValue]]):
+        """The matrix with the given dense rows."""
         self.ring = ring
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        self.entries: List[Row] = []
+        for r in rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged matrix rows")
+            self.entries.append({j: e for j, e in enumerate(r) if e})
+
+    @property
+    def rows(self) -> List[List[RingValue]]:
+        """A dense copy of the rows; writing to it leaves the matrix alone."""
+        zero, cols = self.ring.zero, range(self.ncols)
+        return [[row.get(j, zero) for j in cols] for row in self.entries]
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zeros(ring: Ring, nrows: int, ncols: int) -> "ExactMatrix":
-        z = ring.zero
-        return ExactMatrix(ring, [[z] * ncols for _ in range(nrows)])
+        out = ExactMatrix.__new__(ExactMatrix)
+        out.ring, out.nrows, out.ncols = ring, nrows, ncols
+        out.entries = [{} for _ in range(nrows)]
+        return out
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "ExactMatrix":
         out = ExactMatrix.zeros(ring, n, n)
         for i in range(n):
-            out.rows[i][i] = ring.one
+            out.entries[i][i] = ring.one
         return out
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.ring, self.rows)
 
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        zero = self.ring.zero
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if a.is_zero():
-                        continue
-                    acc = acc + a * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(self.ring, out)
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix addition")
-        return ExactMatrix(
-            self.ring,
-            [[self.rows[i][j] + other.rows[i][j] for j in range(self.ncols)] for i in range(self.nrows)],
-        )
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.ring, [[-e for e in row] for row in self.rows])
-
-    def scale(self, c: RingValue) -> "ExactMatrix":
-        return ExactMatrix(self.ring, [[c * e for e in row] for row in self.rows])
+        out = ExactMatrix.zeros(self.ring, self.nrows, other.ncols)
+        right = other.entries
+        for row, acc in zip(self.entries, out.entries):
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    old = acc.get(j)
+                    acc[j] = a * b if old is None else old + a * b
+            for j in [j for j, e in acc.items() if not e]:
+                del acc[j]
+        return out
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product, left factor most significant."""
         out = ExactMatrix.zeros(self.ring, self.nrows * other.nrows, self.ncols * other.ncols)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                a = self.rows[i][j]
-                if a.is_zero():
-                    continue
-                for k in range(other.nrows):
-                    for l in range(other.ncols):
-                        out.rows[i * other.nrows + k][j * other.ncols + l] = a * other.rows[k][l]
+        for i, row in enumerate(self.entries):
+            for k, inner in enumerate(other.entries):
+                target = out.entries[i * other.nrows + k]
+                for j, a in row.items():
+                    for l, b in inner.items():
+                        target[j * other.ncols + l] = a * b
         return out
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+        return not any(self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -105,51 +92,72 @@ class ExactMatrix:
             self.ring == other.ring
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and all(self.rows[i][j] == other.rows[i][j] for i in range(self.nrows) for j in range(self.ncols))
+            and self.entries == other.entries
         )
 
     # -- elimination -------------------------------------------------------
 
-    def _eliminate(self) -> tuple:
-        """Row-reduce a working copy; returns (reduced rows, pivot columns).
+    def _eliminate(self, extra: Optional[List[RingValue]] = None) -> tuple:
+        """Forward elimination of a working copy, with ``extra`` appended as
+        column ``ncols`` when given.
 
-        The pivot with the cheapest payload is chosen in each column, which
-        keeps rational-function entries from blowing up during elimination.
+        Columns are swept left to right, and a column is a pivot column when
+        some row not yet used as a pivot has a non-zero there; the pivot
+        columns therefore do not depend on which of those rows is taken.
+        The cheapest candidate is taken (smallest ``Ring.size`` of the
+        entry, then fewest non-zeros), which keeps rational-function entries
+        and fill small.  Only the candidate rows are touched, and each loses
+        its entry in the pivot column.
+
+        Returns (pivots, rows): pivots lists (column, index of the pivot
+        row) in sweep order, and rows holds the reduced rows.
         """
-        rows = [list(r) for r in self.rows]
+        rows = [dict(r) for r in self.entries]
+        if extra is not None:
+            for row, e in zip(rows, extra):
+                if e:
+                    row[self.ncols] = e
+        # column -> rows not yet used as a pivot with a non-zero there
+        index: Dict[int, set] = {}
+        for i, row in enumerate(rows):
+            for j in row:
+                index.setdefault(j, set()).add(i)
+        size = self.ring.size
         pivots = []
-        r = 0
         for c in range(self.ncols):
-            pivot_row = None
-            best = None
-            for i in range(r, self.nrows):
-                if not rows[i][c].is_zero():
-                    cost = _entry_cost(rows[i][c])
-                    if best is None or cost < best:
-                        pivot_row, best = i, cost
-                        if cost == 0:
-                            break
-            if pivot_row is None:
+            candidates = index.pop(c, None)
+            if not candidates:
                 continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = rows[r][c].inverse()
-            if not rows[r][c].is_one():
-                rows[r] = [e if e.is_zero() else e * inv for e in rows[r]]
-            pivot_entries = [(j, e) for j, e in enumerate(rows[r]) if not e.is_zero()]
-            for i in range(self.nrows):
-                if i != r and not rows[i][c].is_zero():
-                    factor = rows[i][c]
-                    row_i = rows[i]
-                    for j, pv in pivot_entries:
-                        row_i[j] = row_i[j] - factor * pv
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
+            p = min(candidates, key=lambda i: (size(rows[i][c].payload), len(rows[i]), i))
+            candidates.discard(p)
+            pivot = rows[p]
+            for j in pivot:
+                if j != c:
+                    index[j].discard(p)
+            inv = pivot[c].inverse()
+            negated = [(j, -e) for j, e in pivot.items() if j != c]
+            for i in candidates:
+                row = rows[i]
+                factor = row.pop(c) * inv
+                for j, e in negated:
+                    old = row.get(j)
+                    if old is None:
+                        row[j] = factor * e
+                        index.setdefault(j, set()).add(i)
+                    else:
+                        new = old + factor * e
+                        if new:
+                            row[j] = new
+                        else:
+                            del row[j]
+                            index[j].discard(i)
+            pivots.append((c, p))
+            if len(pivots) == self.nrows:
                 break
-        return rows, pivots
+        return pivots, rows
 
     def rank(self) -> int:
-        _, pivots = self._eliminate()
+        pivots, _ = self._eliminate()
         return len(pivots)
 
     def solve(self, rhs: List[RingValue]) -> Optional[List[RingValue]]:
@@ -157,19 +165,21 @@ class ExactMatrix:
         when the system is inconsistent."""
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has wrong length")
-        augmented = ExactMatrix(self.ring, [self.rows[i] + [rhs[i]] for i in range(self.nrows)])
-        rows, pivots = augmented._eliminate()
-        if self.ncols in pivots:
+        n = self.ncols
+        pivots, rows = self._eliminate(rhs)
+        used = {p for _, p in pivots}
+        if any(n in row for i, row in enumerate(rows) if i not in used):
             return None
-        solution = [self.ring.zero] * self.ncols
-        for r, c in enumerate(pivots):
-            solution[c] = rows[r][self.ncols]
+        solution = [self.ring.zero] * n
+        # back substitution; only pivot columns carry non-zero values
+        for c, p in reversed(pivots):
+            row = rows[p]
+            acc = row.get(n, self.ring.zero)
+            for j, e in row.items():
+                if j != c and j != n:
+                    acc = acc - e * solution[j]
+            solution[c] = acc / row[c]
         return solution
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.ring})"
-
-    def pretty(self) -> str:
-        cells = [[str(e) for e in row] for row in self.rows]
-        width = max((len(c) for row in cells for c in row), default=1)
-        return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)

@@ -52,6 +52,15 @@ class RingLimitError(RingError):
 # exponent (CPython 3.11 on one core of an Intel Xeon virtual machine).
 MAX_EXPONENT = 1000
 
+# Largest predicted size (see Ring.size) of a power x^e, |e| * size(x), in
+# the rings whose payloads grow: 2000 is the prediction for t^1000 and
+# 3^1000, so x^1000 passes for x = t, t + 1, u or 3, while nested powers
+# such as (t^1000)^3 cannot grow past it.  Over Q the unit is the bit, and
+# the limit stays under the 4,300 digits (about 14,280 bits) that CPython
+# converts from int to str.
+MAX_POWER_SIZE = 2 * MAX_EXPONENT
+MAX_POWER_BITS = 14_000
+
 
 # ---------------------------------------------------------------------------
 # values
@@ -150,11 +159,19 @@ class RingValue:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        limit = self.ring.max_exponent
+        ring = self.ring
+        limit = ring.max_exponent
         if limit is not None and abs(exponent) > limit:
             raise RingLimitError(
-                f"exponent {exponent} is beyond the limit of {limit} in {self.ring}"
+                f"exponent {exponent} is beyond the limit of {limit} in {ring}"
             )
+        if ring.max_size is not None:
+            predicted = abs(exponent) * ring.size(self.payload)
+            if predicted > ring.max_size and not ring._is_root_of_unity(self.payload):
+                raise RingLimitError(
+                    f"the power would have predicted size {predicted}, beyond the "
+                    f"limit of {ring.max_size} in {ring}"
+                )
         base = self
         if exponent < 0:
             inv = self.inverse()
@@ -208,9 +225,11 @@ class Ring:
     """Abstract commutative ring (in fact always a field here)."""
 
     kind = "abstract"
-    # largest |exponent| that __pow__ accepts; None where payloads stay
-    # bounded whatever the exponent
+    # largest |exponent| and largest predicted size |exponent| * size(x)
+    # that __pow__ accepts; None where payloads stay bounded whatever the
+    # exponent
     max_exponent: Optional[int] = None
+    max_size: Optional[int] = None
 
     def _key(self):
         raise NotImplementedError
@@ -257,9 +276,16 @@ class Ring:
         raise NotImplementedError
 
     def size(self, a) -> int:
-        """A rough size of a payload, for choosing cheap pivots: 0 for the
-        constant 1, at least 1 otherwise."""
+        """A rough size of a payload: 0 for the constant 1, at least 1
+        otherwise.  Elimination takes the pivot of least size, and where
+        payloads grow, size(x^e) is at most about |e| * size(x)."""
         return 0 if a == self.one.payload else 1
+
+    def _is_root_of_unity(self, a) -> bool:
+        """Whether a has finite multiplicative order, so that its powers stay
+        bounded whatever the exponent; only consulted for powers whose
+        predicted size is over the limit."""
+        return False
 
     # -- convenience -------------------------------------------------------
 
@@ -293,6 +319,7 @@ class Ring:
 class Rationals(Ring):
     kind = "Q"
     max_exponent = MAX_EXPONENT
+    max_size = MAX_POWER_BITS
 
     def _key(self):
         return ("Q",)
@@ -322,6 +349,12 @@ class Rationals(Ring):
 
     def _canon(self, num: int, den: int):
         return Fraction(num, den)
+
+    def size(self, a) -> int:
+        """Bit length of |numerator| * denominator; 0 for 1."""
+        if a == 1:
+            return 0
+        return (abs(a.numerator) * a.denominator).bit_length()
 
     def _to_str(self, a):
         return str(a)
@@ -494,6 +527,7 @@ def cyclotomic_polynomial(m: int) -> tuple:
 
 class CyclotomicField(Ring):
     kind = "cyclo"
+    max_size = MAX_POWER_BITS
 
     def __init__(self, m: int):
         if m < 1:
@@ -510,6 +544,21 @@ class CyclotomicField(Ring):
 
     def _reduce(self, coeffs) -> tuple:
         return _pdivmod(coeffs, self.modulus)[1]
+
+    def size(self, a) -> int:
+        """Largest bit length of |numerator| * denominator of a
+        coefficient; 0 for 1."""
+        if a == self.one.payload:
+            return 0
+        return max(((abs(c.numerator) * c.denominator).bit_length() for c in a), default=0)
+
+    def _is_root_of_unity(self, a) -> bool:
+        # the roots of unity of Q(zeta_m) have orders dividing 2m and small
+        # coefficients, so x^(2m) == 1 is tested only where x^(2m) itself
+        # stays within the size limit
+        if 2 * self.m * self.size(a) > self.max_size:
+            return False
+        return RingValue(self, a) ** (2 * self.m) == self.one
 
     def _add(self, a, b):
         return _padd(a, b)
@@ -694,6 +743,17 @@ def _zprim(a, k: int):
     return tuple(_zdiv(x, c, k - 1) if x else x for x in a)
 
 
+def _zshape(a, k: int):
+    """(degree summed over the variables, largest bit length of an integer
+    coefficient) of a, a rough measure of its size."""
+    if k == 0:
+        return 0, abs(a).bit_length()
+    if not a:
+        return 0, 0
+    shapes = [_zshape(c, k - 1) for c in a]
+    return len(a) - 1 + max(d for d, _ in shapes), max(b for _, b in shapes)
+
+
 def _zgcd(a, b, k: int):
     """The gcd of a and b in Z[x1..xk], with positive leading integer: the
     gcd of the contents times the gcd of the primitive parts, the latter
@@ -738,6 +798,7 @@ class FractionField(Ring):
 
     kind = "ratfun"
     max_exponent = MAX_EXPONENT
+    max_size = MAX_POWER_SIZE
 
     def __new__(cls, base: Ring):
         if isinstance(base, (Rationals, IntFractionField)):
@@ -759,11 +820,16 @@ class FractionField(Ring):
         return f"ratfun:{self.base.spec()}"
 
     def size(self, a) -> int:
-        """Degree of the numerator plus degree of the denominator, plus 1;
-        0 for the constant 1."""
+        """Degree of the numerator plus degree of the denominator, plus the
+        largest size of a coefficient where the base field's payloads grow
+        (at least 1); 0 for the constant 1."""
         if a == self.one.payload:
             return 0
-        return max(0, len(a[0]) - 1) + (len(a[1]) - 1) + 1
+        num, den = a
+        coeff = 1
+        if self.base.max_size is not None:
+            coeff = max([1] + [self.base.size(c.payload) for c in num + den])
+        return max(0, len(num) - 1) + (len(den) - 1) + coeff
 
     def _canon(self, num, den):
         if not den:
@@ -900,6 +966,14 @@ class IntFractionField(FractionField):
 
     def _neg(self, a):
         return (_zneg(a[0], self.depth), a[1])
+
+    def size(self, a) -> int:
+        """Degrees of P and D, each summed over the variables, plus the
+        largest bit length of an integer coefficient; 0 for the constant 1."""
+        if a == self.one.payload:
+            return 0
+        (dp, bp), (dd, bd) = _zshape(a[0], self.depth), _zshape(a[1], self.depth)
+        return dp + dd + max(bp, bd)
 
     def _mul(self, a, b):
         k, one = self.depth, self._unit
@@ -1052,12 +1126,19 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest nesting of parentheses and signs in an element expression; each
+# level costs the recursive-descent parser four stack frames, so this stays
+# well inside CPython's default recursion limit of 1000.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, ring: Ring, tokens):
         self.ring = ring
         self.tokens = tokens
         self.pos = 0
         self.gens = ring.generators()
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -1090,6 +1171,17 @@ class _Parser:
         return value
 
     def factor(self) -> RingValue:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise RingLimitError(
+                f"element expression nests parentheses and signs deeper than {MAX_NESTING}"
+            )
+        try:
+            return self._factor()
+        finally:
+            self.depth -= 1
+
+    def _factor(self) -> RingValue:
         kind, tok = self.peek()
         if (kind, tok) == ("op", "-"):
             self.take()

@@ -13,13 +13,16 @@ Both loop orientations then evaluate to q + q^-1, the snake identities
 hold, and the assignment is a monoidal functor on the nose: composition
 goes to matrix product (including all loop scalars) and juxtaposition to
 the Kronecker product.  Homology of realized complexes is computed by
-exact Gaussian elimination, so ranks remain meaningful at roots of unity.
+exact sparse Gaussian elimination, so ranks remain meaningful at roots of
+unity.  Every diagram preserves sl2 weight, so a realized differential is
+block-diagonal up to a permutation, and elimination, which only touches
+rows with a non-zero in the pivot column, never fills outside a block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List
 
 from .complexes import FormalComplex
@@ -45,7 +48,7 @@ class FiberParams:
         if self.q.inverse() is None:
             raise ModelError("q must be invertible")
 
-    @property
+    @cached_property
     def delta(self) -> RingValue:
         return self.q + self.q.inverse()
 
@@ -121,6 +124,7 @@ def realize_morphism(f: TLMorphism, params: FiberParams) -> ExactMatrix:
             qpow[k] = got
         return got
 
+    entries = out.entries
     for matching, coeff in f.terms.items():
         scaled = {}
         for row, col, exponent in _matching_entries(matching):
@@ -128,7 +132,12 @@ def realize_morphism(f: TLMorphism, params: FiberParams) -> ExactMatrix:
             if value is None:
                 value = coeff * power(exponent)
                 scaled[exponent] = value
-            out.rows[row][col] = out.rows[row][col] + value
+            target = entries[row]
+            old = target.pop(col, None)
+            if old is not None:
+                value = old + value
+            if value:  # a sum that cancels stays out of the row
+                target[col] = value
     return out
 
 
@@ -165,9 +174,10 @@ def _realize_formal(morphism, params: FiberParams) -> ExactMatrix:
         col_offset = 0
         for j, ws in enumerate(morphism.source.summands):
             block = realize_morphism(morphism.entries[i][j], params)
-            for a in range(block.nrows):
-                for b in range(block.ncols):
-                    out.rows[row_offset + a][col_offset + b] = block.rows[a][b]
+            for a, row in enumerate(block.entries):
+                target = out.entries[row_offset + a]
+                for b, value in row.items():
+                    target[col_offset + b] = value
             col_offset += word_dimension(ws)
         row_offset += word_dimension(wt)
     return out

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlab.cli import main
 
@@ -181,3 +185,89 @@ def test_prime_modulus_ceiling_exits_one_fast(capsys):
         "--upto", "2",
     )
     assert code == 0 and took < 0.5
+
+
+def test_nested_powers_cannot_pass_the_size_ceiling(capsys):
+    for ring, d1, d2 in (("ratfun:Q", "(t^1000)^3", "t"), ("Q", "(3^1000)^10", "1"),
+                         ("cyclo:12", "671^962356", "1")):
+        (code, _, err), took = _timed(
+            capsys, "qnum", "--ring", ring, "--d1", d1, "--d2", d2, "--upto", "2"
+        )
+        assert code == 1, (ring, d1)
+        assert "predicted size" in err and "Traceback" not in err
+        assert took < 0.5, (ring, d1, took)
+    for ring, d1 in (("ratfun:Q", "t^1000"), ("Q", "3^1000")):
+        code, _, _ = run(capsys, "qnum", "--ring", ring, "--d1", d1, "--d2", "1", "--upto", "2")
+        assert code == 0, (ring, d1)
+
+
+def test_deep_nesting_exits_one_without_traceback(capsys):
+    for d1 in ("(" * 5000 + "1" + ")" * 5000, "-" * 5000 + "1"):
+        (code, _, err), took = _timed(
+            capsys, "qnum", "--ring", "Q", f"--d1={d1}", "--d2", "1", "--upto", "2"
+        )
+        assert code == 1
+        assert "nests parentheses and signs deeper than" in err
+        assert took < 0.5
+    nested = "(" * 99 + "1" + ")" * 99
+    assert run(capsys, "qnum", "--ring", "Q", "--d1", nested, "--d2", "1", "--upto", "2")[0] == 0
+
+
+def test_n_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
+    from tlab.cli import MAX_CONTINUANT_N, MAX_HOMOLOGY_N
+
+    assert MAX_CONTINUANT_N >= 12 and MAX_HOMOLOGY_N >= 8
+    for command, limit in (("continuant", MAX_CONTINUANT_N), ("homology", MAX_HOMOLOGY_N)):
+        (code, _, err), took = _timed(capsys, command, "--n", str(limit + 1))
+        assert code == 1, command
+        assert f"beyond the limit of {limit}" in err
+        assert took < 0.5, (command, took)
+
+
+# rings with their generators, and malformed specifications
+_RINGS = {
+    "Q": "", "Fp:2": "", "Fp:7": "", "cyclo:10": "q", "cyclo:12": "q", "ratfun:Q": "t",
+    "ratfun:ratfun:Q": "tu", "ratfun:Fp:5": "t", "Fp:4": "", "cyclo:0": "", "ratfun:": "",
+}
+_JUNK = st.text(alphabet="0123456789tuq+-*/^() ", max_size=12)
+_N = st.integers(-2, 4)
+
+
+def _elements(gens: str):
+    """Small well-formed expressions in the generators most of the time,
+    short junk otherwise."""
+    atom = st.sampled_from(("0", "1", "2", "3", "-1") + tuple(gens) + tuple(g + "^-1" for g in gens))
+    expr = st.recursive(
+        atom,
+        lambda inner: st.builds(lambda a, op, b: f"({a}{op}{b})", inner, st.sampled_from("+-*/"), inner)
+        | st.builds(lambda a, e: f"({a})^{e}", inner, st.integers(-3, 3)),
+        max_leaves=4,
+    )
+    return st.one_of(expr, expr, expr, _JUNK)
+
+
+@st.composite
+def _cheap_commands(draw):
+    command = draw(st.sampled_from(("qnum", "jw", "rotatable", "continuant", "homology")))
+    ring = draw(st.sampled_from(sorted(_RINGS)))
+    element = _elements(_RINGS[ring])
+    flags = {"ring": ring}
+    if command == "homology":
+        flags.update(q=draw(element), n=draw(_N), model=draw(st.sampled_from(("sl2", "2tl"))))
+    else:
+        flags.update(d1=draw(element), d2=draw(element))
+        flags["upto" if command == "qnum" else "n"] = draw(_N)
+    if draw(st.booleans()):
+        flags["format"] = "json"
+    # --flag=value keeps values that start with "-" from reading as flags
+    return [command] + [f"--{flag}={value}" for flag, value in flags.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cheap_commands())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

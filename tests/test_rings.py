@@ -237,3 +237,41 @@ def test_miller_rabin_against_trial_division():
         construct_ring(f"Fp:{MAX_PRIME}")
     for p in (2**61 - 1, 2**31 - 1, 1_000_000_007, 3317044064679887385961813):
         assert _is_prime(p), p
+
+
+def test_power_size_ceiling_catches_nested_powers():
+    for spec, text in (("ratfun:Q", "(t^1000)^3"), ("ratfun:ratfun:Q", "(t^1000)^3"),
+                       ("ratfun:ratfun:Fp:7", "(u^1000)^3"), ("ratfun:Q", "(2^1000)^1000"),
+                       ("Q", "(3^1000)^10"), ("cyclo:12", "671^962356"), ("cyclo:10", "(1+q)^100000"),
+                       ("ratfun:cyclo:10", "(t^1000)^3")):
+        R = construct_ring(spec)
+        with pytest.raises(RingLimitError, match="predicted size"):
+            parse_element(R, text)
+    # powers of roots of unity stay small whatever the exponent
+    for spec, text in (("cyclo:10", "q^1000000001"), ("cyclo:10", "(-q^3)^-999999999"),
+                       ("cyclo:105", "q^99999999"), ("cyclo:1", "(-1)^99999999")):
+        parse_element(construct_ring(spec), text)
+    for spec, text in (("ratfun:Q", "t^1000"), ("ratfun:Q", "t^-1000"), ("ratfun:Q", "3^1000"),
+                       ("ratfun:ratfun:Q", "(u*t)^600"), ("Q", "3^1000"), ("Q", "(3^1000)^8")):
+        parse_element(construct_ring(spec), text)
+    # the prediction bounds the size of the power from above
+    R = construct_ring("ratfun:ratfun:Q")
+    for text in ("t", "u + 1", "3*t/u", "(t - u)/(2*t + 7)"):
+        x = parse_element(R, text)
+        for e in (2, 5, -3):
+            assert R.size((x**e).payload) <= abs(e) * R.size(x.payload), (text, e)
+
+
+def test_ring_sizes():
+    Q, Qt = construct_ring("Q"), construct_ring("ratfun:Q")
+    assert [Q.size(Fraction(n, d)) for n, d in ((1, 1), (-1, 1), (3, 1), (1, 2), (7, 3))] == [0, 1, 2, 2, 5]
+    sizes = [Qt.size(parse_element(Qt, s).payload) for s in ("1", "-1", "t", "3", "t^2 + 1", "1/t")]
+    assert sizes == [0, 1, 2, 2, 3, 2]
+
+
+def test_deep_nesting_is_refused():
+    Q = construct_ring("Q")
+    for text in ("(" * 5000 + "1" + ")" * 5000, "-" * 5000 + "1", "-(" * 60 + "1" + ")" * 60):
+        with pytest.raises(RingLimitError, match="deeper than 100"):
+            parse_element(Q, text)
+    assert parse_element(Q, "(" * 98 + "-1" + ")" * 98) == -1

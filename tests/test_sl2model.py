@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tlab.complexes import build_continuant
+from tlab.complexes import FormalComplex, FormalMorphism, build_continuant
 from tlab.contpoly import kappa
 from tlab.linalg import ExactMatrix
 from tlab.rings import Triple, construct_ring
@@ -115,7 +115,7 @@ def test_functoriality_random_pairs():
 
 def test_homology_concentration_generic(generic_params):
     T = generic_params.balanced_triple()
-    for n in range(0, 7):
+    for n in range(0, 9):
         build = build_continuant(n, "lower", T)
         report = homology(build.complex, generic_params)
         assert report.concentrated_in() in ([], [0]), n
@@ -167,3 +167,21 @@ def test_report_table_and_json(zeta10_params):
     assert "degree" in text and "euler" in text
     data = report.to_json_dict()
     assert data["degrees"]["0"]["homology"] == 4
+
+
+def test_corrupted_differential_fails_the_square_zero_check(zeta10_params):
+    T = zeta10_params.balanced_triple()
+    good = build_continuant(5, "lower", T).complex
+    homology(good, zeta10_params)  # the real differentials square to zero
+    # double one entry of the top differential; d d no longer vanishes
+    top = max(good.diffs)
+    assert top - 1 in good.diffs
+    d = good.diffs[top]
+    entries = [list(row) for row in d.entries]
+    i, j = next((i, j) for i, row in enumerate(entries) for j, e in enumerate(row) if e.terms)
+    entries[i][j] = entries[i][j] + entries[i][j]
+    diffs = dict(good.diffs)
+    diffs[top] = FormalMorphism(T, d.source, d.target, entries)
+    bad = FormalComplex(T, good.terms, diffs)
+    with pytest.raises(ModelError, match=f"do not square to zero at degree {top}"):
+        homology(bad, zeta10_params)

@@ -34,19 +34,28 @@ class InputLimitError(ValueError):
     """A well-formed request beyond what the command finishes in a minute."""
 
 
-# Largest --n for `continuant` and `homology`: the largest n that finished
-# within 60 s with the default rings (CPython 3.11, one core of an Intel
-# Xeon virtual machine).  `continuant` took 1.7 s at n = 12, 4.5 s at 13,
-# 11 s at 14 and 37 s at 15 (480 MB); `homology` took 1.0 s at n = 10,
-# 3.3 s at 11, 12 s at 12 and 45 s at 13 (210 MB).  Each step costs 2.5 to
-# 3.8 times the one before, so one more n would take well over a minute.
+# Largest --n (--upto for `qnum`): the largest value that finished within
+# 60 s without error (CPython 3.11, one core of an Intel Xeon virtual
+# machine), with the default rings unless said otherwise.  `continuant`
+# took 1.7 s at n = 12, 4.5 s at 13, 11 s at 14 and 37 s at 15 (480 MB);
+# `homology` over ratfun:Q 1.0 s at n = 10, 3.3 s at 11, 12 s at 12 and
+# 45 s at 13 (210 MB), and with `--model 2tl` 1.2 s at n = 6, 15 s at 7 and
+# over 75 s at 8.  `jw` was measured over a prime field, where the
+# Catalan(n)^2 diagram products dominate: `--ring Fp:101 --d1 3 --d2 5`
+# took 3.0 s at n = 8 and 26 s at 9, and n = 10 has 11.6 times the
+# products.  `rotatable` took 43 s at n = 55, 55 s at 57 and 61 s at 58;
+# `qnum` 24 s at 400, 59 s at 550 (160 MB) and over 75 s at 600.
 MAX_CONTINUANT_N = 15
 MAX_HOMOLOGY_N = 13
+MAX_HOMOLOGY_2TL_N = 7
+MAX_JW_N = 9
+MAX_ROTATABLE_N = 57
+MAX_QNUM_UPTO = 550
 
 
-def _check_n(n: int, limit: int, command: str) -> None:
-    if n > limit:
-        raise InputLimitError(f"{command} --n {n} is beyond the limit of {limit}")
+def _check_limit(value: int, limit: int, option: str) -> None:
+    if value > limit:
+        raise InputLimitError(f"{option} {value} is beyond the limit of {limit}")
 
 
 def _triple_from_args(args) -> Triple:
@@ -71,6 +80,7 @@ def _emit(args, text: str, payload) -> None:
 
 
 def cmd_qnum(args) -> int:
+    _check_limit(args.upto, MAX_QNUM_UPTO, "qnum --upto")
     triple = _triple_from_args(args)
     table = contpoly.QuantumTable.build(triple, args.upto)
     lines = ["  n  [n]              [[n]]"]
@@ -83,6 +93,7 @@ def cmd_qnum(args) -> int:
 
 
 def cmd_jw(args) -> int:
+    _check_limit(args.n, MAX_JW_N, "jw --n")
     triple = _triple_from_args(args)
     result = tldiag.jw(triple, args.n, args.strategy)
     if isinstance(result, tldiag.NotExists):
@@ -103,6 +114,7 @@ def cmd_jw(args) -> int:
 
 
 def cmd_rotatable(args) -> int:
+    _check_limit(args.n, MAX_ROTATABLE_N, "rotatable --n")
     triple = _triple_from_args(args)
     report = tldiag.rotatability(triple, args.n)
     _emit(
@@ -120,7 +132,7 @@ def cmd_rotatable(args) -> int:
 
 
 def cmd_continuant(args) -> int:
-    _check_n(args.n, MAX_CONTINUANT_N, "continuant")
+    _check_limit(args.n, MAX_CONTINUANT_N, "continuant --n")
     triple = _triple_from_args(args)
     build = complexes.build_continuant(args.n, args.variant, triple)
     report = complexes.validate(build)
@@ -132,7 +144,9 @@ def cmd_continuant(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    _check_n(args.n, MAX_HOMOLOGY_N, "homology")
+    if args.model == "2tl":
+        _check_limit(args.n, MAX_HOMOLOGY_2TL_N, "homology --model 2tl --n")
+    _check_limit(args.n, MAX_HOMOLOGY_N, "homology --n")
     try:
         ring = construct_ring(args.ring)
         q = parse_element(ring, args.q)

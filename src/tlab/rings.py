@@ -1044,11 +1044,6 @@ def evaluate_int_poly(P, *points: RingValue) -> RingValue:
     return acc
 
 
-def evaluate_int_poly2(PP, x: RingValue, y: RingValue) -> RingValue:
-    """Evaluate a Z[t][u] polynomial at t = x, u = y."""
-    return evaluate_int_poly(PP, x, y)
-
-
 def _poly_text(coeff_strs, var: str) -> str:
     """Render a dense coefficient list (degree-ascending) as a polynomial."""
     parts = []

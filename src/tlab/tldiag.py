@@ -18,6 +18,16 @@ Positions inside a word are counted from the right: alt(n) is the length-n
 alternating word with rightmost letter ``^``, and the generator e_i caps
 positions i, i+1 from the right.  Closing the leftmost strand (partial
 trace) therefore lands in End(alt(n-1)) over the same triple.
+
+A matching is stored as one involution of its boundary circle.  The
+boundary points are numbered round the circle: the source left to right,
+then the target right to left, so with nb = len(source) and nt =
+len(target) source position i is point i and target position j is point
+nb + nt - 1 - j.  ``inv[c]`` is the point that point c is paired with.
+Composition, duality (a rotation of the circle by nt points),
+juxtaposition (one circle inserted into the other) and basis enumeration
+are integer arithmetic on these tuples, and every matching they build
+passes the same check as one given by endpoint pairs.
 """
 
 from __future__ import annotations
@@ -105,110 +115,92 @@ class Word:
 Endpoint = Tuple[str, int]  # ("b", i) source position, ("t", j) target position
 
 
-def _circle_order(nb: int, nt: int):
-    """Circular reading order: bottom left-to-right, then top right-to-left."""
-    index = {}
-    for i in range(nb):
-        index[("b", i)] = i
-    for j in range(nt):
-        index[("t", j)] = nb + (nt - 1 - j)
-    return index
-
-
-@dataclass(frozen=True, eq=False)
 class PlanarMatching:
-    """A non-crossing perfect matching between two words."""
+    """A non-crossing perfect matching between two words, stored as the
+    involution ``inv`` of its boundary circle (see the module docstring).
 
-    source: Word
-    target: Word
-    pairs: Tuple[Tuple[Endpoint, Endpoint], ...]
+    The constructor takes endpoint pairs ("b", i) for source position i and
+    ("t", j) for target position j; ``pairs`` gives them back.
+    """
+
+    __slots__ = ("source", "target", "inv", "_pairs")
+
+    def __init__(self, source: Word, target: Word, pairs: Iterable[Tuple[Endpoint, Endpoint]]):
+        nb, nt = len(source), len(target)
+        inv = [-1] * (nb + nt)
+        for a, b in pairs:
+            points = []
+            for side, idx in (a, b):
+                if side not in ("b", "t"):
+                    raise DiagramError(f"bad endpoint side {side!r}")
+                if not 0 <= idx < (nb if side == "b" else nt):
+                    raise DiagramError(f"endpoint {side}:{idx} out of range")
+                points.append(idx if side == "b" else nb + nt - 1 - idx)
+            for (side, idx), c, d in zip((a, b), points, points[::-1]):
+                if inv[c] >= 0:
+                    raise DiagramError(f"endpoint {side}:{idx} matched twice")
+                inv[c] = d
+        if -1 in inv:
+            raise DiagramError("matching is not perfect")
+        self._store(source, target, tuple(inv))
+
+    @classmethod
+    def _of(cls, source: Word, target: Word, inv: Tuple[int, ...]) -> "PlanarMatching":
+        matching = cls.__new__(cls)
+        matching._store(source, target, inv)
+        return matching
+
+    def _store(self, source: Word, target: Word, inv: Tuple[int, ...]):
+        """Check that inv is a fixed-point-free involution of the circle whose
+        pairs obey the letter rules and do not cross, then store it."""
+        nb, n = len(source), len(inv)
+        if n != nb + len(target):
+            raise DiagramError("matching does not cover both words")
+        letters = source.letters + target.letters[::-1]
+        stack = []
+        for c, d in enumerate(inv):
+            if not 0 <= d < n or d == c or inv[d] != c:
+                raise DiagramError("matching is not a perfect pairing of the boundary")
+            if c < d:
+                same_word = (c < nb) == (d < nb)
+                if (letters[c] == letters[d]) == same_word:
+                    raise DiagramError("same-word pair must join distinct letters" if same_word
+                                       else "cross-word pair must join identical letters")
+                stack.append(d)
+            elif stack.pop() != c:
+                raise DiagramError("matching has crossings")
+        self.source, self.target, self.inv, self._pairs = source, target, inv, None
+
+    @property
+    def pairs(self) -> Tuple[Tuple[Endpoint, Endpoint], ...]:
+        """The pairs as ("b", i)/("t", j) endpoints, each pair and the whole
+        tuple sorted; built on first use."""
+        if self._pairs is None:
+            nb, last = len(self.source), len(self.inv) - 1
+            ends = [("b", c) if c < nb else ("t", last - c) for c in range(last + 1)]
+            self._pairs = tuple(
+                sorted(tuple(sorted((ends[c], ends[d]))) for c, d in enumerate(self.inv) if c < d)
+            )
+        return self._pairs
 
     def __eq__(self, other):
         if not isinstance(other, PlanarMatching):
             return NotImplemented
-        return (
-            self.pairs == other.pairs
-            and self.source == other.source
-            and self.target == other.target
-        )
+        return self.inv == other.inv and self.source == other.source and self.target == other.target
 
     def __hash__(self):
-        return self._hash
-
-    def __post_init__(self):
-        pairs = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "_hash", hash((self.source, self.target, pairs)))
-        nb, nt = len(self.source), len(self.target)
-        seen = set()
-        for a, b in pairs:
-            for side, idx in (a, b):
-                if side not in ("b", "t"):
-                    raise DiagramError(f"bad endpoint side {side!r}")
-                limit = nb if side == "b" else nt
-                if not 0 <= idx < limit:
-                    raise DiagramError(f"endpoint {side}:{idx} out of range")
-                if (side, idx) in seen:
-                    raise DiagramError(f"endpoint {side}:{idx} matched twice")
-                seen.add((side, idx))
-            la = self.source[a[1]] if a[0] == "b" else self.target[a[1]]
-            lb = self.source[b[1]] if b[0] == "b" else self.target[b[1]]
-            if a[0] == b[0]:
-                if la == lb:
-                    raise DiagramError("same-word pair must join distinct letters")
-            else:
-                if la != lb:
-                    raise DiagramError("cross-word pair must join identical letters")
-        if len(seen) != nb + nt:
-            raise DiagramError("matching is not perfect")
-        order = _circle_order(nb, nt)
-        involution = [-1] * (nb + nt)
-        for a, b in pairs:
-            involution[order[a]] = order[b]
-            involution[order[b]] = order[a]
-        stack = []
-        for i, j in enumerate(involution):
-            if i < j:
-                stack.append(j)
-            elif stack.pop() != i:
-                raise DiagramError("matching has crossings")
+        return hash((self.source.letters, self.target.letters, self.inv))
 
     @staticmethod
     def identity(word: Word) -> "PlanarMatching":
-        return PlanarMatching(word, word, tuple((("b", i), ("t", i)) for i in range(len(word))))
-
-    def is_identity(self) -> bool:
-        return self.source == self.target and all(
-            a == ("b", i) and b == ("t", i) for i, (a, b) in enumerate(self.pairs)
-        )
-
-    def partner(self) -> Dict[Endpoint, Endpoint]:
-        out = {}
-        for a, b in self.pairs:
-            out[a] = b
-            out[b] = a
-        return out
+        return PlanarMatching._of(word, word, tuple(range(2 * len(word) - 1, -1, -1)))
 
     def dual(self) -> "PlanarMatching":
-        """Rotate the diagram by 180 degrees."""
+        """Rotate the diagram by 180 degrees: point c moves to c + nt round the circle."""
         nb, nt = len(self.source), len(self.target)
-
-        def rot(ep: Endpoint) -> Endpoint:
-            side, idx = ep
-            if side == "b":
-                return ("t", nb - 1 - idx)
-            return ("b", nt - 1 - idx)
-
-        return PlanarMatching(
-            self.target.dual(), self.source.dual(), tuple((rot(a), rot(b)) for a, b in self.pairs)
-        )
-
-    def shift(self, db: int, dt: int) -> Tuple[Tuple[Endpoint, Endpoint], ...]:
-        def mv(ep: Endpoint) -> Endpoint:
-            side, idx = ep
-            return (side, idx + (db if side == "b" else dt))
-
-        return tuple((mv(a), mv(b)) for a, b in self.pairs)
+        n = nb + nt
+        inv = tuple((d + nt) % n for d in self.inv[nb:] + self.inv[:nb])
+        return PlanarMatching._of(self.target.dual(), self.source.dual(), inv)
 
     def __str__(self):
         body = ", ".join(f"({a[0]}:{a[1]}, {b[0]}:{b[1]})" for a, b in self.pairs)
@@ -220,18 +212,11 @@ class PlanarMatching:
 @lru_cache(maxsize=None)
 def _basis_letters(source_letters: Tuple[str, ...], target_letters: Tuple[str, ...]):
     source, target = Word(source_letters), Word(target_letters)
-    nb, nt = len(source), len(target)
-    order = _circle_order(nb, nt)
-    back = {v: k for k, v in order.items()}
-    letters = {}
-    for ep, idx in order.items():
-        letters[idx] = source[ep[1]] if ep[0] == "b" else target[ep[1]]
+    nb = len(source)
+    letters = source_letters + target_letters[::-1]
 
     def compatible(i: int, j: int) -> bool:
-        same_word = back[i][0] == back[j][0]
-        if same_word:
-            return letters[i] != letters[j]
-        return letters[i] == letters[j]
+        return (letters[i] == letters[j]) != ((i < nb) == (j < nb))
 
     def segment(points: Tuple[int, ...]):
         if not points:
@@ -247,9 +232,11 @@ def _basis_letters(source_letters: Tuple[str, ...], target_letters: Tuple[str, .
         return out
 
     matchings = []
-    for assignment in segment(tuple(range(nb + nt))):
-        pairs = tuple((back[i], back[j]) for i, j in assignment)
-        matchings.append(PlanarMatching(source, target, pairs))
+    for assignment in segment(tuple(range(len(letters)))):
+        inv = [0] * len(letters)
+        for i, j in assignment:
+            inv[i], inv[j] = j, i
+        matchings.append(PlanarMatching._of(source, target, tuple(inv)))
     return tuple(sorted(matchings, key=lambda m: m.pairs))
 
 
@@ -262,64 +249,60 @@ def enumerate_basis(source: Word, target: Word) -> List[PlanarMatching]:
     return list(_basis_letters(source.letters, target.letters))
 
 
-@lru_cache(maxsize=None)
 def _compose_matchings(top: PlanarMatching, bot: PlanarMatching):
     """Stack bot below top; returns (composite, letters at the leftmost
-    middle point of each closed loop)."""
-    middle = bot.target
-    botmap = bot.partner()
-    topmap = top.partner()
-    visited = [False] * len(middle)
-    assigned = set()
-    pairs = []
+    middle point of each closed loop).
 
-    def walk(layer: str, ep: Endpoint) -> Endpoint:
+    Middle position j is point nb + m - 1 - j of bot's circle and point j of
+    top's, and a point q >= m of top's circle is point nb + q - m of the
+    composite's (nb = len(bot.source), m = len(bot.target))."""
+    binv, tinv = bot.inv, top.inv
+    nb, m = len(bot.source), len(bot.target)
+    mid = nb + m - 1
+    size = nb + len(tinv) - m
+    seen = [False] * m
+    inv = [-1] * size
+    for p in range(size):
+        if inv[p] >= 0:
+            continue
+        up = p >= nb  # the next arc is one of top's
+        c = p - nb + m if up else p
         while True:
-            nxt = (botmap if layer == "bot" else topmap)[ep]
-            if layer == "bot":
-                if nxt[0] == "b":
-                    return ("b", nxt[1])
-                visited[nxt[1]] = True
-                ep, layer = ("b", nxt[1]), "top"
-            else:
-                if nxt[0] == "t":
-                    return ("t", nxt[1])
-                visited[nxt[1]] = True
-                ep, layer = ("t", nxt[1]), "bot"
+            d = (tinv if up else binv)[c]
+            if up and d >= m:
+                end = nb + d - m
+                break
+            if not up and d < nb:
+                end = d
+                break
+            j = d if up else mid - d
+            seen[j] = True
+            c = mid - j if up else j
+            up = not up
+        inv[p], inv[end] = end, p
 
-    for i in range(len(bot.source)):
-        if ("b", i) in assigned:
-            continue
-        end = walk("bot", ("b", i))
-        pairs.append((("b", i), end))
-        assigned.add(("b", i))
-        assigned.add(end)
-    for j in range(len(top.target)):
-        if ("t", j) in assigned:
-            continue
-        end = walk("top", ("t", j))
-        pairs.append((("t", j), end))
-        assigned.add(("t", j))
-        assigned.add(end)
-
+    # the first unseen middle point of a loop is its leftmost one
+    middle = bot.target.letters
     loop_letters = []
-    for k in range(len(middle)):
-        if visited[k]:
+    for j in range(m):
+        if seen[j]:
             continue
-        loop = []
-        cur = k
-        while not visited[cur]:
-            visited[cur] = True
-            loop.append(cur)
-            up = topmap[("b", cur)]
-            visited[up[1]] = True
-            loop.append(up[1])
-            down = botmap[("t", up[1])]
-            cur = down[1]
-        loop_letters.append(middle[min(loop)])
+        loop_letters.append(middle[j])
+        k = j
+        while not seen[k]:
+            seen[k] = True
+            k = tinv[k]
+            seen[k] = True
+            k = mid - binv[mid - k]
+    return PlanarMatching._of(bot.source, top.target, tuple(inv)), tuple(loop_letters)
 
-    composite = PlanarMatching(bot.source, top.target, tuple(pairs))
-    return composite, tuple(loop_letters)
+
+def _tensor_matchings(f: PlanarMatching, g: PlanarMatching, source: Word, target: Word):
+    """f to the left of g: g's circle is inserted into f's at point len(f.source)."""
+    nb, k = len(f.source), len(g.inv)
+    moved = [c if c < nb else c + k for c in f.inv]
+    inv = moved[:nb] + [c + nb for c in g.inv] + moved[nb:]
+    return PlanarMatching._of(source, target, tuple(inv))
 
 
 class TLMorphism:
@@ -518,8 +501,7 @@ def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     terms: Dict[PlanarMatching, RingValue] = {}
     for mf, cf in f.terms.items():
         for mg, cg in g.terms.items():
-            pairs = mf.shift(0, 0) + mg.shift(len(f.source), len(f.target))
-            matching = PlanarMatching(source, target, pairs)
+            matching = _tensor_matchings(mf, mg, source, target)
             value = cf * cg
             terms[matching] = terms[matching] + value if matching in terms else value
     return TLMorphism(f.triple, source, target, terms)

@@ -224,6 +224,23 @@ def test_n_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
         assert took < 0.5, (command, took)
 
 
+def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
+    from tlab.cli import MAX_HOMOLOGY_2TL_N, MAX_JW_N, MAX_QNUM_UPTO, MAX_ROTATABLE_N
+
+    # the largest such jobs the benchmark runs
+    assert MAX_JW_N >= 7 and MAX_ROTATABLE_N >= 5 and MAX_QNUM_UPTO >= 8 and MAX_HOMOLOGY_2TL_N >= 5
+    for argv, limit in (
+        (("jw", "--n"), MAX_JW_N),
+        (("rotatable", "--n"), MAX_ROTATABLE_N),
+        (("qnum", "--upto"), MAX_QNUM_UPTO),
+        (("homology", "--model", "2tl", "--n"), MAX_HOMOLOGY_2TL_N),
+    ):
+        (code, _, err), took = _timed(capsys, *argv, str(limit + 1))
+        assert code == 1, argv
+        assert f"beyond the limit of {limit}" in err
+        assert took < 0.5, (argv, took)
+
+
 # rings with their generators, and malformed specifications
 _RINGS = {
     "Q": "", "Fp:2": "", "Fp:7": "", "cyclo:10": "q", "cyclo:12": "q", "ratfun:Q": "t",

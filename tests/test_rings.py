@@ -15,7 +15,6 @@ from tlab.rings import (
     construct_ring,
     cyclotomic_polynomial,
     evaluate_int_poly,
-    evaluate_int_poly2,
     fraction_field_as_int_pair,
     generic_tower,
     invert,
@@ -190,7 +189,7 @@ def test_int_pair_clearing_and_evaluation():
     w = (tt * uu - 2) / (tt + uu)
     PP, QQ = tower_as_int_pair(w)
     a, b = Q5.from_int(2), Q5.from_int(5)
-    got = evaluate_int_poly2(PP, a, b) / evaluate_int_poly2(QQ, a, b)
+    got = evaluate_int_poly(PP, a, b) / evaluate_int_poly(QQ, a, b)
     assert got == (Q5.from_int(8)) / (Q5.from_int(7))
 
 

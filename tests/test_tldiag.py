@@ -67,6 +67,26 @@ def test_matching_rules():
             Word.empty(),
             ((("b", 0), ("b", 2)), (("b", 1), ("b", 3))),
         )
+    with pytest.raises(DiagramError, match="bad endpoint side"):
+        PlanarMatching(w, w, ((("b", 0), ("x", 0)), (("b", 1), ("t", 1))))
+    with pytest.raises(DiagramError, match="t:2 out of range"):
+        PlanarMatching(w, w, ((("b", 0), ("t", 2)), (("b", 1), ("t", 1))))
+    with pytest.raises(DiagramError, match="b:0 matched twice"):
+        PlanarMatching(w, w, ((("b", 0), ("t", 0)), (("b", 0), ("t", 1))))
+    with pytest.raises(DiagramError, match="not perfect"):
+        PlanarMatching(w, w, ((("b", 0), ("t", 0)),))
+    # matchings built from a circle involution go through the same checks
+    assert PlanarMatching._of(w, w, (3, 2, 1, 0)) == PlanarMatching.identity(w)
+    for source, target, inv, message in (
+        (w, w, (3, 2, 1, 1), "perfect pairing"),
+        (w, w, (0, 2, 1, 3), "perfect pairing"),
+        (w, w, (3, 2), "cover both words"),
+        (w, w, (2, 3, 0, 1), "identical letters"),
+        (Word.of("^^"), Word.empty(), (1, 0), "distinct letters"),
+        (Word.of("v^^v"), Word.empty(), (2, 3, 0, 1), "crossings"),
+    ):
+        with pytest.raises(DiagramError, match=message):
+            PlanarMatching._of(source, target, inv)
 
 
 def test_basis_counts_match_catalan():

@@ -43,8 +43,10 @@ class InputLimitError(ValueError):
 # over 75 s at 8.  `jw` was measured over a prime field, where the
 # Catalan(n)^2 diagram products dominate: `--ring Fp:101 --d1 3 --d2 5`
 # took 3.0 s at n = 8 and 26 s at 9, and n = 10 has 11.6 times the
-# products.  `rotatable` took 43 s at n = 55, 55 s at 57 and 61 s at 58;
-# `qnum` 24 s at 400, 59 s at 550 (160 MB) and over 75 s at 600.
+# products.  `rotatable` took 55 s at n = 57 and 61 s at 58 while it
+# multiplied out the quantum binomials; testing their factors instead takes
+# 0.14 s at 57, so that limit is loose.  `qnum` 24 s at 400, 59 s at 550
+# (160 MB) and over 75 s at 600.
 MAX_CONTINUANT_N = 15
 MAX_HOMOLOGY_N = 13
 MAX_HOMOLOGY_2TL_N = 7

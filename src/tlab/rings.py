@@ -1014,36 +1014,6 @@ class IntFractionField(FractionField):
         return ((num,) if num else (), (den,))
 
 
-# -- integer payloads of fraction fields over Q -----------------------------
-
-
-def fraction_field_as_int_pair(value: RingValue):
-    """The coprime integer coefficient tuples (P, Q), ascending in t, with
-    value = P/Q in Q(t)."""
-    if not (isinstance(value.ring, IntFractionField) and value.ring.depth == 1):
-        raise RingError("expected a value in ratfun:Q")
-    return value.payload
-
-
-def tower_as_int_pair(value: RingValue):
-    """The coprime pair (P, Q) in Z[t][u], tuples over u of integer tuples
-    over t, with value = P/Q in Q(t)(u)."""
-    if not (isinstance(value.ring, IntFractionField) and value.ring.depth == 2):
-        raise RingError("expected a value in ratfun:ratfun:Q")
-    return value.payload
-
-
-def evaluate_int_poly(P, *points: RingValue) -> RingValue:
-    """Horner evaluation of a Z[x1..xk] polynomial at x1, ..., xk (k =
-    len(points), innermost variable first) in the points' ring."""
-    *inner, x = points
-    ring = x.ring
-    acc = ring.zero
-    for c in reversed(P):
-        acc = acc * x + (evaluate_int_poly(c, *inner) if inner else ring.from_int(c))
-    return acc
-
-
 def _poly_text(coeff_strs, var: str) -> str:
     """Render a dense coefficient list (degree-ascending) as a polynomial."""
     parts = []

@@ -36,15 +36,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .contpoly import qbinom, qnum
+from .contpoly import qbinom, qbinom_exponents, qnum
 from .linalg import ExactMatrix
-from .rings import (
-    RingValue,
-    Triple,
-    construct_ring,
-    evaluate_int_poly,
-    generic_tower,
-)
+from .rings import RingValue, Triple
 
 UP = "^"
 DOWN = "v"
@@ -523,10 +517,15 @@ class NotExists:
 
 
 def hazi_witness(triple: Triple, n: int) -> Optional[int]:
-    """First index i with quantum binomial (n over i) not invertible, else None."""
+    """First index i with quantum binomial (n over i) not invertible, else None.
+
+    (n over i) is the product of the [[d]] with exponent 1 in
+    qbinom_exponents(n, i), and every coefficient ring is a field, so it is
+    invertible exactly when none of those factors is zero."""
     for i in range(1, n + 1):
-        if qbinom(triple, n, i).inverse() is None:
-            return i
+        for d, e in qbinom_exponents(n, i).items():
+            if e and qnum(triple, d)[1].is_zero():
+                return i
     return None
 
 
@@ -573,28 +572,24 @@ def _jw_by_solve(triple: Triple, n: int) -> Optional[TLMorphism]:
     index = {m: j for j, m in enumerate(basis)}
     identity = PlanarMatching.identity(word)
 
-    rows: List[List[RingValue]] = []
-    rhs: List[RingValue] = []
-    generators = [TLMorphism.e(triple, n, i) for i in range(1, n)]
-    for gen in generators:
+    # one sparse row {basis index: coefficient} per diagram in e_i * x or
+    # x * e_i; a basis diagram maps to a single diagram, so no entry repeats
+    rows: List[Dict[int, RingValue]] = []
+    for i in range(1, n):
+        gen = TLMorphism.e(triple, n, i)
         for left in (True, False):
-            equations: Dict[PlanarMatching, List[RingValue]] = {}
+            equations: Dict[PlanarMatching, Dict[int, RingValue]] = {}
             for j, m in enumerate(basis):
                 term = TLMorphism.from_matching(triple, m)
                 product = compose(gen, term) if left else compose(term, gen)
                 for res, coeff in product.terms.items():
-                    if res not in equations:
-                        equations[res] = [ring.zero] * len(basis)
-                    equations[res][j] = equations[res][j] + coeff
-            for res in sorted(equations, key=lambda m: m.pairs):
-                rows.append(equations[res])
-                rhs.append(ring.zero)
-    normal = [ring.zero] * len(basis)
-    normal[index[identity]] = ring.one
-    rows.append(normal)
-    rhs.append(ring.one)
+                    equations.setdefault(res, {})[j] = coeff
+            rows.extend(equations[res] for res in sorted(equations, key=lambda m: m.pairs))
+    rows.append({index[identity]: ring.one})
 
-    solution = ExactMatrix(ring, rows).solve(rhs)
+    system = ExactMatrix.zeros(ring, len(rows), len(basis))
+    system.entries = rows
+    solution = system.solve([ring.zero] * (len(rows) - 1) + [ring.one])
     if solution is None:
         return None
     return TLMorphism(triple, word, word, {m: solution[j] for j, m in enumerate(basis)})
@@ -602,70 +597,6 @@ def _jw_by_solve(triple: Triple, n: int) -> Optional[TLMorphism]:
 
 def _recursion_legal(triple: Triple, n: int) -> bool:
     return all(qnum(triple, k)[0].inverse() is not None for k in range(2, n + 1))
-
-
-def _balanced_generic_triple() -> Triple:
-    ring = construct_ring("ratfun:Q")
-    t = ring.generators()["t"]
-    return Triple(ring, t, t)
-
-
-def _integer_lift_candidates(triple: Triple, n: int):
-    """Integer loop values that map onto a balanced prime-field triple and
-    keep every [k], k <= n, non-zero over the rationals."""
-    ring = triple.ring
-    if ring.kind != "Fp" or triple.delta1 != triple.delta2:
-        return
-    residue = triple.delta1.payload
-    for m in (residue, residue - ring.p, residue + ring.p):
-        rationals = construct_ring("Q")
-        lifted = Triple(rationals, rationals.from_int(m), rationals.from_int(m))
-        if _recursion_legal(lifted, n):
-            yield m, lifted
-
-
-def _jw_by_integer_lift(triple: Triple, n: int, lifted: Triple) -> TLMorphism:
-    """Reduce the rational idempotent at an integer loop value mod p; the
-    denominators are ordinary binomial coefficients, so the reduction is
-    defined exactly when the existence criterion holds."""
-    universal = jw(lifted, n)
-    assert isinstance(universal, TLMorphism)
-    ring = triple.ring
-    terms = {}
-    for matching, coeff in universal.terms.items():
-        frac = coeff.payload
-        den = ring.from_int(frac.denominator)
-        inv = den.inverse()
-        if inv is None:
-            raise ZeroDivisionError("lifted denominator is divisible by p")
-        terms[matching] = ring.from_int(frac.numerator) * inv
-    return TLMorphism(triple, Word.alt(n), Word.alt(n), terms)
-
-
-def _jw_by_specialization(triple: Triple, n: int) -> TLMorphism:
-    """Specialize the universal idempotent's coefficients to the triple.
-
-    The universal coefficients are reduced fractions of integer polynomials
-    in the loop parameters whose denominators divide products of quantum
-    binomials, so once the invertible-binomial criterion holds they
-    specialize; balanced triples specialize the one-parameter universal
-    idempotent, general ones the two-parameter version.  The result is
-    still verified against the defining properties by the caller.
-    """
-    if triple.delta1 == triple.delta2:
-        universal, points = jw(_balanced_generic_triple(), n), (triple.delta1,)
-    else:
-        universal, points = jw(generic_tower(), n), (triple.delta1, triple.delta2)
-    assert isinstance(universal, TLMorphism)
-    word = Word.alt(n)
-    terms = {}
-    for matching, coeff in universal.terms.items():
-        P, Q = coeff.payload
-        inv = evaluate_int_poly(Q, *points).inverse()
-        if inv is None:
-            raise ZeroDivisionError("universal denominator specializes to zero")
-        terms[matching] = evaluate_int_poly(P, *points) * inv
-    return TLMorphism(triple, word, word, terms)
 
 
 _JW_CACHE: Dict[Tuple[Triple, int], object] = {}
@@ -677,9 +608,11 @@ def jw(triple: Triple, n: int, strategy: str = "auto"):
     ``solve`` sets up the kill conditions as an exact linear system over the
     diagram basis; ``recursion`` runs the two-parameter Wenzl recursion
     JW_{k+1} = A - ([k]/[k+1]) A e_k A with A = 1 (x) JW_k, legal only when
-    [2], ..., [n] are all invertible; ``auto`` first applies the invertible-
-    binomial existence criterion, then picks the cheapest legal strategy.
-    The defining properties of the result are checked, not assumed.
+    [2], ..., [n] are all invertible.  ``auto`` first applies the invertible-
+    binomial existence criterion; when JW_n exists it runs the recursion if
+    that is legal and the linear solve otherwise (the blocked cases: Lucas
+    cases in characteristic p and roots of unity).  The defining properties
+    of the result are checked, not assumed.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -697,26 +630,7 @@ def jw(triple: Triple, n: int, strategy: str = "auto"):
             verdict = NotExists(n, f"binom({n},{witness}) is not invertible")
             _JW_CACHE[(triple, n)] = verdict
             return verdict
-        if _recursion_legal(triple, n):
-            result = jw(triple, n, "recursion")
-        else:
-            # the criterion holds but the recursion is blocked: reduce from
-            # an integer lift or specialize the universal coefficients,
-            # falling back to the linear solve
-            result = None
-            for _, lifted in _integer_lift_candidates(triple, n):
-                try:
-                    result = _jw_by_integer_lift(triple, n, lifted)
-                    _check_jw(result, n)
-                    break
-                except (ZeroDivisionError, AssertionError):
-                    result = None
-            if result is None:
-                try:
-                    result = _jw_by_specialization(triple, n)
-                    _check_jw(result, n)
-                except (ZeroDivisionError, AssertionError):
-                    result = jw(triple, n, "solve")
+        result = jw(triple, n, "recursion" if _recursion_legal(triple, n) else "solve")
         _JW_CACHE[(triple, n)] = result
         return result
 

@@ -213,6 +213,25 @@ def test_deep_nesting_exits_one_without_traceback(capsys):
     assert run(capsys, "qnum", "--ring", "Q", "--d1", nested, "--d2", "1", "--upto", "2")[0] == 0
 
 
+def test_blocked_jw_over_a_prime_field_is_solved_in_seconds(capsys):
+    # [3] = 3 * 5 - 1 vanishes over F_7, so the recursion is
+    # blocked; the sparse linear solve takes about 1 s
+    (code, out, _), took = _timed(
+        capsys, "jw", "--ring", "Fp:7", "--d1", "3", "--d2", "5", "--n", "8", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["exists"] is True
+    assert took < 20, took
+
+
+def test_rotatable_tests_binomial_factors_not_products(capsys):
+    # the [[d]] factors of each binomial are tested for zero; multiplying
+    # the binomials out over Q(t)(u) takes about 23 s at n = 50
+    (code, _, _), took = _timed(capsys, "rotatable", "--n", "50")
+    assert code == 0
+    assert took < 5, took
+
+
 def test_n_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
     from tlab.cli import MAX_CONTINUANT_N, MAX_HOMOLOGY_N
 

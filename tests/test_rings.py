@@ -14,12 +14,9 @@ from tlab.rings import (
     _zgcd,
     construct_ring,
     cyclotomic_polynomial,
-    evaluate_int_poly,
-    fraction_field_as_int_pair,
     generic_tower,
     invert,
     parse_element,
-    tower_as_int_pair,
 )
 
 
@@ -173,24 +170,6 @@ def test_element_strings_round_trip():
         for _ in range(15):
             v = rand()
             assert parse_element(ring, str(v)) == v, (spec, str(v))
-
-
-def test_int_pair_clearing_and_evaluation():
-    R = construct_ring("ratfun:Q")
-    t = R.generators()["t"]
-    v = (t**2 - 1) / (2 * t + 4)
-    P, Q = fraction_field_as_int_pair(v)
-    Q5 = construct_ring("Q")
-    x = Q5.from_int(3)
-    assert evaluate_int_poly(P, x) / evaluate_int_poly(Q, x) == Q5.from_int(8) / Q5.from_int(10)
-
-    T = generic_tower()
-    tt, uu = T.ring.generators()["t"], T.ring.generators()["u"]
-    w = (tt * uu - 2) / (tt + uu)
-    PP, QQ = tower_as_int_pair(w)
-    a, b = Q5.from_int(2), Q5.from_int(5)
-    got = evaluate_int_poly(PP, a, b) / evaluate_int_poly(QQ, a, b)
-    assert got == (Q5.from_int(8)) / (Q5.from_int(7))
 
 
 def test_fraction_field_over_prime_field():

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from tlab.contpoly import qnum
-from tlab.rings import Triple, construct_ring, parse_element
+from tlab.contpoly import qbinom, qnum
+from tlab.rings import Triple, construct_ring, generic_tower, parse_element
 from tlab.tldiag import (
     DOWN,
     UP,
@@ -12,6 +12,7 @@ from tlab.tldiag import (
     PlanarMatching,
     TLMorphism,
     Word,
+    _recursion_legal,
     compose,
     enumerate_basis,
     hazi_witness,
@@ -192,7 +193,75 @@ def test_jw_strategies_agree(tower, qt_balanced, f2_zero):
     for n in range(2, 5):
         assert jw(tower, n, "solve") == jw(tower, n, "recursion")
         assert jw(qt_balanced, n, "solve") == jw(qt_balanced, n, "recursion")
-    assert jw(f2_zero, 3, "solve") == jw(f2_zero, 3)
+    assert jw(f2_zero, 3, "solve") == _reduce_from_integer_lift(f2_zero, 3, 2)
+
+
+# Test-only reference constructions for the cases where the recursion is
+# blocked but JW_n exists, computed apart from the linear solve that jw()
+# runs there.
+
+
+def _reduce_from_integer_lift(triple, n, m):
+    """JW_n over a balanced prime-field triple as the reduction mod p of
+    JW_n over Q at the integer loop value m, which must reduce to the
+    triple's loop value and keep the recursion over Q legal."""
+    ring = triple.ring
+    assert triple.delta1 == triple.delta2 == ring.from_int(m)
+    rationals = construct_ring("Q")
+    universal = jw(Triple(rationals, rationals.from_int(m), rationals.from_int(m)), n, "recursion")
+    terms = {}
+    for matching, coeff in universal.terms.items():
+        inv = ring.from_int(coeff.payload.denominator).inverse()
+        assert inv is not None, f"a denominator of JW_{n} at {m} is divisible by p"
+        terms[matching] = ring.from_int(coeff.payload.numerator) * inv
+    return TLMorphism(triple, Word.alt(n), Word.alt(n), terms)
+
+
+def _horner(poly, points):
+    """A Z[x1..xk] polynomial as nested int tuples, ascending, at the points
+    x1, ..., xk (innermost variable first)."""
+    *inner, x = points
+    acc = x.ring.zero
+    for c in reversed(poly):
+        acc = acc * x + (_horner(c, inner) if inner else x.ring.from_int(c))
+    return acc
+
+
+def _specialize_universal(triple, n):
+    """JW_n of the triple by evaluating the coefficients P/D of the universal
+    idempotent, over Q(t) for a balanced triple and over Q(t)(u) otherwise."""
+    if triple.delta1 == triple.delta2:
+        ring = construct_ring("ratfun:Q")
+        t = ring.generators()["t"]
+        universal, points = jw(Triple(ring, t, t), n), (triple.delta1,)
+    else:
+        universal, points = jw(generic_tower(), n), (triple.delta1, triple.delta2)
+    terms = {}
+    for matching, coeff in universal.terms.items():
+        num, den = coeff.payload
+        inv = _horner(den, points).inverse()
+        assert inv is not None, f"a denominator of the universal JW_{n} vanishes"
+        terms[matching] = _horner(num, points) * inv
+    return TLMorphism(triple, Word.alt(n), Word.alt(n), terms)
+
+
+def _triple(spec, d1, d2):
+    ring = construct_ring(spec)
+    return Triple(ring, parse_element(ring, d1), parse_element(ring, d2))
+
+
+def test_blocked_jw_matches_the_reference_constructions():
+    for (spec, d1, d2), n, m in ((("Fp:2", "0", "0"), 3, 2), (("Fp:2", "0", "0"), 7, 2),
+                                  (("Fp:3", "2", "2"), 5, 2)):
+        triple = _triple(spec, d1, d2)
+        assert not _recursion_legal(triple, n), (spec, n)
+        assert jw(triple, n) == _reduce_from_integer_lift(triple, n, m), (spec, n)
+    for (spec, d1, d2), n in ((("Fp:7", "3", "5"), 5), (("cyclo:6", "q+q^-1", "q+q^-1"), 5)):
+        triple = _triple(spec, d1, d2)
+        assert not _recursion_legal(triple, n), (spec, n)
+        assert jw(triple, n) == _specialize_universal(triple, n), (spec, n)
+    # binom(4, 2) = 6 vanishes mod 3, so there is nothing to construct
+    assert isinstance(jw(_triple("Fp:3", "2", "2"), 4), NotExists)
 
 
 def test_jw_recursion_guard(f2_zero):
@@ -239,6 +308,31 @@ def test_jw_existence_agrees_with_criterion_small_sweep():
                     exists = not isinstance(jw(triple, n), NotExists)
                     assert exists == (hazi_witness(triple, n) is None), (spec, a, b, n)
     assert combos >= 200
+
+
+def test_hazi_witness_matches_the_product_definition():
+    """The factor test agrees with inverting the multiplied-out binomials."""
+    cases = {
+        "Q": [("0", "0"), ("1", "1"), ("2", "2"), ("-2", "-2"), ("2", "3"), ("1", "3")],
+        "Fp:2": [("0", "0"), ("1", "1"), ("0", "1")],
+        "Fp:3": [("2", "2"), ("1", "2"), ("0", "0")],
+        "Fp:7": [("3", "5"), ("2", "2"), ("2", "3")],
+        "cyclo:6": [("q+q^-1", "q+q^-1"), ("q", "q^-1")],
+        "cyclo:10": [("q+q^-1", "q+q^-1"), ("q^2+q^-2", "q^2+q^-2"), ("q", "1")],
+        "cyclo:12": [("q+q^-1", "q+q^-1"), ("q", "q^-1")],
+        "ratfun:Q": [("t", "t"), ("t", "1/t"), ("t", "0"), ("t", "2/t")],
+        "ratfun:ratfun:Q": [("t", "u"), ("t", "1/t"), ("u", "1/u"), ("t", "t"), ("t*u", "1/u")],
+    }
+    witnessed = set()
+    for spec, values in cases.items():
+        for d1, d2 in values:
+            triple = _triple(spec, d1, d2)
+            for n in range(1, 11):
+                want = next((i for i in range(1, n + 1) if qbinom(triple, n, i).inverse() is None), None)
+                assert hazi_witness(triple, n) == want, (spec, d1, d2, n)
+                if want is not None:
+                    witnessed.add(spec)
+    assert witnessed == set(cases)
 
 
 def test_jw_lucas_cases():

@@ -37,17 +37,19 @@ class InputLimitError(ValueError):
 # Largest --n (--upto for `qnum`): the largest value that finished within
 # 60 s without error (CPython 3.11, one core of an Intel Xeon virtual
 # machine), with the default rings unless said otherwise.  `continuant`
-# took 1.7 s at n = 12, 4.5 s at 13, 11 s at 14 and 37 s at 15 (480 MB);
-# `homology` over ratfun:Q 1.0 s at n = 10, 3.3 s at 11, 12 s at 12 and
-# 45 s at 13 (210 MB), and with `--model 2tl` 1.2 s at n = 6, 15 s at 7 and
-# over 75 s at 8.  `jw` was measured over a prime field, where the
-# Catalan(n)^2 diagram products dominate: `--ring Fp:101 --d1 3 --d2 5`
-# took 3.0 s at n = 8 and 26 s at 9, and n = 10 has 11.6 times the
-# products.  `rotatable` took 55 s at n = 57 and 61 s at 58 while it
-# multiplied out the quantum binomials; testing their factors instead takes
-# 0.14 s at 57, so that limit is loose.  `qnum` 24 s at 400, 59 s at 550
-# (160 MB) and over 75 s at 600.
-MAX_CONTINUANT_N = 15
+# took 2.4 s at n = 15, 5.9 s at 16, 12 s at 17 (260 MB with --format json)
+# and 30-34 s at 18, where the JSON dump peaked at 566 MB; the limit also
+# keeps peak memory under 480 MB.  `homology` over ratfun:Q took 0.7 s at
+# n = 10, 2.6 s at 11, 10 s at 12, 34 s at 13 (160 MB) and over 75 s at
+# 14, and with `--model 2tl` 1.2 s at n = 6, 15-24 s at 7 and over 75 s at
+# 8.  `jw` was measured over a prime field, where the Catalan(n)^2 diagram
+# products dominate: `--ring Fp:101 --d1 3 --d2 5` took 3.0 s at n = 8 and
+# 26 s at 9, and n = 10 has 11.6 times the products.  `rotatable` took
+# 55 s at n = 57 and 61 s at 58 while it multiplied out the quantum
+# binomials; testing their factors instead takes 0.14 s at 57, so that
+# limit is loose.  `qnum` 24 s at 400, 59 s at 550 (160 MB) and over 75 s
+# at 600.
+MAX_CONTINUANT_N = 17
 MAX_HOMOLOGY_N = 13
 MAX_HOMOLOGY_2TL_N = 7
 MAX_JW_N = 9
@@ -149,6 +151,8 @@ def cmd_homology(args) -> int:
     if args.model == "2tl":
         _check_limit(args.n, MAX_HOMOLOGY_2TL_N, "homology --model 2tl --n")
     _check_limit(args.n, MAX_HOMOLOGY_N, "homology --n")
+    if args.n < 0:
+        raise complexes.ComplexError("n must be a natural number")
     try:
         ring = construct_ring(args.ring)
         q = parse_element(ring, args.q)
@@ -160,7 +164,6 @@ def cmd_homology(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     triple = params.balanced_triple()
-    build = complexes.build_continuant(args.n, args.variant, triple)
     if args.model == "2tl":
         result = tldiag.jw(triple, args.n) if args.n >= 1 else None
         if isinstance(result, tldiag.NotExists):
@@ -179,6 +182,7 @@ def cmd_homology(args) -> int:
             {"n": args.n, "jw_exists": True, "markov_trace": trace, "negligible": negligible},
         )
         return 0
+    build = complexes.build_continuant(args.n, args.variant, triple)
     report = sl2model.homology(build.complex, params)
     _emit(args, str(report), report.to_json_dict())
     return 0

@@ -68,116 +68,119 @@ class FormalObject:
 class FormalMorphism:
     """A matrix of diagram morphisms between formal direct sums.
 
-    Entry (i, j) maps source summand j to target summand i.
+    Entry (i, j) maps source summand j to target summand i.  Only the
+    non-zero entries are stored, in ``blocks`` as {(i, j): entry}; the
+    dense ``entries`` view is built on access.
     """
 
-    __slots__ = ("triple", "source", "target", "entries")
+    __slots__ = ("triple", "source", "target", "blocks")
 
-    def __init__(self, triple: Triple, source: FormalObject, target: FormalObject, entries):
-        self.triple = triple
-        self.source = source
-        self.target = target
-        self.entries = [list(row) for row in entries]
-        if len(self.entries) != len(target):
+    def __init__(self, triple: Triple, source: FormalObject, target: FormalObject, rows):
+        """The morphism with the given dense rows of entries."""
+        rows = [list(row) for row in rows]
+        if len(rows) != len(target):
             raise ComplexError("entry rows do not match target summands")
-        for i, row in enumerate(self.entries):
-            if len(row) != len(source):
-                raise ComplexError("entry columns do not match source summands")
-            for j, entry in enumerate(row):
-                if entry.source != source.summands[j] or entry.target != target.summands[i]:
-                    raise ComplexError(f"entry ({i},{j}) has wrong boundary words")
+        if any(len(row) != len(source) for row in rows):
+            raise ComplexError("entry columns do not match source summands")
+        self._store(
+            triple, source, target,
+            {(i, j): e for i, row in enumerate(rows) for j, e in enumerate(row)},
+        )
+
+    def _store(self, triple: Triple, source: FormalObject, target: FormalObject, blocks) -> None:
+        """Check each entry's boundary words and keep the non-zero ones."""
+        self.triple, self.source, self.target = triple, source, target
+        self.blocks = {}
+        for (i, j), entry in blocks.items():
+            if entry.source != source.summands[j] or entry.target != target.summands[i]:
+                raise ComplexError(f"entry ({i},{j}) has wrong boundary words")
+            if entry.terms:
+                self.blocks[i, j] = entry
+
+    @staticmethod
+    def _from_blocks(triple: Triple, source: FormalObject, target: FormalObject, blocks) -> "FormalMorphism":
+        """The morphism with the entries {(i, j): entry} and zeros elsewhere."""
+        out = FormalMorphism.__new__(FormalMorphism)
+        out._store(triple, source, target, blocks)
+        return out
+
+    @property
+    def entries(self) -> List[List[TLMorphism]]:
+        """Dense rows, zeros included; writing to them leaves the morphism alone."""
+        return [
+            [
+                self.blocks.get((i, j)) or TLMorphism.zero(self.triple, ws, wt)
+                for j, ws in enumerate(self.source.summands)
+            ]
+            for i, wt in enumerate(self.target.summands)
+        ]
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(triple: Triple, source: FormalObject, target: FormalObject) -> "FormalMorphism":
-        return FormalMorphism(
-            triple,
-            source,
-            target,
-            [
-                [TLMorphism.zero(triple, src, tgt) for src in source.summands]
-                for tgt in target.summands
-            ],
-        )
+        return FormalMorphism._from_blocks(triple, source, target, {})
 
     @staticmethod
     def identity(triple: Triple, obj: FormalObject) -> "FormalMorphism":
-        out = FormalMorphism.zero(triple, obj, obj)
-        for i, w in enumerate(obj.summands):
-            out.entries[i][i] = TLMorphism.identity(triple, w)
-        return out
+        blocks = {(i, i): TLMorphism.identity(triple, w) for i, w in enumerate(obj.summands)}
+        return FormalMorphism._from_blocks(triple, obj, obj, blocks)
 
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "FormalMorphism") -> "FormalMorphism":
         if self.source != other.source or self.target != other.target:
             raise ComplexError("cannot add morphisms with different boundaries")
-        return FormalMorphism(
-            self.triple,
-            self.source,
-            self.target,
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(len(self.source))]
-                for i in range(len(self.target))
-            ],
-        )
+        blocks = dict(self.blocks)
+        for key, entry in other.blocks.items():
+            mine = blocks.get(key)
+            blocks[key] = entry if mine is None else mine + entry
+        return FormalMorphism._from_blocks(self.triple, self.source, self.target, blocks)
 
     def __neg__(self) -> "FormalMorphism":
-        return FormalMorphism(
-            self.triple,
-            self.source,
-            self.target,
-            [[-e for e in row] for row in self.entries],
-        )
+        blocks = {key: -e for key, e in self.blocks.items()}
+        return FormalMorphism._from_blocks(self.triple, self.source, self.target, blocks)
 
     def __mul__(self, other: "FormalMorphism") -> "FormalMorphism":
         """Matrix product self * other (other applied first)."""
         if other.target != self.source:
             raise ComplexError("matrix shapes do not compose")
-        rows = []
-        for i in range(len(self.target)):
-            row = []
-            for j in range(len(other.source)):
-                acc = TLMorphism.zero(
-                    self.triple, other.source.summands[j], self.target.summands[i]
-                )
-                for k in range(len(self.source)):
-                    left = self.entries[i][k]
-                    right = other.entries[k][j]
-                    if left.is_zero() or right.is_zero():
-                        continue
-                    acc = acc + compose(left, right)
-                row.append(acc)
-            rows.append(row)
-        return FormalMorphism(self.triple, other.source, self.target, rows)
+        right: Dict[int, List[Tuple[int, TLMorphism]]] = {}
+        for (k, j), e in other.blocks.items():
+            right.setdefault(k, []).append((j, e))
+        blocks: Dict[Tuple[int, int], TLMorphism] = {}
+        for (i, k), left in self.blocks.items():
+            for j, e in right.get(k, ()):
+                product = compose(left, e)
+                acc = blocks.get((i, j))
+                blocks[i, j] = product if acc is None else acc + product
+        return FormalMorphism._from_blocks(self.triple, other.source, self.target, blocks)
 
     def tensor_letter(self, letter: str) -> "FormalMorphism":
         ident = TLMorphism.identity(self.triple, Word.single(letter))
-        return FormalMorphism(
+        return FormalMorphism._from_blocks(
             self.triple,
             self.source.tensor_letter(letter),
             self.target.tensor_letter(letter),
-            [[tensor(ident, e) for e in row] for row in self.entries],
+            {key: tensor(ident, e) for key, e in self.blocks.items()},
         )
 
     def dual(self) -> "FormalMorphism":
         """Entrywise 180-degree rotation; the matrix transposes."""
-        rows = []
-        for j in range(len(self.source)):
-            rows.append([self.entries[i][j].dual() for i in range(len(self.target))])
-        return FormalMorphism(self.triple, self.target.dual(), self.source.dual(), rows)
+        blocks = {(j, i): e.dual() for (i, j), e in self.blocks.items()}
+        return FormalMorphism._from_blocks(self.triple, self.target.dual(), self.source.dual(), blocks)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not self.blocks
 
     def __eq__(self, other):
         if not isinstance(other, FormalMorphism):
             return NotImplemented
         return (
-            self.source == other.source
+            self.triple == other.triple
+            and self.source == other.source
             and self.target == other.target
-            and self.entries == other.entries
+            and self.blocks == other.blocks
         )
 
     def term_counts(self) -> List[List[int]]:
@@ -213,13 +216,16 @@ class FormalComplex:
     def differential(self, i: int) -> Optional[FormalMorphism]:
         return self.diffs.get(i)
 
+    def d_squared_failures(self) -> List[int]:
+        """The degrees k, in increasing order, with d_{k-1} d_k != 0."""
+        return [
+            k
+            for k, d_k in sorted(self.diffs.items())
+            if k - 1 in self.diffs and not (self.diffs[k - 1] * d_k).is_zero()
+        ]
+
     def check_d_squared(self) -> bool:
-        for i in self.degrees():
-            d_i = self.diffs.get(i)
-            d_next = self.diffs.get(i + 1)
-            if d_i is not None and d_next is not None and not (d_i * d_next).is_zero():
-                return False
-        return True
+        return not self.d_squared_failures()
 
     def dual(self) -> "FormalComplex":
         """Termwise dual with reversed degrees; no extra signs are needed."""
@@ -266,29 +272,15 @@ class ChainMap:
         return self.parts.get(i)
 
     def verify(self) -> bool:
-        for i in self.source.degrees():
-            f_i = self.parts.get(i)
-            d_src = self.source.diffs.get(i)
-            d_tgt = self.target.diffs.get(i)
-            lhs = None
-            if f_i is not None and d_tgt is not None:
-                lhs = d_tgt * f_i
-            rhs = None
-            if d_src is not None:
-                f_prev = self.parts.get(i - 1)
-                if f_prev is not None:
-                    rhs = f_prev * d_src
-            if lhs is None and rhs is None:
-                continue
-            if lhs is None:
-                if not rhs.is_zero():
-                    return False
-            elif rhs is None:
-                if not lhs.is_zero():
-                    return False
-            elif not (lhs + (-rhs)).is_zero():
-                return False
-        return True
+        S, T = self.source, self.target
+
+        def f(i):
+            return self.parts.get(i) or FormalMorphism.zero(S.triple, S.term(i), T.term(i))
+
+        def d(C, i):
+            return C.diffs.get(i) or FormalMorphism.zero(C.triple, C.term(i), C.term(i - 1))
+
+        return all(d(T, i) * f(i) == f(i - 1) * d(S, i) for i in S.degrees())
 
 
 def shift(complex_: FormalComplex, k: int = 1) -> FormalComplex:
@@ -318,26 +310,18 @@ def cone(f: ChainMap) -> FormalComplex:
     for i in degrees:
         if (i - 1) not in terms or not len(terms[i - 1]):
             continue
-        src, tgt = terms[i], terms[i - 1]
-        out = FormalMorphism.zero(triple, src, tgt)
         nc_src, nc_tgt = len(C.term(i - 1)), len(C.term(i - 2))
-        d_c = C.diffs.get(i - 1)
-        if d_c is not None:
-            for a in range(len(d_c.target)):
-                for b in range(len(d_c.source)):
-                    out.entries[a][b] = -d_c.entries[a][b]
-        f_part = f.parts.get(i - 1)
-        if f_part is not None:
-            for a in range(len(f_part.target)):
-                for b in range(len(f_part.source)):
-                    out.entries[nc_tgt + a][b] = -f_part.entries[a][b]
-        d_d = D.diffs.get(i)
-        if d_d is not None:
-            for a in range(len(d_d.target)):
-                for b in range(len(d_d.source)):
-                    out.entries[nc_tgt + a][nc_src + b] = d_d.entries[a][b]
-        if not out.is_zero():
-            diffs[i] = out
+        blocks = {}
+        for part, rows, cols, negate in (
+            (C.diffs.get(i - 1), 0, 0, True),
+            (f.parts.get(i - 1), nc_tgt, 0, True),
+            (D.diffs.get(i), nc_tgt, nc_src, False),
+        ):
+            if part is not None:
+                for (a, b), e in part.blocks.items():
+                    blocks[rows + a, cols + b] = -e if negate else e
+        if blocks:
+            diffs[i] = FormalMorphism._from_blocks(triple, terms[i], terms[i - 1], blocks)
     return FormalComplex(triple, terms, diffs)
 
 
@@ -400,22 +384,19 @@ def _tensor_letter_complex(C: FormalComplex, letter: str) -> FormalComplex:
 
 def _sort_by_labels(C: FormalComplex, labels: Dict[int, List[Tuple[int, ...]]]) -> FormalComplex:
     """Reorder each degree's summands lexicographically by label."""
-    perms = {}
+    position = {}  # degree -> {old index: new index}
     new_terms = {}
     new_labels = {}
     for i, obj in C.terms.items():
         order = sorted(range(len(obj)), key=lambda j: labels[i][j])
-        perms[i] = order
+        position[i] = {old: new for new, old in enumerate(order)}
         new_terms[i] = FormalObject(tuple(obj.summands[j] for j in order))
         new_labels[i] = tuple(labels[i][j] for j in order)
     new_diffs = {}
     for i, d in C.diffs.items():
-        src_perm, tgt_perm = perms[i], perms[i - 1]
-        entries = [
-            [d.entries[a][b] for b in src_perm]
-            for a in tgt_perm
-        ]
-        new_diffs[i] = FormalMorphism(C.triple, new_terms[i], new_terms[i - 1], entries)
+        src_pos, tgt_pos = position[i], position[i - 1]
+        blocks = {(tgt_pos[a], src_pos[b]): e for (a, b), e in d.blocks.items()}
+        new_diffs[i] = FormalMorphism._from_blocks(C.triple, new_terms[i], new_terms[i - 1], blocks)
     return FormalComplex(C.triple, new_terms, new_diffs, new_labels)
 
 
@@ -495,21 +476,12 @@ def build_continuant(
         for i, obj in em.terms.items():
             if i not in c_part.terms:
                 continue
-            target_obj = c_part.term(i)
-            entries = []
-            for a, tgt_label in enumerate(prev.labels.get(i, ())):
-                row = []
-                for b, src_label in enumerate(em.labels[i]):
-                    if src_label == tgt_label:
-                        row.append(TLMorphism.identity(triple, obj.summands[b]))
-                    else:
-                        row.append(
-                            TLMorphism.zero(
-                                triple, obj.summands[b], target_obj.summands[a]
-                            )
-                        )
-                entries.append(row)
-            phi_parts[i] = FormalMorphism(triple, obj, target_obj, entries)
+            column = {label: b for b, label in enumerate(em.labels[i])}
+            blocks = {
+                (a, column[label]): TLMorphism.identity(triple, obj.summands[column[label]])
+                for a, label in enumerate(prev.labels.get(i, ()))
+            }
+            phi_parts[i] = FormalMorphism._from_blocks(triple, obj, c_part.term(i), blocks)
         phi_maps[m] = ChainMap(em, c_part, phi_parts)
 
         # f_m = (ev (x) id) after (letter(m) (x) phi_m)
@@ -518,16 +490,15 @@ def build_continuant(
         f_parts = {}
         for i, phi_part in phi_parts.items():
             padded = phi_part.tensor_letter(_letter_of(letter, m))
-            collapse_entries = []
-            for a, w in enumerate(prev.term(i).summands):
-                row = []
-                for b, src_w in enumerate(padded.target.summands):
-                    if b == a:
-                        row.append(tensor(ev, TLMorphism.identity(triple, w)))
-                    else:
-                        row.append(TLMorphism.zero(triple, src_w, w))
-                collapse_entries.append(row)
-            collapse = FormalMorphism(triple, padded.target, prev.term(i), collapse_entries)
+            collapse = FormalMorphism._from_blocks(
+                triple,
+                padded.target,
+                prev.term(i),
+                {
+                    (a, a): tensor(ev, TLMorphism.identity(triple, w))
+                    for a, w in enumerate(prev.term(i).summands)
+                },
+            )
             f_parts[i] = collapse * padded
         f_maps[m] = ChainMap(f_source, prev, f_parts)
 
@@ -583,12 +554,7 @@ def validate(build_or_complex) -> ValidationReport:
     else:
         complex_, n, base = build_or_complex, None, None
 
-    for i in complex_.degrees():
-        d_i = complex_.diffs.get(i)
-        d_next = complex_.diffs.get(i + 1)
-        if d_i is not None and d_next is not None:
-            if not (d_i * d_next).is_zero():
-                issues.append(f"d^2 != 0 out of degree {i + 1}")
+    issues.extend(f"d^2 != 0 out of degree {k}" for k in complex_.d_squared_failures())
 
     if n is not None and complex_.labels is not None:
         for i, obj in complex_.terms.items():

@@ -291,7 +291,11 @@ def builtin_ring(name: str) -> FusionRing:
 # Frobenius-Perron dimension
 
 
-def _power_iteration(matrix: List[List[int]], tol: float = 1e-12, max_iter: int = 200000) -> float:
+_POWER_TOL = 1e-12  # stop once successive eigenvalue estimates differ by less
+_POWER_MAX_ITER = 200000
+
+
+def _power_iteration(matrix: List[List[int]]) -> float:
     """Largest non-negative eigenvalue of a non-negative matrix.
 
     Iterates on the matrix plus the identity (which breaks the periodicity
@@ -303,7 +307,7 @@ def _power_iteration(matrix: List[List[int]], tol: float = 1e-12, max_iter: int 
     shifted = [[matrix[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
     vec = [1.0] * n
     previous = None
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         nxt = [sum(shifted[i][j] * vec[j] for j in range(n)) for i in range(n)]
         norm = max(abs(x) for x in nxt)
         if norm == 0.0:
@@ -315,7 +319,7 @@ def _power_iteration(matrix: List[List[int]], tol: float = 1e-12, max_iter: int 
         den = sum(x * x for x in nxt)
         estimate = num / den
         vec = nxt
-        if previous is not None and abs(estimate - previous) < tol:
+        if previous is not None and abs(estimate - previous) < _POWER_TOL:
             return estimate - 1.0
         previous = estimate
     return previous - 1.0

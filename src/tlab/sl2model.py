@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Dict, List
 
 from .complexes import FormalComplex
@@ -165,21 +166,20 @@ def realize_object(obj, params: FiberParams) -> int:
     return sum(word_dimension(w) for w in obj.summands)
 
 
+def _offsets(obj) -> List[int]:
+    """Where each summand's coordinates start, and the total dimension."""
+    return list(accumulate((word_dimension(w) for w in obj.summands), initial=0))
+
+
 def _realize_formal(morphism, params: FiberParams) -> ExactMatrix:
-    rows = realize_object(morphism.target, params)
-    cols = realize_object(morphism.source, params)
-    out = ExactMatrix.zeros(params.ring, rows, cols)
-    row_offset = 0
-    for i, wt in enumerate(morphism.target.summands):
-        col_offset = 0
-        for j, ws in enumerate(morphism.source.summands):
-            block = realize_morphism(morphism.entries[i][j], params)
-            for a, row in enumerate(block.entries):
-                target = out.entries[row_offset + a]
-                for b, value in row.items():
-                    target[col_offset + b] = value
-            col_offset += word_dimension(ws)
-        row_offset += word_dimension(wt)
+    rows, cols = _offsets(morphism.target), _offsets(morphism.source)
+    out = ExactMatrix.zeros(params.ring, rows[-1], cols[-1])
+    for (i, j), entry in morphism.blocks.items():
+        block = realize_morphism(entry, params)
+        for a, row in enumerate(block.entries):
+            target, col = out.entries[rows[i] + a], cols[j]
+            for b, value in row.items():
+                target[col + b] = value
     return out
 
 

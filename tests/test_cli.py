@@ -232,6 +232,22 @@ def test_rotatable_tests_binomial_factors_not_products(capsys):
     assert took < 5, took
 
 
+def test_continuant_walks_only_non_zero_entries(capsys):
+    # 744 of the 11,657 entries of E_12's differentials are non-zero; the
+    # build took 30 s at n = 15 while it stored and multiplied the zeros
+    (code, out, _), took = _timed(capsys, "continuant", "--n", "15")
+    assert code == 0
+    assert "validation: pass" in out
+    assert took < 10, took
+
+
+def test_homology_rejects_negative_n_under_both_models(capsys):
+    for model in ("sl2", "2tl"):
+        code, _, err = run(capsys, "homology", "--n", "-1", "--model", model)
+        assert code == 1, model
+        assert "n must be a natural number" in err, model
+
+
 def test_n_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
     from tlab.cli import MAX_CONTINUANT_N, MAX_HOMOLOGY_N
 

@@ -37,12 +37,12 @@ class InputLimitError(ValueError):
 # Largest --n (--upto for `qnum`): the largest value that finished within
 # 60 s without error (CPython 3.11, one core of an Intel Xeon virtual
 # machine), with the default rings unless said otherwise.  `continuant`
-# took 2.4 s at n = 15, 5.9 s at 16, 12 s at 17 (260 MB with --format json)
-# and 30-34 s at 18, where the JSON dump peaked at 566 MB; the limit also
+# took 2.4 s at n = 15, 4.5 s at 17 (267 MB with --format json) and 11 s
+# at 18 (254 MB), where the JSON dump peaked at 565 MB; the limit also
 # keeps peak memory under 480 MB.  `homology` over ratfun:Q took 0.7 s at
 # n = 10, 2.6 s at 11, 10 s at 12, 34 s at 13 (160 MB) and over 75 s at
-# 14, and with `--model 2tl` 1.2 s at n = 6, 15-24 s at 7 and over 75 s at
-# 8.  `jw` was measured over a prime field, where the Catalan(n)^2 diagram
+# 14, and with `--model 2tl`, where computing JW_n dominates, 0.5 s at
+# n = 6, 5.3 s at 7 and 88 s at 8.  `jw` was measured over a prime field, where the Catalan(n)^2 diagram
 # products dominate: `--ring Fp:101 --d1 3 --d2 5` took 3.0 s at n = 8 and
 # 26 s at 9, and n = 10 has 11.6 times the products.  `rotatable` took
 # 55 s at n = 57 and 61 s at 58 while it multiplied out the quantum
@@ -173,13 +173,17 @@ def cmd_homology(args) -> int:
                 {"n": args.n, "jw_exists": False, "reason": result.reason},
             )
             return 0
-        negligible = tldiag.is_negligible(result) if result is not None else False
-        trace = str(tldiag.markov_trace(result)) if result is not None else "1"
+        # jw certifies e_i JW_n = 0 = JW_n e_i for every i (_check_jw), and
+        # every non-identity basis diagram factors through some e_i, so
+        # tr(JW_n m) = [m = id] tr(JW_n): JW_n is negligible exactly when
+        # its Markov trace vanishes, without is_negligible's basis loop
+        trace = tldiag.markov_trace(result) if result is not None else triple.ring.one
+        negligible = trace.is_zero()
         _emit(
             args,
             f"E_{args.n} at q={args.q}: JW exists; markov trace {trace}; "
             f"negligible: {negligible}",
-            {"n": args.n, "jw_exists": True, "markov_trace": trace, "negligible": negligible},
+            {"n": args.n, "jw_exists": True, "markov_trace": str(trace), "negligible": negligible},
         )
         return 0
     build = complexes.build_continuant(args.n, args.variant, triple)

@@ -183,8 +183,16 @@ class FormalMorphism:
             and self.blocks == other.blocks
         )
 
+    def _cells(self, render, zero):
+        """Dense rows of render(entry), with zero for the cells not stored."""
+        blocks = self.blocks
+        return [
+            [render(blocks[i, j]) if (i, j) in blocks else zero for j in range(len(self.source))]
+            for i in range(len(self.target))
+        ]
+
     def term_counts(self) -> List[List[int]]:
-        return [[len(e.terms) for e in row] for row in self.entries]
+        return self._cells(lambda e: len(e.terms), 0)
 
 
 class FormalComplex:
@@ -255,7 +263,7 @@ class FormalComplex:
                 entry["labels"] = [list(lab) for lab in self.labels[i]]
             d = self.diffs.get(i)
             if d is not None:
-                entry["differential"] = [[str(e) for e in row] for row in d.entries]
+                entry["differential"] = d._cells(str, "0")
             out["degrees"][str(i)] = entry
         return out
 

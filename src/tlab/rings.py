@@ -9,11 +9,11 @@ Four kinds of ring are supported, all fields with decidable equality:
                      (nestable, so Q(t)(u) is ``ratfun:ratfun:Q``).
 
 Every element is kept in a canonical form (reduced fraction, residue in
-[0, p), polynomial of degree < deg Phi_m; for rational functions over Q a
-coprime pair of integer polynomials, over other bases a gcd-reduced
-numerator/denominator with monic denominator), so payload equality is
-equality in the ring and ``is_zero`` is trivial.  Values are immutable; all
-operations are pure.
+[0, p), integer polynomial of degree < deg Phi_m over a positive denominator
+coprime to its content; for rational functions over Q a coprime pair of
+integer polynomials, over other bases a gcd-reduced numerator/denominator
+with monic denominator), so payload equality is equality in the ring and
+``is_zero`` is trivial.  Values are immutable; all operations are pure.
 
 Rational-function generators are named by nesting depth, innermost first:
 ``t``, ``u``, ``v``, ``w``.  The cyclotomic generator is always ``q``.
@@ -434,11 +434,9 @@ class PrimeField(Ring):
 
 # -- dense polynomials over a field --------------------------------------
 #
-# Coefficients are Fractions (the cyclotomic field) or RingValues (fraction
-# fields over Fp and cyclotomic fields); tuples ascending in degree, with no
-# trailing zero coefficient.
-
-_Q0 = Fraction(0)
+# Coefficients are RingValues (fraction fields over Fp and cyclotomic
+# fields), or Fractions for the one cyclotomic inverse; tuples ascending in
+# degree, with no trailing zero coefficient.
 
 
 def _trim(cs: list) -> tuple:
@@ -511,30 +509,35 @@ def _pinvmod(a, m, zero):
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
-    """Coefficients of Phi_m, computed by exact division of x^m - 1 by the
-    Phi_d for proper divisors d of m."""
+    """Phi_m in ints: x^m - 1 divided exactly by Phi_d for each proper divisor d."""
     if m < 1:
         raise RingSpecError("cyclotomic modulus must be >= 1")
-    num = (Fraction(-1),) + (_Q0,) * (m - 1) + (Fraction(1),)
-    den = (Fraction(1),)
+    phi = (-1,) + (0,) * (m - 1) + (1,)
     for d in range(1, m):
         if m % d == 0:
-            den = _pmul(den, cyclotomic_polynomial(d), _Q0)
-    quo, rem = _pdivmod(num, den)
-    assert not rem, "cyclotomic division must be exact"
-    return quo
+            phi = _zdiv(phi, cyclotomic_polynomial(d), 1)
+    return phi
+
+
+# Largest m in cyclo:<m>.  Building Phi_m divides x^m - 1 by every Phi_d, so
+# its cost grows with the number of divisors as well as with m: `qnum --upto
+# 2` with both loop values q+q^-1 took 16 s at m = 20160, 31 s at 25200,
+# 49 s at 27720 (20 MB), 37 s at 29400 and 82 s at 30030 (CPython 3.11, one
+# core of an Intel Xeon virtual machine).
+MAX_CYCLO_M = 27720
 
 
 class CyclotomicField(Ring):
+    """Q[q]/(Phi_m); the pair (P, d) is P/d, with d > 0 coprime to P's content."""
+
     kind = "cyclo"
     max_size = MAX_POWER_BITS
 
     def __init__(self, m: int):
-        if m < 1:
-            raise RingSpecError("cyclotomic modulus must be >= 1")
+        if m > MAX_CYCLO_M:
+            raise RingLimitError(f"cyclo:{m}: m is beyond the limit of {MAX_CYCLO_M}")
         self.m = m
         self.modulus = cyclotomic_polynomial(m)
-        self.degree = len(self.modulus) - 1
 
     def _key(self):
         return ("cyclo", self.m)
@@ -542,15 +545,15 @@ class CyclotomicField(Ring):
     def spec(self):
         return f"cyclo:{self.m}"
 
-    def _reduce(self, coeffs) -> tuple:
-        return _pdivmod(coeffs, self.modulus)[1]
+    def _canon(self, num, den):
+        g = math.gcd(den, *num)
+        return (num, den) if g == 1 else (tuple(c // g for c in num), den // g)
 
     def size(self, a) -> int:
-        """Largest bit length of |numerator| * denominator of a
-        coefficient; 0 for 1."""
+        """Largest bit length of |numerator| * denominator of a coefficient; 0 for 1."""
         if a == self.one.payload:
             return 0
-        return max(((abs(c.numerator) * c.denominator).bit_length() for c in a), default=0)
+        return max(((abs(c) * a[1] // math.gcd(c, a[1]) ** 2).bit_length() for c in a[0]), default=0)
 
     def _is_root_of_unity(self, a) -> bool:
         # the roots of unity of Q(zeta_m) have orders dividing 2m and small
@@ -561,32 +564,39 @@ class CyclotomicField(Ring):
         return RingValue(self, a) ** (2 * self.m) == self.one
 
     def _add(self, a, b):
-        return _padd(a, b)
+        if a[1] == b[1]:
+            return self._canon(_zadd(a[0], b[0], 1), a[1])
+        return self._canon(_zadd(_zmul(a[0], (b[1],), 1), _zmul(b[0], (a[1],), 1), 1), a[1] * b[1])
 
     def _neg(self, a):
-        return _pneg(a)
+        return (_zneg(a[0], 1), a[1])
 
     def _mul(self, a, b):
-        return self._reduce(_pmul(a, b, _Q0))
+        return self._canon(_zprem(_zmul(a[0], b[0], 1), self.modulus, 1), a[1] * b[1])
 
     def _invert(self, a):
-        if not a:
+        if not a[0]:
             return None
-        # Phi_m is irreducible over Q, so every non-zero a is invertible
-        return self._reduce(_pinvmod(a, self.modulus, _Q0))
+        # Phi_m is irreducible: extended Euclid over Q, checked by one product
+        s = _pinvmod(tuple(Fraction(c, a[1]) for c in a[0]), tuple(map(Fraction, self.modulus)), 0)
+        e = math.lcm(*(c.denominator for c in s))
+        inv = (tuple(c.numerator * (e // c.denominator) for c in s), e)
+        if self._mul(a, inv) != self.one.payload:
+            raise ArithmeticError(f"inverse check failed in {self}")
+        return inv
 
     def _is_zero(self, a):
-        return not a
+        return not a[0]
 
     def _from_int(self, n):
-        return self._reduce((Fraction(n),))
+        return ((n,) if n else (), 1)
 
     def _to_str(self, a):
-        return _poly_text([str(c) for c in a], "q")
+        return _poly_text([str(Fraction(c, a[1])) for c in a[0]], "q")
 
     @property
     def gen(self) -> RingValue:
-        return RingValue(self, self._reduce((Fraction(0), Fraction(1))))
+        return RingValue(self, (_zprem((0, 1), self.modulus, 1), 1))
 
     def generators(self):
         return {"q": self.gen}

@@ -323,3 +323,20 @@ def test_cli_fuzz_exits_cleanly(argv):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+def test_cyclotomic_modulus_ceiling_exits_one_fast(capsys):
+    from tlab.rings import MAX_CYCLO_M
+
+    for m in (MAX_CYCLO_M + 1, 10**30):
+        (code, _, err), took = _timed(
+            capsys, "qnum", "--ring", f"cyclo:{m}", "--d1", "q+q^-1", "--d2", "q+q^-1", "--upto", "2"
+        )
+        assert code == 1, m
+        assert f"beyond the limit of {MAX_CYCLO_M}" in err and "Traceback" not in err
+        assert took < 0.5, (m, took)
+    # the largest cyclotomic field the tests use is admitted
+    (code, _, _), took = _timed(
+        capsys, "qnum", "--ring", "cyclo:105", "--d1", "q+q^-1", "--d2", "q+q^-1", "--upto", "4"
+    )
+    assert code == 0 and took < 5, took

@@ -156,3 +156,15 @@ def test_zero_matrices_over_different_triples_differ():
     assert zero_a != zero_b
     assert zero_a == FormalMorphism.zero(TOWER, obj, obj)
     assert zero_a.is_zero() and zero_b.is_zero()
+
+
+def test_printed_cells_match_the_dense_view():
+    # the summary's term counts and the JSON differentials skip the cells
+    # not stored; the dense entries view, zeros included, is the reference
+    for variant in ("lower", "upper"):
+        for n in range(6):
+            complex_ = build_continuant(n, variant, TOWER).complex
+            printed = complex_.to_json_dict()["degrees"]
+            for k, d in complex_.diffs.items():
+                assert d.term_counts() == [[len(e.terms) for e in row] for row in d.entries]
+                assert printed[str(k)]["differential"] == [[str(e) for e in row] for row in d.entries]

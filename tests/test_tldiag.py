@@ -459,3 +459,24 @@ def test_rescaling_changes_triple(tower):
     moved = rescale_transport(f, lam)
     assert moved.triple.delta1 == lam * tower.delta1
     assert moved.triple.delta2 == tower.delta2 / lam
+
+
+def test_negligible_exactly_when_the_jw_trace_vanishes():
+    # `homology --model 2tl` reads negligibility off tr(JW_n): JW_n is killed
+    # by every e_i, so tr(JW_n m) = [m = id] tr(JW_n); is_negligible, the
+    # basis-loop definition, is the oracle
+    cases = [(f"cyclo:{m}", "q+q^-1", 6) for m in (8, 10, 12)]
+    cases += [("Fp:2", "0", 7), ("Fp:3", "2", 7), ("Fp:5", "2", 7), ("ratfun:Q", "t", 5), ("Q", "3", 5)]
+    negligible = []
+    for spec, d, top in cases:
+        triple = Triple.parse(spec, d, d)
+        for n in range(1, top + 1):
+            f = jw(triple, n)
+            if isinstance(f, NotExists):
+                continue
+            verdict = is_negligible(f)
+            assert verdict == markov_trace(f).is_zero(), (spec, n)
+            if verdict:
+                negligible.append((spec, n))
+    # the Lucas cases over F_2 and F_3 and the roots of unity are reached
+    assert {("Fp:2", 3), ("Fp:2", 7), ("Fp:3", 5), ("cyclo:10", 4)} <= set(negligible)

@@ -9,6 +9,7 @@ usage errors (unknown flags, malformed ring specifications).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,19 +38,20 @@ class InputLimitError(ValueError):
 # Largest --n (--upto for `qnum`): the largest value that finished within
 # 60 s without error (CPython 3.11, one core of an Intel Xeon virtual
 # machine), with the default rings unless said otherwise.  `continuant`
-# took 2.4 s at n = 15, 4.5 s at 17 (267 MB with --format json) and 11 s
-# at 18 (254 MB), where the JSON dump peaked at 565 MB; the limit also
-# keeps peak memory under 480 MB.  `homology` over ratfun:Q took 0.7 s at
-# n = 10, 2.6 s at 11, 10 s at 12, 34 s at 13 (160 MB) and over 75 s at
-# 14, and with `--model 2tl`, where computing JW_n dominates, 0.5 s at
-# n = 6, 5.3 s at 7 and 88 s at 8.  `jw` was measured over a prime field, where the Catalan(n)^2 diagram
+# took 7.7 s at n = 18 (181 MB; 9.9 s and 194 MB with --format json) and
+# 16 s at 19 (331 MB; 21 s and 343 MB with --format json); at 20 it took
+# 30 s but 685 MB, and the limit also keeps peak memory under 480 MB.
+# `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11, 10 s at 12,
+# 34 s at 13 (160 MB) and over 75 s at 14, and with `--model 2tl`, where
+# computing JW_n dominates, 0.5 s at n = 6, 5.3 s at 7 and 88 s at 8.
+# `jw` was measured over a prime field, where the Catalan(n)^2 diagram
 # products dominate: `--ring Fp:101 --d1 3 --d2 5` took 3.0 s at n = 8 and
 # 26 s at 9, and n = 10 has 11.6 times the products.  `rotatable` took
 # 55 s at n = 57 and 61 s at 58 while it multiplied out the quantum
 # binomials; testing their factors instead takes 0.14 s at 57, so that
 # limit is loose.  `qnum` 24 s at 400, 59 s at 550 (160 MB) and over 75 s
 # at 600.
-MAX_CONTINUANT_N = 17
+MAX_CONTINUANT_N = 19
 MAX_HOMOLOGY_N = 13
 MAX_HOMOLOGY_2TL_N = 7
 MAX_JW_N = 9
@@ -72,9 +74,15 @@ def _triple_from_args(args) -> Triple:
     return Triple(ring, d1, d2)
 
 
+def _print_json(payload) -> None:
+    """Stream payload as indented JSON, without building the whole text."""
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
 def _emit(args, text: str, payload) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(text)
 
@@ -90,8 +98,9 @@ def cmd_qnum(args) -> int:
     lines = ["  n  [n]              [[n]]"]
     rows = []
     for k, qn, qq in table.rows():
-        lines.append(f"{k:3d}  {str(qn):<15}  {qq}")
-        rows.append({"n": k, "qnum": str(qn), "qqnum": str(qq)})
+        qn, qq = str(qn), str(qq)
+        lines.append(f"{k:3d}  {qn:<15}  {qq}")
+        rows.append({"n": k, "qnum": qn, "qqnum": qq})
     _emit(args, "\n".join(lines), {"ring": args.ring, "rows": rows})
     return 0
 
@@ -109,10 +118,11 @@ def cmd_jw(args) -> int:
             {"n": args.n, "exists": False, "reason": detail},
         )
         return 0
+    shown = str(result)
     _emit(
         args,
-        f"JW_{args.n} = {result}",
-        {"n": args.n, "exists": True, "morphism": str(result), "terms": len(result.terms)},
+        f"JW_{args.n} = {shown}",
+        {"n": args.n, "exists": True, "morphism": shown, "terms": len(result.terms)},
     )
     return 0
 
@@ -140,10 +150,12 @@ def cmd_continuant(args) -> int:
     triple = _triple_from_args(args)
     build = complexes.build_continuant(args.n, args.variant, triple)
     report = complexes.validate(build)
-    text = build.complex.summary() + "\n" + str(report)
-    payload = build.complex.to_json_dict()
-    payload["validation"] = {"ok": report.ok, "issues": report.issues}
-    _emit(args, text, payload)
+    if args.format == "json":
+        payload = build.complex.to_json_dict()
+        payload["validation"] = {"ok": report.ok, "issues": report.issues}
+        _print_json(payload)
+    else:
+        print(build.complex.summary() + "\n" + str(report))
     return 0
 
 
@@ -455,7 +467,7 @@ def cmd_verify(args) -> int:
         if not ok:
             failed += 1
     if args.format == "json":
-        print(json.dumps({"results": results, "failed": failed}, indent=2))
+        _print_json({"results": results, "failed": failed})
     else:
         for r in results:
             tag = "PASS" if r["pass"] else "FAIL"
@@ -468,7 +480,9 @@ def cmd_verify(args) -> int:
 # argument parsing
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="tlab",
         description="Exact Temperley-Lieb diagram calculus, continuant complexes, "

@@ -478,36 +478,27 @@ def build_continuant(
         em = _sort_by_labels(em_raw, labels)
         complexes.append(em)
 
-        # phi_m: E_m -> letter(m-1) (x) E_{m-1}, projection onto the C-part
-        c_part = _tensor_letter_complex(prev, _letter_of(letter, m - 1))
-        phi_parts = {}
+        # phi_m: E_m -> letter(m-1) (x) E_{m-1}, projection onto the C-part;
+        # its target is the source of f_{m-1}, already whiskered
+        c_part = f_maps[m - 1].source
+        # f_m = (ev (x) id) after (letter(m) (x) phi_m): the block ev (x) id_w
+        # wherever phi_m has its identity block, w the summand of E_{m-1}
+        ev = TLMorphism.ev(triple, _letter_of(letter, m - 1))
+        f_source = _tensor_letter_complex(em, _letter_of(letter, m))
+        phi_parts, f_parts = {}, {}
         for i, obj in em.terms.items():
             if i not in c_part.terms:
                 continue
             column = {label: b for b, label in enumerate(em.labels[i])}
-            blocks = {
-                (a, column[label]): TLMorphism.identity(triple, obj.summands[column[label]])
-                for a, label in enumerate(prev.labels.get(i, ()))
-            }
-            phi_parts[i] = FormalMorphism._from_blocks(triple, obj, c_part.term(i), blocks)
+            positions = [(a, column[label]) for a, label in enumerate(prev.labels.get(i, ()))]
+            phi_parts[i] = FormalMorphism._from_blocks(triple, obj, c_part.term(i), {
+                (a, b): TLMorphism.identity(triple, obj.summands[b]) for a, b in positions
+            })
+            f_parts[i] = FormalMorphism._from_blocks(triple, f_source.term(i), prev.term(i), {
+                (a, b): tensor(ev, TLMorphism.identity(triple, prev.term(i).summands[a]))
+                for a, b in positions
+            })
         phi_maps[m] = ChainMap(em, c_part, phi_parts)
-
-        # f_m = (ev (x) id) after (letter(m) (x) phi_m)
-        ev = TLMorphism.ev(triple, _letter_of(letter, m - 1))
-        f_source = _tensor_letter_complex(em, _letter_of(letter, m))
-        f_parts = {}
-        for i, phi_part in phi_parts.items():
-            padded = phi_part.tensor_letter(_letter_of(letter, m))
-            collapse = FormalMorphism._from_blocks(
-                triple,
-                padded.target,
-                prev.term(i),
-                {
-                    (a, a): tensor(ev, TLMorphism.identity(triple, w))
-                    for a, w in enumerate(prev.term(i).summands)
-                },
-            )
-            f_parts[i] = collapse * padded
         f_maps[m] = ChainMap(f_source, prev, f_parts)
 
     final = complexes[n] if n < len(complexes) else complexes[-1]

@@ -16,10 +16,11 @@ objects; all verdicts rest on exact integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 K0Vector = Tuple[int, ...]
 
@@ -416,6 +417,12 @@ def minimal_bound(
     to max_n, or when a non-zero class is a sum of two or more simples;
     inconclusive otherwise.
     """
+    return _bound(ring, obj, max_n, functools.partial(fpdim, ring))
+
+
+def _bound(ring: FusionRing, obj, max_n: int, basis_fpdim: Callable[[int], float]) -> BoundReport:
+    """minimal_bound, reading the FPdim of the basis element i off
+    basis_fpdim(i)."""
     if max_n < 3:
         raise FusionRingError("max_n must be at least 3")
     if isinstance(obj, (int, str)):
@@ -423,13 +430,14 @@ def minimal_bound(
         x = ring.basis_vector(index)
         label = ring.basis[index]
         composite = False
+        dim = basis_fpdim(index)
     else:
         x = tuple(int(c) for c in obj)
         if len(x) != ring.rank:
             raise FusionRingError("class vector has wrong length")
         label = ring.describe_vector(x)
         composite = all(c >= 0 for c in x) and sum(x) >= 2
-    dim = fpdim(ring, x)
+        dim = fpdim(ring, x)
 
     seq = continuant_sequence(ring, x, max_n)
     first_zero = next(
@@ -456,7 +464,7 @@ def minimal_bound(
             "index": N - 2,
             "class": ring.describe_vector(prev),
             "signed_basis_element": is_signed_basis,
-            "fpdim": fpdim(ring, support[0]) if is_signed_basis else None,
+            "fpdim": basis_fpdim(support[0]) if is_signed_basis else None,
         }
         verdict = Verdict("strictly_bounded", N)
         conjecture_relevant = N > 3 and not _is_prime_power(N)
@@ -493,8 +501,10 @@ def _is_prime_power(n: int) -> bool:
 
 
 def classify_all(ring: FusionRing, max_n: int = 64) -> List[BoundReport]:
-    """Run the classifier on every basis element."""
-    return [minimal_bound(ring, i, max_n) for i in range(ring.rank)]
+    """Run the classifier on every basis element, with one power iteration
+    for each."""
+    basis_fpdim = functools.lru_cache(maxsize=None)(functools.partial(fpdim, ring))
+    return [_bound(ring, i, max_n, basis_fpdim) for i in range(ring.rank)]
 
 
 def summary_table(reports: List[BoundReport]) -> str:

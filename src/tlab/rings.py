@@ -714,17 +714,20 @@ def _zprem(a, b, k: int):
     """A pseudo-remainder of a by b (deg b >= 1): c*a mod b for some non-zero
     c in Z[x1..x(k-1)], which is all a primitive remainder sequence needs."""
     rem, nb, lb = list(a), len(b), b[-1]
+    monic = lb == _zconst(1, k - 1)
     while len(rem) >= nb:
         lead = rem.pop()
         if not lead:
             continue
         shift = len(rem) - nb + 1
         if k == 1:
-            rem = [lb * c for c in rem]
+            if not monic:
+                rem = [lb * c for c in rem]
             for i in range(nb - 1):
                 rem[shift + i] -= lead * b[i]
         else:
-            rem = [_zmul(lb, c, k - 1) for c in rem]
+            if not monic:
+                rem = [_zmul(lb, c, k - 1) for c in rem]
             for i in range(nb - 1):
                 if b[i]:
                     rem[shift + i] = _zsub(rem[shift + i], _zmul(lead, b[i], k - 1), k - 1)

@@ -560,8 +560,6 @@ def _jw_by_recursion(triple: Triple, n: int) -> TLMorphism:
         assert den_inv is not None, "recursion requires invertible quantum numbers"
         coeff = -(num * den_inv)
         current = padded + coeff * compose(compose(padded, gen), padded)
-        if k + 1 < n:
-            _JW_CACHE.setdefault((triple, k + 1), current)
     return current
 
 

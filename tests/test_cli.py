@@ -340,3 +340,35 @@ def test_cyclotomic_modulus_ceiling_exits_one_fast(capsys):
         capsys, "qnum", "--ring", "cyclo:105", "--d1", "q+q^-1", "--d2", "q+q^-1", "--upto", "4"
     )
     assert code == 0 and took < 5, took
+
+
+def test_parser_is_built_once():
+    from tlab.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def test_one_process_answers_as_separate_runs(capsys):
+    import os
+    import subprocess
+    import sys
+
+    import tlab
+
+    jobs = [
+        ["continuant", "--variant", "middle", "--n", "3"],
+        ["jw", "--ring", "Fp:6", "--d1", "0", "--d2", "0", "--n", "2"],
+        ["qnum", "--ring", "Q", "--d1", "3", "--d2", "3", "--upto", "4"],
+        ["continuant", "--n", "4", "--format", "json"],
+        ["jw", "--n", "3", "--bogus", "1"],
+        ["qnum", "--ring", "cyclo:10", "--d1", "q+q^-1", "--d2", "q+q^-1", "--format", "json"],
+        ["continuant", "--n", "3", "--variant", "upper"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tlab.__file__)))
+    for argv in jobs:
+        code, out, err = run(capsys, *argv)
+        alone = subprocess.run(
+            [sys.executable, "-m", "tlab.cli", *argv], capture_output=True, text=True, env=env,
+        )
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert [run(capsys, *argv)[0] for argv in jobs] == [2, 2, 0, 0, 2, 0, 0]

@@ -15,6 +15,7 @@ from tlab.complexes import (
     validate,
 )
 from tlab.contpoly import IntPolynomial, kappa, mu
+from tlab.rings import Triple, construct_ring
 from tlab.tldiag import DOWN, UP, TLMorphism, Word, compose, jw, tensor
 
 
@@ -237,3 +238,120 @@ def test_json_dump_shape(tower):
     assert set(data["degrees"]) == {"0", "-1"}
     assert data["degrees"]["0"]["summands"] == ["∧∨∧"]
     assert "differential" in data["degrees"]["0"]
+
+
+# -- the recorded maps against the construction that whiskers twice ----------
+
+
+def reference_maps(n, triple, letter):
+    """f_m and phi_m of the lower build as first written: phi_m's target
+    whiskers E_{m-1} again, and f_m is the matrix product of the block
+    diagonal ev (x) id with letter(m) (x) phi_m."""
+    from tlab.complexes import _letter_of, _sort_by_labels, _tensor_letter_complex
+
+    e0 = FormalComplex(triple, {0: FormalObject.unit()}, {}, {0: ((),)})
+    e1 = FormalComplex(triple, {0: FormalObject.of(Word.single(letter))}, {}, {0: ((),)})
+    complexes = [e0, e1]
+    f1_source = _tensor_letter_complex(e1, _letter_of(letter, 1))
+    ev1 = FormalMorphism(triple, f1_source.term(0), e0.term(0), [[TLMorphism.ev(triple, letter)]])
+    f_maps = {1: ChainMap(f1_source, e0, {0: ev1})}
+    phi_maps = {1: ChainMap(e1, e1, {0: FormalMorphism.identity(triple, e1.term(0))})}
+    for m in range(2, n + 1):
+        prev, prev2 = complexes[m - 1], complexes[m - 2]
+        em_raw = shift(cone(f_maps[m - 1]), -1)
+        labels = {
+            i: list(prev.labels.get(i, ()))
+            + [tuple(sorted(lab + (m - 2, m - 1))) for lab in prev2.labels.get(i + 1, ())]
+            for i in em_raw.terms
+        }
+        em = _sort_by_labels(em_raw, labels)
+        complexes.append(em)
+        c_part = _tensor_letter_complex(prev, _letter_of(letter, m - 1))
+        phi_parts = {}
+        for i, obj in em.terms.items():
+            if i not in c_part.terms:
+                continue
+            column = {label: b for b, label in enumerate(em.labels[i])}
+            rows = [[TLMorphism.zero(triple, w, t) for w in obj.summands] for t in c_part.term(i).summands]
+            for a, label in enumerate(prev.labels.get(i, ())):
+                rows[a][column[label]] = TLMorphism.identity(triple, obj.summands[column[label]])
+            phi_parts[i] = FormalMorphism(triple, obj, c_part.term(i), rows)
+        phi_maps[m] = ChainMap(em, c_part, phi_parts)
+        ev = TLMorphism.ev(triple, _letter_of(letter, m - 1))
+        f_parts = {}
+        for i, phi_part in phi_parts.items():
+            padded = phi_part.tensor_letter(_letter_of(letter, m))
+            summands = prev.term(i).summands
+            rows = [[TLMorphism.zero(triple, s, w) for s in padded.target.summands] for w in summands]
+            for a, w in enumerate(summands):
+                rows[a][a] = tensor(ev, TLMorphism.identity(triple, w))
+            f_parts[i] = FormalMorphism(triple, padded.target, prev.term(i), rows) * padded
+        f_maps[m] = ChainMap(_tensor_letter_complex(em, _letter_of(letter, m)), prev, f_parts)
+    return f_maps, phi_maps
+
+
+def same_complex(a, b):
+    return (
+        a.triple == b.triple and a.terms == b.terms and a.labels == b.labels
+        and a.diffs == b.diffs
+    )
+
+
+def same_chain_map(a, b):
+    return same_complex(a.source, b.source) and same_complex(a.target, b.target) and a.parts == b.parts
+
+
+def test_recorded_maps_match_the_twice_whiskered_construction(tower):
+    f5 = construct_ring("Fp:5")
+    triples = (tower, Triple(f5, f5.from_int(2), f5.from_int(3)))
+    for triple in triples:
+        for n in range(0, 9):
+            for variant in ("lower", "upper"):
+                build = build_continuant(n, variant, triple)
+                letter = UP if variant == "lower" else DOWN
+                f_maps, phi_maps = reference_maps(n, triple, letter) if n else ({}, {})
+                assert sorted(build.f_maps) == sorted(f_maps), (n, variant)
+                assert sorted(build.phi_maps) == sorted(phi_maps), (n, variant)
+                for m in f_maps:
+                    assert same_chain_map(build.f_maps[m], f_maps[m]), (triple, n, variant, m)
+                    assert same_chain_map(build.phi_maps[m], phi_maps[m]), (triple, n, variant, m)
+
+
+def test_each_level_is_whiskered_once(tower, monkeypatch):
+    from tlab import complexes
+
+    whiskered = []
+    original = complexes._tensor_letter_complex
+    monkeypatch.setattr(
+        complexes, "_tensor_letter_complex",
+        lambda C, letter: whiskered.append(letter) or original(C, letter),
+    )
+    for n in range(0, 9):
+        whiskered.clear()
+        build = build_continuant(n, "lower", tower)
+        assert len(whiskered) == n, n
+        for m in range(2, n + 1):
+            assert build.phi_maps[m].target is build.f_maps[m - 1].source, (n, m)
+
+
+def test_the_build_multiplies_matrices_only_to_check_chain_maps(tower, monkeypatch):
+    outside, verifying = [], []
+    original_mul, original_verify = FormalMorphism.__mul__, ChainMap.verify
+
+    def mul(self, other):
+        if not verifying:
+            outside.append((self.target, other.source))
+        return original_mul(self, other)
+
+    def verify(self):
+        verifying.append(self)
+        try:
+            return original_verify(self)
+        finally:
+            verifying.pop()
+
+    monkeypatch.setattr(FormalMorphism, "__mul__", mul)
+    monkeypatch.setattr(ChainMap, "verify", verify)
+    build = build_continuant(6, "lower", tower)
+    assert not outside
+    assert validate(build).ok

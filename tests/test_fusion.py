@@ -306,3 +306,33 @@ def test_inconclusive_on_truncated_search():
     assert report.verdict.kind == "inconclusive"
     report = minimal_bound(builtin_ring("slq:40"), "L1", max_n=64)
     assert report.verdict.kind == "strictly_bounded" and report.verdict.n == 40
+
+
+SESSION_BUILTINS = [
+    "ising", "ty_z3", "verp:5", "verp:7", "slq:6", "slq:9", "pointed:3", "pointed:4", "pointed:6",
+]
+
+
+def test_classify_all_runs_one_power_iteration_per_basis_element(monkeypatch):
+    from tlab import fusion
+
+    calls = []
+    original = fusion._power_iteration
+    monkeypatch.setattr(fusion, "_power_iteration", lambda m: calls.append(m) or original(m))
+    for name in SESSION_BUILTINS:
+        ring = builtin_ring(name)
+        calls.clear()
+        classify_all(ring)
+        assert len(calls) == ring.rank, name
+
+
+def test_bound_reports_the_basis_fpdim_exactly():
+    for name in ALL_BUILTINS + SESSION_BUILTINS:
+        ring = builtin_ring(name)
+        reports = classify_all(ring)
+        for i in range(ring.rank):
+            want = fpdim(ring, i)
+            assert minimal_bound(ring, i).fpdim == want, (name, i)
+            assert reports[i].fpdim == want, (name, i)
+            unit = tuple(int(j == i) for j in range(ring.rank))
+            assert fpdim(ring, unit) == want, (name, i)

@@ -480,3 +480,23 @@ def test_negligible_exactly_when_the_jw_trace_vanishes():
                 negligible.append((spec, n))
     # the Lucas cases over F_2 and F_3 and the roots of unity are reached
     assert {("Fp:2", 3), ("Fp:2", 7), ("Fp:3", 5), ("cyclo:10", 4)} <= set(negligible)
+
+
+def test_jw_caches_only_checked_idempotents(monkeypatch):
+    from tlab import tldiag
+
+    monkeypatch.setattr(tldiag, "_JW_CACHE", {})
+    checked = []
+    original = tldiag._check_jw
+    monkeypatch.setattr(
+        tldiag, "_check_jw", lambda candidate, n: checked.append(n) or original(candidate, n)
+    )
+    triple = _triple("Fp:101", "3", "5")
+    jw7 = jw(triple, 7)
+    assert checked == [7]
+    jw5 = jw(triple, 5)
+    assert checked == [7, 5]
+    assert jw(triple, 5) is jw5 and jw(triple, 7) is jw7
+    assert checked == [7, 5]
+    # the walk-back starts from the checked JW_5 that auto cached
+    assert jw(triple, 6, "recursion") == jw(triple, 6, "solve")

@@ -276,9 +276,6 @@ class ChainMap:
     target: FormalComplex
     parts: Dict[int, FormalMorphism] = field(default_factory=dict)
 
-    def part(self, i: int) -> Optional[FormalMorphism]:
-        return self.parts.get(i)
-
     def verify(self) -> bool:
         S, T = self.source, self.target
 

@@ -173,14 +173,14 @@ _Y = IntPolynomial.y()
 _ONE = IntPolynomial.const(1)
 
 
-@lru_cache(maxsize=None)
 def kappa(n: int) -> IntPolynomial:
     """Chebyshev-type continuant kappa_n in Z[x]."""
-    if n == 0:
-        return _ONE
-    if n == 1:
-        return _X
-    return _X * kappa(n - 1) - kappa(n - 2)
+    if n < 0:
+        raise ValueError("continuants are indexed by naturals")
+    prev, current = IntPolynomial({}), _ONE  # kappa_{-1} = 0, kappa_0 = 1
+    for _ in range(n):
+        prev, current = current, _X * current - prev
+    return current
 
 
 def kappa_closed_form(n: int) -> IntPolynomial:
@@ -233,7 +233,6 @@ def qbinom_exponents(n: int, i: int) -> Dict[int, int]:
     return {d: n // d - i // d - (n - i) // d for d in range(1, n + 1)}
 
 
-@lru_cache(maxsize=None)
 def qbinom(triple: Triple, n: int, i: int) -> RingValue:
     """Quantum binomial (n choose i) of the triple, as a product of the [[d]]."""
     result = triple.ring.one

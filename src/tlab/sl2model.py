@@ -200,9 +200,6 @@ class HomologyReport:
     euler_terms: int
     euler_homology: int
 
-    def homology_dimensions(self) -> Dict[int, int]:
-        return {i: d.homology for i, d in self.degrees.items() if d.homology}
-
     def concentrated_in(self) -> List[int]:
         return sorted(i for i, d in self.degrees.items() if d.homology)
 

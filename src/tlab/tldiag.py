@@ -33,10 +33,9 @@ passes the same check as one given by endpoint pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .contpoly import qbinom, qbinom_exponents, qnum
+from .contpoly import qbinom_exponents, qnum
 from .linalg import ExactMatrix
 from .rings import RingValue, Triple
 
@@ -203,11 +202,14 @@ class PlanarMatching:
     __repr__ = __str__
 
 
-@lru_cache(maxsize=None)
-def _basis_letters(source_letters: Tuple[str, ...], target_letters: Tuple[str, ...]):
-    source, target = Word(source_letters), Word(target_letters)
+def enumerate_basis(source: Word, target: Word) -> List[PlanarMatching]:
+    """All legal planar matchings between two words, in a fixed order.
+
+    Empty when the total length is odd or the letter constraints cannot be
+    met; for source = target = alt(n) the count is the n-th Catalan number.
+    """
     nb = len(source)
-    letters = source_letters + target_letters[::-1]
+    letters = source.letters + target.letters[::-1]
 
     def compatible(i: int, j: int) -> bool:
         return (letters[i] == letters[j]) != ((i < nb) == (j < nb))
@@ -231,16 +233,7 @@ def _basis_letters(source_letters: Tuple[str, ...], target_letters: Tuple[str, .
         for i, j in assignment:
             inv[i], inv[j] = j, i
         matchings.append(PlanarMatching._of(source, target, tuple(inv)))
-    return tuple(sorted(matchings, key=lambda m: m.pairs))
-
-
-def enumerate_basis(source: Word, target: Word) -> List[PlanarMatching]:
-    """All legal planar matchings between two words, in a fixed order.
-
-    Empty when the total length is odd or the letter constraints cannot be
-    met; for source = target = alt(n) the count is the n-th Catalan number.
-    """
-    return list(_basis_letters(source.letters, target.letters))
+    return sorted(matchings, key=lambda m: m.pairs)
 
 
 def _compose_matchings(top: PlanarMatching, bot: PlanarMatching):
@@ -359,10 +352,6 @@ class TLMorphism:
         pairs.append((("b", j), ("b", j + 1)))
         pairs.append((("t", j), ("t", j + 1)))
         return TLMorphism.from_matching(triple, PlanarMatching(word, word, tuple(pairs)))
-
-    @staticmethod
-    def basis(triple: Triple, source: Word, target: Word) -> List["TLMorphism"]:
-        return [TLMorphism.from_matching(triple, m) for m in enumerate_basis(source, target)]
 
     # -- linear structure ----------------------------------------------------
 
@@ -516,17 +505,18 @@ class NotExists:
         return f"JW_{self.n} does not exist ({self.reason})"
 
 
-def hazi_witness(triple: Triple, n: int) -> Optional[int]:
-    """First index i with quantum binomial (n over i) not invertible, else None.
+def _binomial_vanishes(triple: Triple, n: int, i: int) -> bool:
+    """Whether the quantum binomial (n over i) is zero.
 
     (n over i) is the product of the [[d]] with exponent 1 in
     qbinom_exponents(n, i), and every coefficient ring is a field, so it is
-    invertible exactly when none of those factors is zero."""
-    for i in range(1, n + 1):
-        for d, e in qbinom_exponents(n, i).items():
-            if e and qnum(triple, d)[1].is_zero():
-                return i
-    return None
+    zero exactly when one of those factors is zero."""
+    return any(e and qnum(triple, d)[1].is_zero() for d, e in qbinom_exponents(n, i).items())
+
+
+def hazi_witness(triple: Triple, n: int) -> Optional[int]:
+    """First index i with quantum binomial (n over i) not invertible, else None."""
+    return next((i for i in range(1, n + 1) if _binomial_vanishes(triple, n, i)), None)
 
 
 def _check_jw(candidate: TLMorphism, n: int):
@@ -570,19 +560,26 @@ def _jw_by_solve(triple: Triple, n: int) -> Optional[TLMorphism]:
     index = {m: j for j, m in enumerate(basis)}
     identity = PlanarMatching.identity(word)
 
-    # one sparse row {basis index: coefficient} per diagram in e_i * x or
-    # x * e_i; a basis diagram maps to a single diagram, so no entry repeats
+    # One sparse row {basis index: coefficient} per diagram in x * e_i; a
+    # basis diagram maps to a single diagram, so no entry repeats.  The right
+    # kills x * e_i = 0 (1 <= i < n) with phi(x) = 1, phi the identity
+    # coefficient, determine JW_n, so the left kills are not imposed:
+    # - NotExists is sound: these equations are a subset of the two-sided ones.
+    # - Uniqueness: a non-identity diagram D is e_i * D' (a top cup) and
+    #   D'' * e_j (a bottom cap), so x * D = 0 and D * JW_n = 0.  For h the
+    #   difference of two solutions, phi(h) = 0, so h = h * JW_n = 0.
+    # - Existence: the top-bottom flip is an anti-automorphism of End(alt n)
+    #   fixing every e_i and every loop's leftmost letter, and phi is
+    #   multiplicative, so flip(x) * x is killed on both sides with phi = 1.
+    # _check_jw still certifies both sides of the result.
     rows: List[Dict[int, RingValue]] = []
     for i in range(1, n):
         gen = TLMorphism.e(triple, n, i)
-        for left in (True, False):
-            equations: Dict[PlanarMatching, Dict[int, RingValue]] = {}
-            for j, m in enumerate(basis):
-                term = TLMorphism.from_matching(triple, m)
-                product = compose(gen, term) if left else compose(term, gen)
-                for res, coeff in product.terms.items():
-                    equations.setdefault(res, {})[j] = coeff
-            rows.extend(equations[res] for res in sorted(equations, key=lambda m: m.pairs))
+        equations: Dict[PlanarMatching, Dict[int, RingValue]] = {}
+        for j, m in enumerate(basis):
+            for res, coeff in compose(TLMorphism.from_matching(triple, m), gen).terms.items():
+                equations.setdefault(res, {})[j] = coeff
+        rows.extend(equations.values())
     rows.append({index[identity]: ring.one})
 
     system = ExactMatrix.zeros(ring, len(rows), len(basis))
@@ -603,8 +600,9 @@ _JW_CACHE: Dict[Tuple[Triple, int], object] = {}
 def jw(triple: Triple, n: int, strategy: str = "auto"):
     """The Jones-Wenzl idempotent of End(alt(n)), or a NotExists verdict.
 
-    ``solve`` sets up the kill conditions as an exact linear system over the
-    diagram basis; ``recursion`` runs the two-parameter Wenzl recursion
+    ``solve`` sets up the right kill conditions x e_i = 0, with identity
+    coefficient 1, as an exact linear system over the diagram basis;
+    ``recursion`` runs the two-parameter Wenzl recursion
     JW_{k+1} = A - ([k]/[k+1]) A e_k A with A = 1 (x) JW_k, legal only when
     [2], ..., [n] are all invertible.  ``auto`` first applies the invertible-
     binomial existence criterion; when JW_n exists it runs the recursion if
@@ -732,7 +730,7 @@ def rotatability(triple: Triple, n: int) -> RotatabilityReport:
                 "no_jw", n, f"binom({n},{witness}) not invertible in R{label}"
             )
     binomials = all(
-        qbinom(triple, n + 1, i).is_zero() and qbinom(swapped, n + 1, i).is_zero()
+        _binomial_vanishes(triple, n + 1, i) and _binomial_vanishes(swapped, n + 1, i)
         for i in range(1, n + 1)
     )
     cyclotomic = qnum(triple, n + 1)[1].is_zero() and qnum(swapped, n + 1)[1].is_zero()

@@ -35,6 +35,11 @@ def test_kappa_recurrence_matches_closed_form():
         assert kappa(n) == kappa_closed_form(n)
 
 
+def test_kappa_rejects_negative_index():
+    with pytest.raises(ValueError):
+        kappa(-1)
+
+
 def test_kappa_at_two():
     # recurrence forces kappa_n(2) = n + 1
     for n in range(12):

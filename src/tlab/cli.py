@@ -35,28 +35,31 @@ class InputLimitError(ValueError):
     """A well-formed request beyond what the command finishes in a minute."""
 
 
-# Largest --n (--upto for `qnum`): the largest value that finished within
-# 60 s without error (CPython 3.11, one core of an Intel Xeon virtual
-# machine), with the default rings unless said otherwise.  `continuant`
-# took 7.7 s at n = 18 (181 MB; 9.9 s and 194 MB with --format json) and
-# 16 s at 19 (331 MB; 21 s and 343 MB with --format json); at 20 it took
-# 30 s but 685 MB, and the limit also keeps peak memory under 480 MB.
-# `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11, 10 s at 12,
-# 34 s at 13 (160 MB) and over 75 s at 14, and with `--model 2tl`, where
-# computing JW_n dominates, 0.5 s at n = 6, 5.3 s at 7 and 88 s at 8.
-# `jw` was measured over a prime field, where the Catalan(n)^2 diagram
-# products dominate: `--ring Fp:101 --d1 3 --d2 5` took 3.0 s at n = 8 and
-# 26 s at 9, and n = 10 has 11.6 times the products.  `rotatable` took
-# 55 s at n = 57 and 61 s at 58 while it multiplied out the quantum
-# binomials; testing their factors instead takes 0.14 s at 57, so that
-# limit is loose.  `qnum` 24 s at 400, 59 s at 550 (160 MB) and over 75 s
-# at 600.
+# Largest --n (--upto for `qnum`, --max-n for `bound` and `classify`): the
+# largest value that finished within 60 s without error (CPython 3.11, one
+# core of an Intel Xeon virtual machine), with the default rings unless said
+# otherwise.  `continuant` took 7.7 s at n = 18 (181 MB; 9.9 s and 194 MB
+# with --format json) and 16 s at 19 (331 MB; 21 s and 343 MB with --format
+# json); at 20 it took 30 s but 685 MB, and the limit also keeps peak memory
+# under 480 MB.  `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11,
+# 10 s at 12, 34 s at 13 (160 MB) and over 75 s at 14, and with `--model
+# 2tl`, where computing JW_n dominates, 0.7 s at n = 7, 3.3 s at 8, 19 s at 9
+# (35 MB) and over 75 s at 10.  `jw` over the default ratfun:ratfun:Q took
+# 1.8 s at n = 7, 10 s at 8 and 56-58 s at 9 (48 MB); over `--ring Fp:101
+# --d1 3 --d2 5` it takes 1.7 s at 9, 7.2 s at 10 and 31 s at 11 (199 MB).
+# `rotatable` took 43 s at n = 500 (178 MB) and 62 s at 550.  `qnum` 24 s
+# at 400, 59 s at 550 (160 MB) and over 75 s at 600.  `classify`
+# at the built-in rank limit (fusion.MAX_BUILTIN_RANK) took 46 s at
+# --max-n 256 with --format json (verp:101, 189 MB); the classes of objects
+# of FPdim above 2 grow exponentially, so memory grows as the square of
+# --max-n, and over slq:111 it went from 57 MB at 64 to 229 MB at 256.
 MAX_CONTINUANT_N = 19
 MAX_HOMOLOGY_N = 13
-MAX_HOMOLOGY_2TL_N = 7
+MAX_HOMOLOGY_2TL_N = 9
 MAX_JW_N = 9
-MAX_ROTATABLE_N = 57
+MAX_ROTATABLE_N = 500
 MAX_QNUM_UPTO = 550
+MAX_FUSION_N = 256
 
 
 def _check_limit(value: int, limit: int, option: str) -> None:
@@ -216,6 +219,7 @@ def _ring_from_args(args) -> fusion.FusionRing:
 
 
 def cmd_bound(args) -> int:
+    _check_limit(args.max_n, MAX_FUSION_N, "--max-n")
     ring = _ring_from_args(args)
     obj = args.object
     if obj is None:
@@ -231,6 +235,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _check_limit(args.max_n, MAX_FUSION_N, "--max-n")
     ring = _ring_from_args(args)
     reports = fusion.classify_all(ring, args.max_n)
     _emit(

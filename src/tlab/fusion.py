@@ -224,16 +224,31 @@ def _chebyshev_truncated(name: str, rank: int) -> FusionRing:
     )
 
 
+# Largest rank of a parametrised built-in, checked before its rank^3 table is
+# built (pointed:200 peaks at 144 MB).  The slowest request it admits is
+# `tlab classify` with --format json at the CLI's --max-n limit of 256: over
+# verp:101 (rank 100) it took 46 s (189 MB), over slq:111 (rank 110) 73 s
+# (CPython 3.11, one core of an Intel Xeon virtual machine).
+MAX_BUILTIN_RANK = 100
+
+
+def _check_rank(name: str, rank: int) -> None:
+    if rank > MAX_BUILTIN_RANK:
+        raise FusionRingError(f"{name} has rank {rank}, beyond the limit of {MAX_BUILTIN_RANK}")
+
+
 def builtin_ring(name: str) -> FusionRing:
     """Built-in fusion rings: slq:N (N >= 3), verp:p (p prime), ising,
-    ty_z3, pointed:m."""
+    ty_z3, pointed:m; the rank is at most MAX_BUILTIN_RANK."""
     if name.startswith("slq:"):
         N = int(name[4:])
         if N < 3:
             raise FusionRingError("slq:N requires N >= 3")
+        _check_rank(name, N - 1)
         ring = _chebyshev_truncated(name, N - 1)
     elif name.startswith("verp:"):
         p = int(name[5:])
+        _check_rank(name, p - 1)
         if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
             raise FusionRingError("verp:p requires a prime p")
         ring = _chebyshev_truncated(name, p - 1)
@@ -268,6 +283,7 @@ def builtin_ring(name: str) -> FusionRing:
         m = int(name[8:])
         if m < 1:
             raise FusionRingError("pointed:m requires m >= 1")
+        _check_rank(name, m)
         table = [[[0] * m for _ in range(m)] for _ in range(m)]
         for i in range(m):
             for j in range(m):

@@ -260,20 +260,47 @@ def test_n_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
 
 
 def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
-    from tlab.cli import MAX_HOMOLOGY_2TL_N, MAX_JW_N, MAX_QNUM_UPTO, MAX_ROTATABLE_N
+    from tlab.cli import (
+        MAX_FUSION_N, MAX_HOMOLOGY_2TL_N, MAX_JW_N, MAX_QNUM_UPTO, MAX_ROTATABLE_N,
+    )
+    from tlab.fusion import MAX_BUILTIN_RANK
 
-    # the largest such jobs the benchmark runs
+    # the largest such jobs the benchmark runs (slq:12 has rank 11; --max-n
+    # keeps its default)
     assert MAX_JW_N >= 7 and MAX_ROTATABLE_N >= 5 and MAX_QNUM_UPTO >= 8 and MAX_HOMOLOGY_2TL_N >= 5
+    assert MAX_BUILTIN_RANK >= 11 and MAX_FUSION_N >= 64
     for argv, limit in (
         (("jw", "--n"), MAX_JW_N),
         (("rotatable", "--n"), MAX_ROTATABLE_N),
         (("qnum", "--upto"), MAX_QNUM_UPTO),
         (("homology", "--model", "2tl", "--n"), MAX_HOMOLOGY_2TL_N),
+        (("bound", "--builtin", "slq:5", "--object", "L1", "--max-n"), MAX_FUSION_N),
+        (("classify", "--builtin", "ising", "--max-n"), MAX_FUSION_N),
     ):
         (code, _, err), took = _timed(capsys, *argv, str(limit + 1))
         assert code == 1, argv
         assert f"beyond the limit of {limit}" in err
         assert took < 0.5, (argv, took)
+    # a built-in's rank is checked before its rank^3 table is built, and a
+    # verp:p before p is tested for primality (2^61 - 1 is prime)
+    for name in (f"slq:{MAX_BUILTIN_RANK + 2}", "verp:113", f"pointed:{MAX_BUILTIN_RANK + 1}",
+                 "pointed:1000", "verp:2305843009213693951"):
+        for argv in (("bound", "--builtin", name, "--object", "L1"), ("classify", "--builtin", name)):
+            (code, _, err), took = _timed(capsys, *argv)
+            assert code == 1, argv
+            assert f"beyond the limit of {MAX_BUILTIN_RANK}" in err
+            assert took < 0.5, (argv, took)
+    (code, _, _), took = _timed(capsys, "bound", "--builtin", f"pointed:{MAX_BUILTIN_RANK}", "--object", "g1")
+    assert code == 0 and took < 5, took
+
+
+def test_raised_jw_ceilings_are_reached_in_seconds(capsys):
+    # JW_7 over the default tower Q(t)(u), and the 2tl model at n = 8
+    (code, _, _), took = _timed(capsys, "jw", "--n", "7", "--format", "json")
+    assert code == 0 and took < 10, took
+    code, out, _ = run(capsys, "homology", "--model", "2tl", "--n", "8", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["jw_exists"] is True
 
 
 # rings with their generators, and malformed specifications

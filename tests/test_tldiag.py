@@ -12,6 +12,7 @@ from tlab.tldiag import (
     PlanarMatching,
     TLMorphism,
     Word,
+    _jw_by_recursion,
     _recursion_legal,
     compose,
     enumerate_basis,
@@ -264,6 +265,30 @@ def test_blocked_jw_matches_the_reference_constructions():
     assert isinstance(jw(_triple("Fp:3", "2", "2"), 4), NotExists)
 
 
+def _jw_by_sandwich(triple, n):
+    """JW_1, ..., JW_n by the Wenzl recursion as a product of morphisms,
+    JW_{k+1} = A - ([k]/[k+1]) A e_k A with A = 1 (x) JW_k."""
+    levels = [TLMorphism.identity(triple, Word.alt(1))]
+    for k in range(1, n):
+        padded = tensor(TLMorphism.identity(triple, Word.single(Word.alt(k + 1)[0])), levels[-1])
+        coeff = -(qnum(triple, k)[0] * qnum(triple, k + 1)[0].inverse())
+        sandwich = compose(compose(padded, TLMorphism.e(triple, k + 1, k)), padded)
+        levels.append(padded + coeff * sandwich)
+    return levels
+
+
+def test_single_clasp_expansion_matches_the_sandwich_recursion():
+    # lopsided triples included; the prime field also at n = 7
+    for (spec, d1, d2), top in (
+        (("Q", "3", "3"), 6), (("Q", "2", "5"), 6), (("Q", "3", "7"), 6), (("Q", "-3", "7"), 6),
+        (("Fp:101", "3", "5"), 7), (("ratfun:Q", "t", "t"), 6), (("ratfun:Q", "t", "t^2"), 6),
+        (("ratfun:ratfun:Q", "t", "u"), 6), (("cyclo:12", "q+q^-1", "q^2+q^-2"), 6),
+    ):
+        triple = _triple(spec, d1, d2)
+        for n, reference in enumerate(_jw_by_sandwich(triple, top), start=1):
+            assert _jw_by_recursion(triple, n) == reference, (spec, d1, d2, n)
+
+
 def test_jw_recursion_guard(f2_zero):
     with pytest.raises(ValueError):
         jw(f2_zero, 3, "recursion")
@@ -498,5 +523,5 @@ def test_jw_caches_only_checked_idempotents(monkeypatch):
     assert checked == [7, 5]
     assert jw(triple, 5) is jw5 and jw(triple, 7) is jw7
     assert checked == [7, 5]
-    # the walk-back starts from the checked JW_5 that auto cached
+    # the recursion builds from level 1, whatever auto has cached
     assert jw(triple, 6, "recursion") == jw(triple, 6, "solve")

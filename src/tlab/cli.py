@@ -38,10 +38,11 @@ class InputLimitError(ValueError):
 # Largest --n (--upto for `qnum`, --max-n for `bound` and `classify`): the
 # largest value that finished within 60 s without error (CPython 3.11, one
 # core of an Intel Xeon virtual machine), with the default rings unless said
-# otherwise.  `continuant` took 7.7 s at n = 18 (181 MB; 9.9 s and 194 MB
-# with --format json) and 16 s at 19 (331 MB; 21 s and 343 MB with --format
-# json); at 20 it took 30 s but 685 MB, and the limit also keeps peak memory
-# under 480 MB.  `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11,
+# otherwise.  `continuant` took 14 s at n = 19 (211 MB; 19 s and 204 MB with
+# --format json) and 26-31 s at 20 (411 MB; 43 s and 411 MB with --format
+# json; the upper variant 33 s and 414 MB, 48 s and 436 MB as JSON); the
+# limit also keeps peak memory under 480 MB, and the peak about doubles with
+# each n.  `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11,
 # 10 s at 12, 34 s at 13 (160 MB) and over 75 s at 14, and with `--model
 # 2tl`, where computing JW_n dominates, 0.7 s at n = 7, 3.3 s at 8, 19 s at 9
 # (35 MB) and over 75 s at 10.  `jw` over the default ratfun:ratfun:Q took
@@ -53,7 +54,7 @@ class InputLimitError(ValueError):
 # --max-n 256 with --format json (verp:101, 189 MB); the classes of objects
 # of FPdim above 2 grow exponentially, so memory grows as the square of
 # --max-n, and over slq:111 it went from 57 MB at 64 to 229 MB at 256.
-MAX_CONTINUANT_N = 19
+MAX_CONTINUANT_N = 20
 MAX_HOMOLOGY_N = 13
 MAX_HOMOLOGY_2TL_N = 9
 MAX_JW_N = 9
@@ -158,7 +159,8 @@ def cmd_continuant(args) -> int:
         payload["validation"] = {"ok": report.ok, "issues": report.issues}
         _print_json(payload)
     else:
-        print(build.complex.summary() + "\n" + str(report))
+        print(build.complex.summary())
+        print(report)
     return 0
 
 
@@ -572,7 +574,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (fusion.FusionRingError, tldiag.DiagramError, complexes.ComplexError,
-            sl2model.ModelError, RingError, FileNotFoundError, ValueError) as exc:
+            sl2model.ModelError, RingError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

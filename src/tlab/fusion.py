@@ -178,7 +178,8 @@ class FusionRing:
 
 def load_fusion_ring(document: Union[str, dict]) -> FusionRing:
     """Build and validate a fusion ring from its JSON document:
-    {"name": str, "basis": [str], "unit": int, "dual": [int], "N": [[[int]]]}."""
+    {"name": str, "basis": [str], "unit": int, "dual": [int], "N": [[[int]]]},
+    of rank at most MAX_DOCUMENT_RANK."""
     if isinstance(document, str):
         try:
             data = json.loads(document)
@@ -186,9 +187,13 @@ def load_fusion_ring(document: Union[str, dict]) -> FusionRing:
             raise FusionRingError(f"invalid JSON: {exc}") from None
     else:
         data = document
+    if not isinstance(data, dict):
+        raise FusionRingError("the document is not a JSON object")
     try:
+        name = str(data.get("name", "unnamed"))
+        _check_rank(name, len(data["basis"]), MAX_DOCUMENT_RANK)
         ring = FusionRing(
-            name=str(data.get("name", "unnamed")),
+            name=name,
             basis=tuple(str(b) for b in data["basis"]),
             unit=int(data["unit"]),
             dual=tuple(int(d) for d in data["dual"]),
@@ -231,10 +236,17 @@ def _chebyshev_truncated(name: str, rank: int) -> FusionRing:
 # (CPython 3.11, one core of an Intel Xeon virtual machine).
 MAX_BUILTIN_RANK = 100
 
+# Largest rank of a fusion-ring JSON document, checked on its basis before its
+# table is built: `validate` checks associativity in rank^5 steps, whatever
+# the table holds.  `tlab bound --fusion` on pointed:m written as JSON took
+# 26 s at rank 40, 41-46 s at 44, 57 s at 46 and 71 s at 48, and `classify
+# --fusion --format json` 44 s at 44 (CPython 3.11, 2-core virtual machine).
+MAX_DOCUMENT_RANK = 44
 
-def _check_rank(name: str, rank: int) -> None:
-    if rank > MAX_BUILTIN_RANK:
-        raise FusionRingError(f"{name} has rank {rank}, beyond the limit of {MAX_BUILTIN_RANK}")
+
+def _check_rank(name: str, rank: int, limit: int = MAX_BUILTIN_RANK) -> None:
+    if rank > limit:
+        raise FusionRingError(f"{name} has rank {rank}, beyond the limit of {limit}")
 
 
 def builtin_ring(name: str) -> FusionRing:

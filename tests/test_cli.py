@@ -111,12 +111,20 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
-def test_domain_errors_exit_one(capsys):
+def test_domain_errors_exit_one(capsys, tmp_path):
     code, _, err = run(capsys, "bound", "--builtin", "ising", "--object", "nope")
     assert code == 1
     assert "unknown basis label" in err
     code, _, _ = run(capsys, "bound", "--builtin", "nope", "--object", "x")
     assert code == 1
+    # a fusion document that is not a JSON object, and a path that names a
+    # directory, are errors, not tracebacks
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[]")
+    for path, message in ((not_an_object, "not a JSON object"), (tmp_path, "directory")):
+        code, _, err = run(capsys, "bound", "--fusion", str(path), "--object", "g1")
+        assert code == 1, path
+        assert err.startswith("error:") and message in err, err
 
 
 def test_fusion_file_input(tmp_path, capsys):
@@ -259,11 +267,11 @@ def test_n_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
         assert took < 0.5, (command, took)
 
 
-def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
+def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys, tmp_path):
     from tlab.cli import (
         MAX_FUSION_N, MAX_HOMOLOGY_2TL_N, MAX_JW_N, MAX_QNUM_UPTO, MAX_ROTATABLE_N,
     )
-    from tlab.fusion import MAX_BUILTIN_RANK
+    from tlab.fusion import MAX_BUILTIN_RANK, MAX_DOCUMENT_RANK, builtin_ring
 
     # the largest such jobs the benchmark runs (slq:12 has rank 11; --max-n
     # keeps its default)
@@ -292,6 +300,15 @@ def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
             assert took < 0.5, (argv, took)
     (code, _, _), took = _timed(capsys, "bound", "--builtin", f"pointed:{MAX_BUILTIN_RANK}", "--object", "g1")
     assert code == 0 and took < 5, took
+    # a --fusion document's rank is checked before its table is built and
+    # its rank^5 associativity sweep runs
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(builtin_ring(f"pointed:{MAX_DOCUMENT_RANK + 1}").to_json_dict()))
+    for argv in (("bound", "--fusion", str(path), "--object", "g1"), ("classify", "--fusion", str(path))):
+        (code, _, err), took = _timed(capsys, *argv)
+        assert code == 1, argv
+        assert f"beyond the limit of {MAX_DOCUMENT_RANK}" in err
+        assert took < 0.5, (argv, took)
 
 
 def test_raised_jw_ceilings_are_reached_in_seconds(capsys):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from tlab.complexes import (
@@ -9,6 +12,7 @@ from tlab.complexes import (
     FormalObject,
     build_continuant,
     cone,
+    continuant_levels,
     k0_class,
     shift,
     twinned_subsets,
@@ -218,10 +222,15 @@ def test_upper_variant_duality(tower):
 
 
 def test_recorded_maps_are_chain_maps(tower):
-    build = build_continuant(5, "lower", tower)
+    # f_1, ..., f_5 as the build yields them, and phi_1, ..., phi_5 of the
+    # reference construction, which defines f_m through letter(m) (x) phi_m
+    maps = [f for _, f in continuant_levels(6, tower, UP) if f is not None]
+    assert len(maps) == 5
+    for k, f in enumerate(maps, 1):
+        assert f.verify(), k
+    _, phi_maps = reference_maps(5, tower, UP)
     for k in range(1, 6):
-        assert build.f_maps[k].verify(), k
-        assert build.phi_maps[k].verify(), k
+        assert phi_maps[k].verify(), k
 
 
 def test_jw_killed_by_degree_zero_differential(tower, zeta10_balanced):
@@ -302,36 +311,61 @@ def same_chain_map(a, b):
 
 
 def test_recorded_maps_match_the_twice_whiskered_construction(tower):
+    # f_1, ..., f_8 and the levels E_1, ..., E_8 against the reference, for
+    # both letters (the upper variant dualises the build of DOWN); the lower
+    # build of E_m is the m-th level
     f5 = construct_ring("Fp:5")
     triples = (tower, Triple(f5, f5.from_int(2), f5.from_int(3)))
     for triple in triples:
-        for n in range(0, 9):
-            for variant in ("lower", "upper"):
-                build = build_continuant(n, variant, triple)
-                letter = UP if variant == "lower" else DOWN
-                f_maps, phi_maps = reference_maps(n, triple, letter) if n else ({}, {})
-                assert sorted(build.f_maps) == sorted(f_maps), (n, variant)
-                assert sorted(build.phi_maps) == sorted(phi_maps), (n, variant)
-                for m in f_maps:
-                    assert same_chain_map(build.f_maps[m], f_maps[m]), (triple, n, variant, m)
-                    assert same_chain_map(build.phi_maps[m], phi_maps[m]), (triple, n, variant, m)
+        for letter in (UP, DOWN):
+            f_maps, phi_maps = reference_maps(8, triple, letter)
+            levels = list(continuant_levels(9, triple, letter))
+            assert len(levels) == 10
+            for m, (level, f) in enumerate(levels):
+                assert same_complex(build_continuant(m, "lower", triple, letter).complex, level), m
+                if 1 <= m <= 8:
+                    assert same_complex(level, phi_maps[m].source), (triple, letter, m)
+                if m < 2:
+                    assert f is None, m
+                else:
+                    assert same_chain_map(f, f_maps[m - 1]), (triple, letter, m)
 
 
 def test_each_level_is_whiskered_once(tower, monkeypatch):
     from tlab import complexes
 
-    whiskered = []
+    whiskered = []  # (complex, its whiskered copy)
     original = complexes._tensor_letter_complex
-    monkeypatch.setattr(
-        complexes, "_tensor_letter_complex",
-        lambda C, letter: whiskered.append(letter) or original(C, letter),
-    )
+
+    def whisker(C, letter):
+        whiskered.append((C, original(C, letter)))
+        return whiskered[-1][1]
+
+    monkeypatch.setattr(complexes, "_tensor_letter_complex", whisker)
     for n in range(0, 9):
         whiskered.clear()
-        build = build_continuant(n, "lower", tower)
-        assert len(whiskered) == n, n
+        build_continuant(n, "lower", tower)
+        assert len(whiskered) == max(n - 1, 0), n
+        whiskered.clear()
+        levels = list(continuant_levels(n, tower, UP))
+        assert len(whiskered) == max(n - 1, 0), n
+        # E_{m-1}'s one whiskered copy is the source of f_{m-1}; E_n has none
         for m in range(2, n + 1):
-            assert build.phi_maps[m].target is build.f_maps[m - 1].source, (n, m)
+            level, copy = whiskered[m - 2]
+            assert level is levels[m - 1][0], (n, m)
+            assert levels[m][1].source is copy, (n, m)
+
+
+def test_levels_below_m_minus_two_are_released(tower):
+    refs = []
+    for level, f in continuant_levels(9, tower, UP):
+        m = len(refs)
+        refs.append(weakref.ref(level))
+        del level, f
+        gc.collect()
+        alive = [k for k, ref in enumerate(refs) if ref() is not None]
+        assert all(k >= m - 2 for k in alive), (m, alive)
+        assert len(alive) <= 3, (m, alive)
 
 
 def test_the_build_multiplies_matrices_only_to_check_chain_maps(tower, monkeypatch):

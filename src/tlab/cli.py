@@ -38,8 +38,8 @@ class InputLimitError(ValueError):
 # Largest --n (--upto for `qnum`, --max-n for `bound` and `classify`): the
 # largest value that finished within 60 s without error (CPython 3.11, one
 # core of an Intel Xeon virtual machine), with the default rings unless said
-# otherwise.  `continuant` took 14 s at n = 19 (211 MB; 19 s and 204 MB with
-# --format json) and 26-31 s at 20 (411 MB; 43 s and 411 MB with --format
+# otherwise.  `continuant` took 14 s at n = 19 (211 MB; 18-19 s and 183 MB
+# with --format json) and 26-31 s at 20 (411 MB; 43 s and 411 MB with --format
 # json; the upper variant 33 s and 414 MB, 48 s and 436 MB as JSON); the
 # limit also keeps peak memory under 480 MB, and the peak about doubles with
 # each n.  `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11,
@@ -215,8 +215,11 @@ def _ring_from_args(args) -> fusion.FusionRing:
     if args.builtin:
         return fusion.builtin_ring(args.builtin)
     if args.fusion:
-        with open(args.fusion, "r", encoding="utf-8") as handle:
-            return fusion.load_fusion_ring(handle.read())
+        with open(args.fusion, "rb") as handle:
+            document = handle.read(fusion.MAX_DOCUMENT_BYTES + 1)
+        if len(document) > fusion.MAX_DOCUMENT_BYTES:
+            raise fusion.FusionRingError(f"{args.fusion} is beyond the limit of {fusion.MAX_DOCUMENT_BYTES} bytes")
+        return fusion.load_fusion_ring(document.decode("utf-8"))
     raise UsageError("one of --builtin or --fusion is required")
 
 

@@ -243,6 +243,11 @@ MAX_BUILTIN_RANK = 100
 # --fusion --format json` 44 s at 44 (CPython 3.11, 2-core virtual machine).
 MAX_DOCUMENT_RANK = 44
 
+# Largest fusion-ring JSON file in bytes, checked as it is read: a rank-44
+# `to_json_dict` takes 0.26 MB compact and 0.97 MB with indent=2, and a 24 MB
+# file of zeros took 1.15 s and 107.5 MB to parse before its rank was refused.
+MAX_DOCUMENT_BYTES = 4 * 2**20
+
 
 def _check_rank(name: str, rank: int, limit: int = MAX_BUILTIN_RANK) -> None:
     if rank > limit:

@@ -66,43 +66,23 @@ def word_dimension(word: Word) -> int:
 def _matching_entries(matching: PlanarMatching):
     """Sparse (row, col, q-exponent) entries of one diagram's matrix.
 
-    Each arc independently takes one of two index assignments whose weight
-    is a power of q, so the non-zero entries are enumerated by walking the
-    binary choice tree and summing exponents."""
-    ns, nt = len(matching.source), len(matching.target)
-    choices: List[List[tuple]] = []
-    for a, b in matching.pairs:
-        if a[0] == "b" and b[0] == "b":  # cap: 1 on (0,1), q^-1 on (1,0)
-            choices.append([((a, 0), (b, 1), 0), ((a, 1), (b, 0), -1)])
-        elif a[0] == "t" and b[0] == "t":  # cup: q on (0,1), 1 on (1,0)
-            choices.append([((a, 0), (b, 1), 1), ((a, 1), (b, 0), 0)])
+    Source point c is column bit 2^(nb-1-c) and target point c row bit
+    2^(c-nb) (points as in ``tldiag``; the leftmost letter is the top bit).
+    Each arc independently takes one of the two assignments in the module
+    docstring, which adds (row bits, column bits, q-exponent), so the
+    entries are the sums over one choice per arc."""
+    nb = len(matching.source)
+    entries = [(0, 0, 0)]
+    for c, d in enumerate(matching.inv):
+        if c > d:
+            continue
+        if d < nb:  # cap, left end c: 1 on (0, 1), q^-1 on (1, 0)
+            steps = ((0, 1 << (nb - 1 - d), 0), (0, 1 << (nb - 1 - c), -1))
+        elif c >= nb:  # cup, left end d: q on (0, 1), 1 on (1, 0)
+            steps = ((1 << (c - nb), 0, 1), (1 << (d - nb), 0, 0))
         else:  # through strand
-            choices.append([((a, 0), (b, 0), 0), ((a, 1), (b, 1), 0)])
-
-    entries = []
-    src_bits = [0] * ns
-    tgt_bits = [0] * nt
-
-    def assemble(k: int, exponent: int):
-        if k == len(choices):
-            row = 0
-            for bit in tgt_bits:
-                row = row * 2 + bit
-            col = 0
-            for bit in src_bits:
-                col = col * 2 + bit
-            entries.append((row, col, exponent))
-            return
-        for (ep1, bit1), (ep2, bit2), weight in choices[k]:
-            for ep, bit in (((ep1, bit1)), ((ep2, bit2))):
-                side, idx = ep
-                if side == "b":
-                    src_bits[idx] = bit
-                else:
-                    tgt_bits[idx] = bit
-            assemble(k + 1, exponent + weight)
-
-    assemble(0, 0)
+            steps = ((0, 0, 0), (1 << (d - nb), 1 << (nb - 1 - c), 0))
+        entries = [(row + dr, col + dc, e + de) for row, col, e in entries for dr, dc, de in steps]
     return tuple(entries)
 
 

@@ -25,9 +25,11 @@ then the target right to left, so with nb = len(source) and nt =
 len(target) source position i is point i and target position j is point
 nb + nt - 1 - j.  ``inv[c]`` is the point that point c is paired with.
 Composition, duality (a rotation of the circle by nt points),
-juxtaposition (one circle inserted into the other) and basis enumeration
-are integer arithmetic on these tuples, and every matching they build
-passes the same check as one given by endpoint pairs.
+juxtaposition (one circle inserted into the other), basis enumeration,
+sorting, printing, rescaling and the sl2 realization are integer
+arithmetic on these tuples, and every matching they build passes the same
+check as one given by endpoint pairs.  Nothing else is stored: endpoint
+pairs are only the constructor's input and the ``pairs`` view.
 """
 
 from __future__ import annotations
@@ -109,14 +111,14 @@ Endpoint = Tuple[str, int]  # ("b", i) source position, ("t", j) target position
 
 
 class PlanarMatching:
-    """A non-crossing perfect matching between two words, stored as the
+    """A non-crossing perfect matching between two words, stored only as the
     involution ``inv`` of its boundary circle (see the module docstring).
 
     The constructor takes endpoint pairs ("b", i) for source position i and
-    ("t", j) for target position j; ``pairs`` gives them back.
+    ("t", j) for target position j; ``pairs`` rebuilds them on each call.
     """
 
-    __slots__ = ("source", "target", "inv", "_pairs")
+    __slots__ = ("source", "target", "inv")
 
     def __init__(self, source: Word, target: Word, pairs: Iterable[Tuple[Endpoint, Endpoint]]):
         nb, nt = len(source), len(target)
@@ -162,19 +164,15 @@ class PlanarMatching:
                 stack.append(d)
             elif stack.pop() != c:
                 raise DiagramError("matching has crossings")
-        self.source, self.target, self.inv, self._pairs = source, target, inv, None
+        self.source, self.target, self.inv = source, target, inv
 
     @property
     def pairs(self) -> Tuple[Tuple[Endpoint, Endpoint], ...]:
         """The pairs as ("b", i)/("t", j) endpoints, each pair and the whole
-        tuple sorted; built on first use."""
-        if self._pairs is None:
-            nb, last = len(self.source), len(self.inv) - 1
-            ends = [("b", c) if c < nb else ("t", last - c) for c in range(last + 1)]
-            self._pairs = tuple(
-                sorted(tuple(sorted((ends[c], ends[d]))) for c, d in enumerate(self.inv) if c < d)
-            )
-        return self._pairs
+        tuple sorted."""
+        nb = len(self.source)
+        ends = [("b", r) if r < nb else ("t", r - nb) for r in range(len(self.inv))]
+        return tuple((ends[r], ends[s]) for r, s in enumerate(_order_key(self)) if r < s)
 
     def __eq__(self, other):
         if not isinstance(other, PlanarMatching):
@@ -196,10 +194,21 @@ class PlanarMatching:
         return PlanarMatching._of(self.target.dual(), self.source.dual(), inv)
 
     def __str__(self):
-        body = ", ".join(f"({a[0]}:{a[1]}, {b[0]}:{b[1]})" for a, b in self.pairs)
+        nb = len(self.source)
+        ends = [f"b:{r}" if r < nb else f"t:{r - nb}" for r in range(len(self.inv))]
+        body = ", ".join(f"({ends[r]}, {ends[s]})" for r, s in enumerate(_order_key(self)) if r < s)
         return f"[{body}]"
 
     __repr__ = __str__
+
+
+def _order_key(matching: PlanarMatching) -> Tuple[int, ...]:
+    """The partner of each endpoint, endpoints ranked source 0..nb-1, then
+    target 0..nt-1.  It sorts matchings between two words as their sorted
+    endpoint pairs do: the first rank whose partner differs starts a pair in both."""
+    nb, n, inv = len(matching.source), len(matching.inv), matching.inv
+    order = [*range(nb), *range(n - 1, nb - 1, -1)]  # the point of each rank, and the rank of each point
+    return tuple([order[inv[c]] for c in order])
 
 
 def enumerate_basis(source: Word, target: Word) -> List[PlanarMatching]:
@@ -233,7 +242,7 @@ def enumerate_basis(source: Word, target: Word) -> List[PlanarMatching]:
         for i, j in assignment:
             inv[i], inv[j] = j, i
         matchings.append(PlanarMatching._of(source, target, tuple(inv)))
-    return sorted(matchings, key=lambda m: m.pairs)
+    return sorted(matchings, key=_order_key)
 
 
 def _compose_matchings(top: PlanarMatching, bot: PlanarMatching):
@@ -429,7 +438,7 @@ class TLMorphism:
         import re
 
         parts = []
-        for m in sorted(self.terms, key=lambda m: m.pairs):
+        for m in sorted(self.terms, key=_order_key):
             c = str(self.terms[m])
             if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", c) and not re.fullmatch(r"-?[a-z][0-9]*", c):
                 c = f"({c})"
@@ -754,17 +763,10 @@ def rescale_weight(matching: PlanarMatching) -> int:
     top arcs; this is the unique assignment (up to gauge) under which
     rescaling commutes with all compositions, snake merges included.
     """
-    weight = 0
-    for a, b in matching.pairs:
-        if a[0] == b[0] == "b":
-            left = min(a[1], b[1])
-            if matching.source[left] == UP:
-                weight += 1
-        elif a[0] == b[0] == "t":
-            left = min(a[1], b[1])
-            if matching.target[left] == DOWN:
-                weight -= 1
-    return weight
+    nb, arcs = len(matching.source), [(c, d) for c, d in enumerate(matching.inv) if c < d]
+    letters = matching.source.letters + matching.target.letters[::-1]
+    # the left end of a bottom arc (c, d) is point c, that of a top arc point d
+    return sum(letters[c] == UP for c, d in arcs if d < nb) - sum(letters[d] == DOWN for c, d in arcs if c >= nb)
 
 
 def rescale_transport(f: TLMorphism, lam: RingValue) -> TLMorphism:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import subprocess
 import time
 
 import pytest
@@ -267,11 +268,12 @@ def test_n_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
         assert took < 0.5, (command, took)
 
 
-def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys, tmp_path):
+def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys, tmp_path, monkeypatch):
+    from tlab import fusion
     from tlab.cli import (
         MAX_FUSION_N, MAX_HOMOLOGY_2TL_N, MAX_JW_N, MAX_QNUM_UPTO, MAX_ROTATABLE_N,
     )
-    from tlab.fusion import MAX_BUILTIN_RANK, MAX_DOCUMENT_RANK, builtin_ring
+    from tlab.fusion import MAX_BUILTIN_RANK, MAX_DOCUMENT_BYTES, MAX_DOCUMENT_RANK, builtin_ring
 
     # the largest such jobs the benchmark runs (slq:12 has rank 11; --max-n
     # keeps its default)
@@ -309,6 +311,20 @@ def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys, tmp_pa
         assert code == 1, argv
         assert f"beyond the limit of {MAX_DOCUMENT_RANK}" in err
         assert took < 0.5, (argv, took)
+    # a --fusion file's size is checked while it is read, before it is parsed
+    huge = tmp_path / "huge.json"
+    subprocess.run(["truncate", "-s", str(MAX_DOCUMENT_BYTES + 1), str(huge)], check=True)
+    for argv in (("bound", "--fusion", str(huge), "--object", "g1"), ("classify", "--fusion", str(huge))):
+        (code, _, err), took = _timed(capsys, *argv)
+        assert code == 1, argv
+        assert f"beyond the limit of {MAX_DOCUMENT_BYTES} bytes" in err
+        assert took < 0.5, (argv, took)
+    # a document at the rank limit, written with indent=2, is read whole and
+    # loads; its rank^5 associativity sweep (about 40 s) is skipped here
+    path.write_text(json.dumps(builtin_ring(f"pointed:{MAX_DOCUMENT_RANK}").to_json_dict(), indent=2))
+    monkeypatch.setattr(fusion.FusionRing, "validate", lambda ring: None)
+    code, out, _ = run(capsys, "bound", "--fusion", str(path), "--object", "g1")
+    assert code == 0 and out.startswith("strictly 3-bounded"), out
 
 
 def test_raised_jw_ceilings_are_reached_in_seconds(capsys):

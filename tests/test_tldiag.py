@@ -525,3 +525,28 @@ def test_jw_caches_only_checked_idempotents(monkeypatch):
     assert checked == [7, 5]
     # the recursion builds from level 1, whatever auto has cached
     assert jw(triple, 6, "recursion") == jw(triple, 6, "solve")
+
+
+def test_printing_leaves_nothing_allocated():
+    """Sorting and printing read the boundary involutions and cache nothing
+    on the matchings they print."""
+    import gc
+    import tracemalloc
+
+    from tlab.complexes import build_continuant
+
+    tower = generic_tower()
+    complex_ = build_continuant(12, triple=tower).complex
+    jw6 = jw(tower, 6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        payload, text = complex_.to_json_dict(), str(jw6)
+        assert payload["degrees"] and text
+        del payload, text
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, grown

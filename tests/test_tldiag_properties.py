@@ -2,20 +2,30 @@
 
 Words are arbitrary, of length at most 6, and coefficients live in the
 generic tower Q(t)(u), where the two loop values differ, so every closed
-loop's chirality shows in the result."""
+loop's chirality shows in the result.
+
+Endpoint pairs, the sl2 matrix entries and the rescaling weight are read
+off the boundary involution; the references below compute them from
+sorted endpoint pairs instead, as the pairs were once stored."""
+
+import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlab.rings import generic_tower
+from tlab.sl2model import _matching_entries
 from tlab.tldiag import (
     DOWN,
     UP,
     PlanarMatching,
     TLMorphism,
     Word,
+    _order_key,
     compose,
     enumerate_basis,
+    rescale_weight,
     tensor,
 )
 
@@ -69,6 +79,78 @@ def test_matching_round_trips_through_pairs(m):
     again = PlanarMatching(m.source, m.target, m.pairs)
     assert again == m and hash(again) == hash(m) and again.inv == m.inv
     assert m.dual().dual() == m
+
+
+def reference_pairs(m):
+    """Each pair of ("b", i)/("t", j) endpoints sorted, and the pairs sorted."""
+    nb, last = len(m.source), len(m.inv) - 1
+    ends = [("b", c) if c < nb else ("t", last - c) for c in range(last + 1)]
+    return tuple(sorted(tuple(sorted((ends[c], ends[d]))) for c, d in enumerate(m.inv) if c < d))
+
+
+def reference_entries(m):
+    """The sl2 matrix entries (row, col, q-exponent) by walking the binary
+    choice tree of the arcs, one arc per level, in sorted pair order."""
+    choices = []
+    for a, b in reference_pairs(m):
+        if a[0] == b[0] == "b":  # cap: 1 on (0,1), q^-1 on (1,0)
+            choices.append([((a, 0), (b, 1), 0), ((a, 1), (b, 0), -1)])
+        elif a[0] == b[0] == "t":  # cup: q on (0,1), 1 on (1,0)
+            choices.append([((a, 0), (b, 1), 1), ((a, 1), (b, 0), 0)])
+        else:  # through strand
+            choices.append([((a, 0), (b, 0), 0), ((a, 1), (b, 1), 0)])
+    bits = {"b": [0] * len(m.source), "t": [0] * len(m.target)}
+    entries = []
+
+    def assemble(k, exponent):
+        if k == len(choices):
+            row = int("".join(map(str, bits["t"])) or "0", 2)
+            col = int("".join(map(str, bits["b"])) or "0", 2)
+            entries.append((row, col, exponent))
+            return
+        for ((s1, i1), bit1), ((s2, i2), bit2), weight in choices[k]:
+            bits[s1][i1], bits[s2][i2] = bit1, bit2
+            assemble(k + 1, exponent + weight)
+
+    assemble(0, 0)
+    return entries
+
+
+def reference_weight(m):
+    """Clockwise bottom arcs minus counter-clockwise top arcs."""
+    weight = 0
+    for a, b in reference_pairs(m):
+        if a[0] == b[0] == "b" and m.source[min(a[1], b[1])] == UP:
+            weight += 1
+        elif a[0] == b[0] == "t" and m.target[min(a[1], b[1])] == DOWN:
+            weight -= 1
+    return weight
+
+
+@SETTINGS
+@given(diagrams())
+def test_involution_readers_match_the_pair_references(m):
+    assert m.pairs == reference_pairs(m)
+    assert rescale_weight(m) == reference_weight(m)
+    assert sorted(_matching_entries(m)) == sorted(reference_entries(m))
+    assert m.dual().pairs == reference_pairs(m.dual())
+
+
+def test_order_key_sorts_every_small_basis_in_pair_order():
+    """Every pair of words of total length at most 8."""
+    rng = random.Random(12)
+    total = 0
+    for length in range(9):
+        for letters in itertools.product((UP, DOWN), repeat=length):
+            for cut in range(length + 1):
+                basis = enumerate_basis(Word(letters[:cut]), Word(letters[cut:]))
+                assert basis == sorted(basis, key=reference_pairs)
+                shuffled = basis[::-1]
+                rng.shuffle(shuffled)
+                assert sorted(shuffled, key=_order_key) == basis
+                assert len({_order_key(m) for m in basis}) == len(basis)
+                total += len(basis)
+    assert total == 2343
 
 
 @SETTINGS

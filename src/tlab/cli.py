@@ -50,8 +50,8 @@ class InputLimitError(ValueError):
 # --d1 3 --d2 5` it takes 1.7 s at 9, 7.2 s at 10 and 31 s at 11 (199 MB).
 # `rotatable` took 43 s at n = 500 (178 MB) and 62 s at 550.  `qnum` 24 s
 # at 400, 59 s at 550 (160 MB) and over 75 s at 600.  `classify`
-# at the built-in rank limit (fusion.MAX_BUILTIN_RANK) took 46 s at
-# --max-n 256 with --format json (verp:101, 189 MB); the classes of objects
+# at the built-in rank limit (fusion.MAX_BUILTIN_RANK) took 15 s at
+# --max-n 256 with --format json (verp:101, 188 MB); the classes of objects
 # of FPdim above 2 grow exponentially, so memory grows as the square of
 # --max-n, and over slq:111 it went from 57 MB at 64 to 229 MB at 256.
 MAX_CONTINUANT_N = 20

@@ -520,16 +520,18 @@ def validate(build_or_complex) -> ValidationReport:
     if isinstance(build_or_complex, ContinuantBuild):
         complex_ = build_or_complex.complex
         n = build_or_complex.n
-        base = build_or_complex.letter if build_or_complex.variant == "lower" else None
+        upper = build_or_complex.variant == "upper"
+        # an upper summand reads as the lower one of the (n-1)-th dual letter
+        base = _letter_of(build_or_complex.letter, n - 1) if upper else build_or_complex.letter
     else:
-        complex_, n, base = build_or_complex, None, None
+        complex_, n = build_or_complex, None
 
     issues.extend(f"d^2 != 0 out of degree {k}" for k in complex_.d_squared_failures())
 
     if n is not None and complex_.labels is not None:
         for i, obj in complex_.terms.items():
             labels = complex_.labels.get(i, ())
-            k = -i if base is not None else i
+            k = i if upper else -i
             expected = len(twinned_subsets(n, k)) if k >= 0 else 0
             census[i] = (len(labels), expected)
             if len(labels) != expected:
@@ -538,10 +540,9 @@ def validate(build_or_complex) -> ValidationReport:
                 )
             if list(labels) != sorted(labels):
                 issues.append(f"degree {i}: labels not in lexicographic order")
-            if base is not None:
-                for lab, w in zip(labels, obj.summands):
-                    if _label_word(base, n, lab) != w:
-                        issues.append(
-                            f"degree {i}: summand {w} does not match label {lab}"
-                        )
+            for lab, w in zip(labels, obj.summands):
+                if _label_word(base, n, lab) != w:
+                    issues.append(
+                        f"degree {i}: summand {w} does not match label {lab}"
+                    )
     return ValidationReport(not issues, issues, census)

@@ -9,9 +9,9 @@ runs the exact continuant recursion in the integral span of the basis,
 
 with the left factor alternating between the class and its dual, and
 declares an object strictly N-bounded when the sequence first vanishes at
-index N - 1.  Frobenius-Perron dimensions (power iteration on the left
-multiplication matrix) only terminate the search and label unbounded
-objects; all verdicts rest on exact integer arithmetic.
+index N - 1.  Frobenius-Perron dimensions (one power iteration per ring, on
+multiplication by the sum of the basis) only terminate the search and label
+unbounded objects; all verdicts rest on exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 K0Vector = Tuple[int, ...]
 
@@ -92,11 +92,10 @@ class FusionRing:
             out[self.dual[i]] += xi
         return tuple(out)
 
-    def left_multiplication_matrix(self, i: Union[int, str]) -> List[List[int]]:
-        """Matrix of multiplication by basis element i: entry (k, j) counts
-        basis k in the product of i with basis j."""
-        i = self.index_of(i)
-        return [[self.table[i][j][k] for j in range(self.rank)] for k in range(self.rank)]
+    @functools.cached_property
+    def fpdims(self) -> Tuple[float, ...]:
+        """Frobenius-Perron dimensions of the basis elements, in basis order."""
+        return _perron_vector(self)
 
     # -- validation ----------------------------------------------------------
 
@@ -134,20 +133,13 @@ class FusionRing:
                     raise FusionRingError(
                         f"duality/Frobenius condition fails at ({i},{j})"
                     )
+        basis = [self.basis_vector(i) for i in range(r)]
         for i in range(r):
             for j in range(r):
                 for k in range(r):
-                    for l in range(r):
-                        lhs = sum(
-                            self.table[i][j][m] * self.table[m][k][l] for m in range(r)
-                        )
-                        rhs = sum(
-                            self.table[j][k][m] * self.table[i][m][l] for m in range(r)
-                        )
-                        if lhs != rhs:
-                            raise FusionRingError(
-                                f"associativity fails at ({i},{j},{k},{l})"
-                            )
+                    lhs = self.multiply(self.table[i][j], basis[k])
+                    if lhs != self.multiply(basis[i], self.table[j][k]):
+                        raise FusionRingError(f"associativity fails at ({i},{j},{k})")
 
     def describe_vector(self, x: Sequence[int]) -> str:
         parts = []
@@ -232,15 +224,16 @@ def _chebyshev_truncated(name: str, rank: int) -> FusionRing:
 # Largest rank of a parametrised built-in, checked before its rank^3 table is
 # built (pointed:200 peaks at 144 MB).  The slowest request it admits is
 # `tlab classify` with --format json at the CLI's --max-n limit of 256: over
-# verp:101 (rank 100) it took 46 s (189 MB), over slq:111 (rank 110) 73 s
-# (CPython 3.11, one core of an Intel Xeon virtual machine).
+# verp:101 (rank 100) it took 15 s (188 MB), over slq:111 (rank 110) 20 s
+# (229 MB) (CPython 3.11, one core of an Intel Xeon virtual machine).
 MAX_BUILTIN_RANK = 100
 
 # Largest rank of a fusion-ring JSON document, checked on its basis before its
-# table is built: `validate` checks associativity in rank^5 steps, whatever
-# the table holds.  `tlab bound --fusion` on pointed:m written as JSON took
-# 26 s at rank 40, 41-46 s at 44, 57 s at 46 and 71 s at 48, and `classify
-# --fusion --format json` 44 s at 44 (CPython 3.11, 2-core virtual machine).
+# table is built: `validate` checks associativity with rank^3 pairs of
+# products, each up to rank^2 steps when the table is dense, and the sweep
+# over a table with every N_ij^k = 1 took 35 s at rank 44.  `tlab bound
+# --fusion` on pointed:44 written as JSON took 1.2 s, and `classify --fusion
+# --format json` 1.3 s (CPython 3.11, 2-core virtual machine).
 MAX_DOCUMENT_RANK = 44
 
 # Largest fusion-ring JSON file in bytes, checked as it is read: a rank-44
@@ -315,7 +308,8 @@ def builtin_ring(name: str) -> FusionRing:
     else:
         raise FusionRingError(f"unknown built-in ring {name!r}")
     # construction formulas are exercised by the validator at every rank the
-    # examples use; the quartic associativity sweep is skipped for big ranks
+    # examples use; the associativity sweep is skipped for big ranks (0.07 s
+    # on slq:17, 1.3 s on slq:33, 30 s on pointed:100)
     if ring.rank <= 16:
         ring.validate()
     return ring
@@ -325,47 +319,44 @@ def builtin_ring(name: str) -> FusionRing:
 # Frobenius-Perron dimension
 
 
-_POWER_TOL = 1e-12  # stop once successive eigenvalue estimates differ by less
+# the iteration stops once no dimension moves by more than _POWER_TOL,
+# relatively, and its steps no longer shrink: they have reached rounding
+_POWER_TOL = 1e-12
 _POWER_MAX_ITER = 200000
 
 
-def _power_iteration(matrix: List[List[int]]) -> float:
-    """Largest non-negative eigenvalue of a non-negative matrix.
+def _perron_vector(ring: FusionRing) -> Tuple[float, ...]:
+    """FPdims d of the basis: the Perron vector of multiplication by the sum
+    R of the basis, scaled to 1 at the unit once it has converged; until then
+    its largest entry is 1, so that no product grows past the largest d_k.
 
-    Iterates on the matrix plus the identity (which breaks the periodicity
-    of graded fusion graphs without moving the eigenvector) and reads the
-    eigenvalue off the Rayleigh quotient, then subtracts the shift."""
-    n = len(matrix)
-    if n == 0:
-        return 0.0
-    shifted = [[matrix[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    vec = [1.0] * n
-    previous = None
+    FPdim is a character, so by Frobenius reciprocity (N_ij^k = N_{i*k}^j)
+    sum_{i,j} N_ij^k d_j = sum_i d_{i*} d_k = FPdim(R) d_k.  The matrix has
+    no zero entry, since b_k b_j* b_j contains b_k, so the iteration
+    converges to d from any positive vector, with no shift."""
+    # rows[k][j] = sum_i N_ij^k
+    columns = [list(map(sum, zip(*(row[j] for row in ring.table)))) for j in range(ring.rank)]
+    rows = list(zip(*columns))
+    vec, step = [1.0] * ring.rank, math.inf
     for _ in range(_POWER_MAX_ITER):
-        nxt = [sum(shifted[i][j] * vec[j] for j in range(n)) for i in range(n)]
-        norm = max(abs(x) for x in nxt)
-        if norm == 0.0:
-            return 0.0
-        nxt = [x / norm for x in nxt]
-        num = sum(
-            nxt[i] * sum(shifted[i][j] * nxt[j] for j in range(n)) for i in range(n)
-        )
-        den = sum(x * x for x in nxt)
-        estimate = num / den
+        nxt = [sum(map(float.__mul__, vec, row)) for row in rows]
+        top = max(nxt)
+        nxt = [x / top for x in nxt]
+        previous, step = step, max(abs(a - b) / a for a, b in zip(nxt, vec))
         vec = nxt
-        if previous is not None and abs(estimate - previous) < _POWER_TOL:
-            return estimate - 1.0
-        previous = estimate
-    return previous - 1.0
+        if step <= _POWER_TOL and not 0 < step < previous:
+            break
+    return tuple(x / vec[ring.unit] for x in vec)
 
 
 def fpdim(ring: FusionRing, obj: Union[int, str, Sequence[int]]) -> float:
     """Frobenius-Perron dimension of a basis element, or the linear
     extension for a general class."""
     if isinstance(obj, (int, str)):
-        return _power_iteration(ring.left_multiplication_matrix(obj))
-    basis_dims = [_power_iteration(ring.left_multiplication_matrix(i)) for i in range(ring.rank)]
-    return sum(c * d for c, d in zip(obj, basis_dims))
+        return ring.fpdims[ring.index_of(obj)]
+    if len(obj) != ring.rank:
+        raise FusionRingError("class vector has wrong length")
+    return sum(c * d for c, d in zip(obj, ring.fpdims))
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +441,6 @@ def minimal_bound(
     to max_n, or when a non-zero class is a sum of two or more simples;
     inconclusive otherwise.
     """
-    return _bound(ring, obj, max_n, functools.partial(fpdim, ring))
-
-
-def _bound(ring: FusionRing, obj, max_n: int, basis_fpdim: Callable[[int], float]) -> BoundReport:
-    """minimal_bound, reading the FPdim of the basis element i off
-    basis_fpdim(i)."""
     if max_n < 3:
         raise FusionRingError("max_n must be at least 3")
     if isinstance(obj, (int, str)):
@@ -463,14 +448,12 @@ def _bound(ring: FusionRing, obj, max_n: int, basis_fpdim: Callable[[int], float
         x = ring.basis_vector(index)
         label = ring.basis[index]
         composite = False
-        dim = basis_fpdim(index)
+        dim = fpdim(ring, index)
     else:
         x = tuple(int(c) for c in obj)
-        if len(x) != ring.rank:
-            raise FusionRingError("class vector has wrong length")
+        dim = fpdim(ring, x)
         label = ring.describe_vector(x)
         composite = all(c >= 0 for c in x) and sum(x) >= 2
-        dim = fpdim(ring, x)
 
     seq = continuant_sequence(ring, x, max_n)
     first_zero = next(
@@ -497,7 +480,7 @@ def _bound(ring: FusionRing, obj, max_n: int, basis_fpdim: Callable[[int], float
             "index": N - 2,
             "class": ring.describe_vector(prev),
             "signed_basis_element": is_signed_basis,
-            "fpdim": basis_fpdim(support[0]) if is_signed_basis else None,
+            "fpdim": fpdim(ring, support[0]) if is_signed_basis else None,
         }
         verdict = Verdict("strictly_bounded", N)
         conjecture_relevant = N > 3 and not _is_prime_power(N)
@@ -534,10 +517,8 @@ def _is_prime_power(n: int) -> bool:
 
 
 def classify_all(ring: FusionRing, max_n: int = 64) -> List[BoundReport]:
-    """Run the classifier on every basis element, with one power iteration
-    for each."""
-    basis_fpdim = functools.lru_cache(maxsize=None)(functools.partial(fpdim, ring))
-    return [_bound(ring, i, max_n, basis_fpdim) for i in range(ring.rank)]
+    """Run the classifier on every basis element."""
+    return [minimal_bound(ring, i, max_n) for i in range(ring.rank)]
 
 
 def summary_table(reports: List[BoundReport]) -> str:

@@ -128,8 +128,10 @@ def test_continuant_four(tower):
 def test_validate_and_d_squared(tower, zeta10_balanced):
     for triple in (tower, zeta10_balanced):
         for n in range(0, 9):
-            report = validate(build_continuant(n, "lower", triple))
-            assert report.ok, (n, report.issues)
+            for variant in ("lower", "upper"):
+                for letter in (UP, DOWN):
+                    report = validate(build_continuant(n, variant, triple, letter))
+                    assert report.ok, (n, variant, letter, report.issues)
 
 
 def test_validate_flags_corrupted_sign(tower):
@@ -151,6 +153,22 @@ def test_validate_flags_corrupted_sign(tower):
     report = validate(corrupted)
     assert not report.ok
     assert any("d^2" in issue for issue in report.issues)
+
+
+def test_validate_reports_a_corrupted_upper_summand(tower):
+    build = build_continuant(6, "upper", tower)
+    c6 = build.complex
+    words = list(c6.term(1).summands)
+    original = words[2]
+    words[2] = Word(tuple(DOWN if l == UP else UP for l in original.letters))
+    terms = dict(c6.terms)
+    terms[1] = FormalObject(tuple(words))
+    diffs = {i: d for i, d in c6.diffs.items() if i not in (1, 2)}
+    corrupted = FormalComplex(tower, terms, diffs, c6.labels)
+    report = validate(ContinuantBuild(corrupted, 6, "upper", UP))
+    assert report.issues == [
+        f"degree 1: summand {words[2]} does not match label {c6.labels[1][2]}"
+    ]
 
 
 def brute_twinned(n, k):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -313,17 +314,19 @@ SESSION_BUILTINS = [
 ]
 
 
-def test_classify_all_runs_one_power_iteration_per_basis_element(monkeypatch):
+def test_classify_all_runs_one_perron_iteration_per_ring(monkeypatch):
     from tlab import fusion
 
     calls = []
-    original = fusion._power_iteration
-    monkeypatch.setattr(fusion, "_power_iteration", lambda m: calls.append(m) or original(m))
+    original = fusion._perron_vector
+    monkeypatch.setattr(fusion, "_perron_vector", lambda ring: calls.append(ring) or original(ring))
     for name in SESSION_BUILTINS:
         ring = builtin_ring(name)
         calls.clear()
         classify_all(ring)
-        assert len(calls) == ring.rank, name
+        minimal_bound(ring, (1,) * ring.rank)
+        fpdim(ring, ring.rank - 1)
+        assert calls == [ring], name
 
 
 def test_bound_reports_the_basis_fpdim_exactly():
@@ -336,3 +339,96 @@ def test_bound_reports_the_basis_fpdim_exactly():
             assert reports[i].fpdim == want, (name, i)
             unit = tuple(int(j == i) for j in range(ring.rank))
             assert fpdim(ring, unit) == want, (name, i)
+
+
+def _power_iteration_reference(matrix):
+    """The largest eigenvalue of a non-negative matrix, by power iteration on
+    the matrix plus the identity with a Rayleigh quotient (test-only: the
+    per-element iteration the classifier once ran)."""
+    n = len(matrix)
+    shifted = [[matrix[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    vec = [1.0] * n
+    previous = None
+    for _ in range(200000):
+        nxt = [sum(shifted[i][j] * vec[j] for j in range(n)) for i in range(n)]
+        norm = max(abs(x) for x in nxt)
+        nxt = [x / norm for x in nxt]
+        num = sum(nxt[i] * sum(shifted[i][j] * nxt[j] for j in range(n)) for i in range(n))
+        estimate = num / sum(x * x for x in nxt)
+        vec = nxt
+        if previous is not None and abs(estimate - previous) < 1e-12:
+            break
+        previous = estimate
+    return estimate - 1.0
+
+
+def _small_builtins():
+    """Every built-in ring of rank at most 16."""
+    primes = [p for p in range(2, 18) if all(p % d for d in range(2, p))]
+    return (
+        ["ising", "ty_z3"]
+        + [f"slq:{N}" for N in range(3, 18)]
+        + [f"verp:{p}" for p in primes]
+        + [f"pointed:{m}" for m in range(1, 17)]
+    )
+
+
+def _loaded_documents():
+    """The JSON rings the fusion tests load."""
+    near_group = builtin_ring("ising").to_json_dict()
+    near_group["N"][1][1][1] = 1
+    trivial = {"name": "trivial", "basis": ["1"], "unit": 0, "dual": [0], "N": [[[1]]]}
+    documents = [builtin_ring(name).to_json_dict() for name in ("ising", "ty_z3", "pointed:5")]
+    return [load_fusion_ring(d) for d in documents + [near_group, trivial]]
+
+
+def test_fpdims_match_the_power_iteration_reference():
+    for ring in [builtin_ring(name) for name in _small_builtins()] + _loaded_documents():
+        for i in range(ring.rank):
+            matrix = [[ring.table[i][j][k] for j in range(ring.rank)] for k in range(ring.rank)]
+            assert abs(fpdim(ring, i) - _power_iteration_reference(matrix)) < 1e-9, (ring.name, i)
+
+
+def test_fpdims_match_the_closed_form_at_every_rank():
+    # FPdim(L_j) = [j+1]_q at q = e^(i pi/N), that is sin((j+1)pi/N)/sin(pi/N)
+    primes = [p for p in range(2, 102) if all(p % d for d in range(2, p))]
+    for name in [f"slq:{N}" for N in range(3, 102)] + [f"verp:{p}" for p in primes]:
+        ring = builtin_ring(name)
+        N = ring.rank + 1
+        for j in range(ring.rank):
+            want = math.sin((j + 1) * math.pi / N) / math.sin(math.pi / N)
+            assert abs(fpdim(ring, j) - want) < 1e-12, (name, j)
+
+
+def test_fpdims_are_a_character():
+    for ring in [builtin_ring(name) for name in _small_builtins()] + _loaded_documents():
+        d = ring.fpdims
+        assert d[ring.unit] == 1.0
+        for i in range(ring.rank):
+            for j in range(ring.rank):
+                product = sum(n * dk for n, dk in zip(ring.table[i][j], d))
+                assert abs(d[i] * d[j] - product) < 1e-9, (ring.name, i, j)
+
+
+def test_one_changed_structure_constant_breaks_associativity():
+    # N_{2,3}^4 of verp:7 raised by one: the unit and Frobenius laws still
+    # hold, so only the associativity sweep can refuse the table
+    document = builtin_ring("verp:7").to_json_dict()
+    document["N"][2][3][4] += 1
+    with pytest.raises(FusionRingError, match="associativity fails at") as info:
+        load_fusion_ring(document)
+    i, j, k = map(int, re.fullmatch(r"associativity fails at \((\d+),(\d+),(\d+)\)", str(info.value)).groups())
+    N, r = document["N"], len(document["N"])
+    # the named triple fails with the products expanded by hand
+    lhs = [sum(N[i][j][m] * N[m][k][l] for m in range(r)) for l in range(r)]
+    rhs = [sum(N[j][k][m] * N[i][m][l] for m in range(r)) for l in range(r)]
+    assert lhs != rhs
+
+
+def test_fpdim_refuses_a_class_of_the_wrong_length():
+    ising = builtin_ring("ising")
+    for vector in ((1,), (0, 1, 0, 5), ()):
+        with pytest.raises(FusionRingError, match="class vector has wrong length"):
+            fpdim(ising, vector)
+        with pytest.raises(FusionRingError, match="class vector has wrong length"):
+            minimal_bound(ising, vector)

@@ -119,6 +119,10 @@ class FusionRing:
                         raise FusionRingError(
                             f"negative structure constant at ({i},{j},{k})"
                         )
+                    if self.table[i][j][k] > MAX_STRUCTURE_CONSTANT:
+                        raise FusionRingError(
+                            f"structure constant at ({i},{j},{k}) is beyond the limit of 2^53"
+                        )
         for j in range(r):
             for k in range(r):
                 want = 1 if j == k else 0
@@ -240,6 +244,13 @@ MAX_DOCUMENT_RANK = 44
 # `to_json_dict` takes 0.26 MB compact and 0.97 MB with indent=2, and a 24 MB
 # file of zeros took 1.15 s and 107.5 MB to parse before its rank was refused.
 MAX_DOCUMENT_BYTES = 4 * 2**20
+
+
+# Largest structure constant of a fusion ring, checked by `validate`: every
+# constant up to 2^53 is an exact float, and the Perron iteration's sums of at
+# most MAX_DOCUMENT_RANK^2 of them stay far below float overflow, which
+# 10^400 would pass.
+MAX_STRUCTURE_CONSTANT = 2**53
 
 
 def _check_rank(name: str, rank: int, limit: int = MAX_BUILTIN_RANK) -> None:

@@ -97,9 +97,10 @@ class ExactMatrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _eliminate(self, extra: Optional[List[RingValue]] = None) -> tuple:
+    def _eliminate(self, extra: Optional[List[RingValue]] = None, in_place: bool = False) -> tuple:
         """Forward elimination of a working copy, with ``extra`` appended as
-        column ``ncols`` when given.
+        column ``ncols`` when given; ``in_place`` reduces the matrix's own
+        rows instead, for a caller that does not read the matrix again.
 
         Columns are swept left to right, and a column is a pivot column when
         some row not yet used as a pivot has a non-zero there; the pivot
@@ -112,7 +113,7 @@ class ExactMatrix:
         Returns (pivots, rows): pivots lists (column, index of the pivot
         row) in sweep order, and rows holds the reduced rows.
         """
-        rows = [dict(r) for r in self.entries]
+        rows = self.entries if in_place else [dict(r) for r in self.entries]
         if extra is not None:
             for row, e in zip(rows, extra):
                 if e:
@@ -160,13 +161,13 @@ class ExactMatrix:
         pivots, _ = self._eliminate()
         return len(pivots)
 
-    def solve(self, rhs: List[RingValue]) -> Optional[List[RingValue]]:
+    def solve(self, rhs: List[RingValue], in_place: bool = False) -> Optional[List[RingValue]]:
         """One solution of A x = rhs (free variables set to zero), or None
-        when the system is inconsistent."""
+        when the system is inconsistent; ``in_place`` as for ``_eliminate``."""
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has wrong length")
         n = self.ncols
-        pivots, rows = self._eliminate(rhs)
+        pivots, rows = self._eliminate(rhs, in_place)
         used = {p for _, p in pivots}
         if any(n in row for i, row in enumerate(rows) if i not in used):
             return None

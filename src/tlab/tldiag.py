@@ -24,11 +24,11 @@ boundary points are numbered round the circle: the source left to right,
 then the target right to left, so with nb = len(source) and nt =
 len(target) source position i is point i and target position j is point
 nb + nt - 1 - j.  ``inv[c]`` is the point that point c is paired with.
-Composition, duality (a rotation of the circle by nt points),
-juxtaposition (one circle inserted into the other), basis enumeration,
-sorting, printing, rescaling and the sl2 realization are integer
-arithmetic on these tuples, and every matching they build passes the same
-check as one given by endpoint pairs.  Nothing else is stored: endpoint
+Composition, a product with one generator (surgery on two points),
+duality (a rotation of the circle by nt points), juxtaposition (one circle
+inserted into the other), basis enumeration, sorting, printing, rescaling
+and the sl2 realization are integer arithmetic on these tuples, and every
+matching they build passes the same check as one given by endpoint pairs.  Nothing else is stored: endpoint
 pairs are only the constructor's input and the ``pairs`` view.
 """
 
@@ -293,6 +293,34 @@ def _compose_matchings(top: PlanarMatching, bot: PlanarMatching):
     return PlanarMatching._of(bot.source, top.target, tuple(inv)), tuple(loop_letters)
 
 
+def _generator_surgery(m: PlanarMatching, i: int, left: bool):
+    """m * e_i, or e_i * m when left, by surgery on m's involution; returns
+    (product, letter at the leftmost middle point of the loop it closes, or
+    None when it closes none).
+
+    Why this equals composing with e_i: e_i joins positions j = len(word) -
+    1 - i and j + 1 of the word it shares with m (points p and q of m's
+    circle) by one arc on either side of that word, and runs every other
+    position straight through.  Straight strands are identity strands, so
+    every other arc of m survives as it is, and e_i's far arc becomes the
+    product's arc p-q.  Its near arc meets m at p and q: the strand reaching
+    p from a = inv[p] crosses it and leaves q for b = inv[q], so a and b
+    become one arc.  When inv[p] == q that strand is m's own arc p-q, which
+    the near arc closes into a loop whose leftmost middle point is position
+    j; the far arc puts the arc p-q back, so the diagram is m again."""
+    nb, nt = len(m.source), len(m.target)
+    word = m.target if left else m.source
+    j = len(word) - 1 - i
+    p, q = (nb + nt - 1 - j, nb + nt - 2 - j) if left else (j, j + 1)
+    inv = m.inv
+    if inv[p] == q:
+        return m, word[j]
+    a, b = inv[p], inv[q]
+    joined = list(inv)
+    joined[a], joined[b], joined[p], joined[q] = b, a, q, p
+    return PlanarMatching._of(m.source, m.target, tuple(joined)), None
+
+
 def _tensor_matchings(f: PlanarMatching, g: PlanarMatching, source: Word, target: Word):
     """f to the left of g: g's circle is inserted into f's at point len(f.source)."""
     nb, k = len(f.source), len(g.inv)
@@ -455,35 +483,34 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     if f.source != g.target:
         raise DiagramError(f"boundary mismatch: {g.target} then {f.source}")
     triple = f.triple
-    # Coefficient values repeat heavily across terms, so deduplicate them and
-    # memoise scalar products.  It pays in the one-generator products that
-    # build and check JW_n (JW_6 over Q(t): 876 of 1,606 lookups hit); without
-    # it the generic-ratfun benchmark's wall_s rose from 0.18-0.19 s to 0.20 s.
-    reps: Dict[RingValue, RingValue] = {}
-
-    def rep(v: RingValue) -> RingValue:
-        known = reps.get(v)
-        if known is None:
-            reps[v] = v
-            known = v
-        return known
-
-    f_terms = [(mf, rep(cf)) for mf, cf in f.terms.items()]
-    g_terms = [(mg, rep(cg)) for mg, cg in g.terms.items()]
-    products: Dict[tuple, RingValue] = {}
     terms: Dict[PlanarMatching, RingValue] = {}
-    for mf, cf in f_terms:
-        for mg, cg in g_terms:
+    for mf, cf in f.terms.items():
+        for mg, cg in g.terms.items():
             composite, loop_letters = _compose_matchings(mf, mg)
-            key = (id(cf), id(cg), loop_letters)
-            value = products.get(key)
-            if value is None:
-                value = cf * cg
-                for letter in loop_letters:
-                    value = value * (triple.delta1 if letter == DOWN else triple.delta2)
-                products[key] = value
-            terms[composite] = terms[composite] + value if composite in terms else value
+            value = cf * cg
+            for letter in loop_letters:
+                value = value * (triple.delta1 if letter == DOWN else triple.delta2)
+            old = terms.get(composite)
+            terms[composite] = value if old is None else old + value
     return TLMorphism(triple, g.source, f.target, terms)
+
+
+def _times_generator(f: TLMorphism, i: int, left: bool = False) -> TLMorphism:
+    """f * e_i, or e_i * f when left, by _generator_surgery on each term."""
+    triple = f.triple
+    # every closed loop has the same letter, so c * delta is keyed by c alone
+    looped: Dict[RingValue, RingValue] = {}
+    terms: Dict[PlanarMatching, RingValue] = {}
+    for m, c in f.terms.items():
+        product, letter = _generator_surgery(m, i, left)
+        if letter is not None:
+            value = looped.get(c)
+            if value is None:
+                value = looped[c] = c * (triple.delta1 if letter == DOWN else triple.delta2)
+            c = value
+        old = terms.get(product)
+        terms[product] = c if old is None else old + c
+    return TLMorphism(triple, f.source, f.target, terms)
 
 
 def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
@@ -535,13 +562,12 @@ def _check_jw(candidate: TLMorphism, n: int):
 
     These conditions force idempotency and uniqueness, so the quadratic
     idempotency check is not repeated here (the test suite asserts it)."""
-    triple = candidate.triple
     if not candidate.identity_coefficient().is_one():
         raise AssertionError("identity coefficient is not 1")
     for i in range(1, n):
-        gen = TLMorphism.e(triple, n, i)
-        if not compose(gen, candidate).is_zero() or not compose(candidate, gen).is_zero():
-            raise AssertionError(f"candidate not killed by generator e_{i}")
+        for left in (True, False):
+            if not _times_generator(candidate, i, left).is_zero():
+                raise AssertionError(f"candidate not killed by generator e_{i}")
 
 
 def _jw_by_recursion(triple: Triple, n: int) -> TLMorphism:
@@ -556,7 +582,7 @@ def _jw_by_recursion(triple: Triple, n: int) -> TLMorphism:
         inv = qnum(triple, k)[0].inverse()
         assert inv is not None, "recursion requires invertible quantum numbers"
         for j in range(k - 1, 0, -1):
-            term = compose(term, TLMorphism.e(triple, k, j))
+            term = _times_generator(term, j)
             current = current + (qnum(triple, j)[0] * inv * (-1) ** (k - j)) * term
     return current
 
@@ -569,9 +595,10 @@ def _jw_by_solve(triple: Triple, n: int) -> Optional[TLMorphism]:
     identity = PlanarMatching.identity(word)
 
     # One sparse row {basis index: coefficient} per diagram in x * e_i; a
-    # basis diagram maps to a single diagram, so no entry repeats.  The right
-    # kills x * e_i = 0 (1 <= i < n) with phi(x) = 1, phi the identity
-    # coefficient, determine JW_n, so the left kills are not imposed:
+    # basis diagram maps to a single diagram, so no entry repeats, and a row
+    # met under two generators is kept once.  The right kills x * e_i = 0
+    # (1 <= i < n) with phi(x) = 1, phi the identity coefficient, determine
+    # JW_n, so the left kills are not imposed:
     # - NotExists is sound: these equations are a subset of the two-sided ones.
     # - Uniqueness: a non-identity diagram D is e_i * D' (a top cup) and
     #   D'' * e_j (a bottom cap), so x * D = 0 and D * JW_n = 0.  For h the
@@ -580,19 +607,21 @@ def _jw_by_solve(triple: Triple, n: int) -> Optional[TLMorphism]:
     #   fixing every e_i and every loop's leftmost letter, and phi is
     #   multiplicative, so flip(x) * x is killed on both sides with phi = 1.
     # _check_jw still certifies both sides of the result.
-    rows: List[Dict[int, RingValue]] = []
+    kills: Dict[tuple, Dict[int, RingValue]] = {}
     for i in range(1, n):
-        gen = TLMorphism.e(triple, n, i)
         equations: Dict[PlanarMatching, Dict[int, RingValue]] = {}
         for j, m in enumerate(basis):
-            for res, coeff in compose(TLMorphism.from_matching(triple, m), gen).terms.items():
+            res, letter = _generator_surgery(m, i, False)
+            coeff = ring.one if letter is None else (triple.delta1 if letter == DOWN else triple.delta2)
+            if not coeff.is_zero():
                 equations.setdefault(res, {})[j] = coeff
-        rows.extend(equations.values())
-    rows.append({index[identity]: ring.one})
+        for row in equations.values():
+            kills.setdefault(tuple(row.items()), row)
+    rows = [*kills.values(), {index[identity]: ring.one}]
 
     system = ExactMatrix.zeros(ring, len(rows), len(basis))
     system.entries = rows
-    solution = system.solve([ring.zero] * (len(rows) - 1) + [ring.one])
+    solution = system.solve([ring.zero] * (len(rows) - 1) + [ring.one], in_place=True)
     if solution is None:
         return None
     return TLMorphism(triple, word, word, {m: solution[j] for j, m in enumerate(basis)})

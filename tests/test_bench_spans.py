@@ -1,6 +1,7 @@
 """Every function and class member the benchmark's tracer wraps exists in
 tlab: ``bench/spans.py`` skips a name it cannot find, so a rename would
-otherwise read as a per-layer metric of 0."""
+otherwise read as a per-layer metric of 0.  The same holds for the JW
+strategy helpers it counts."""
 
 import importlib
 import inspect
@@ -36,3 +37,15 @@ def test_every_traced_ring_operation_resolves():
     spans = _spans_module()
     missing = [op for op in spans.RING_OPS if inspect.getattr_static(RingValue, op, None) is None]
     assert not missing, missing
+
+
+def test_every_live_jw_strategy_helper_resolves():
+    """The helpers behind tldiag.jw.recursion, .solve and .check are counted
+    and exist, so refactoring one cannot silently zero its counter."""
+    from tlab import tldiag
+
+    spans = _spans_module()
+    counted = {helper for helper, _, _ in spans.STRATEGIES}
+    for helper in ("_jw_by_recursion", "_jw_by_solve", "_check_jw"):
+        assert helper in counted, helper
+        assert callable(getattr(tldiag, helper, None)), helper

@@ -126,6 +126,14 @@ def test_domain_errors_exit_one(capsys, tmp_path):
         code, _, err = run(capsys, "bound", "--fusion", str(path), "--object", "g1")
         assert code == 1, path
         assert err.startswith("error:") and message in err, err
+    # x^2 = 1 + 10^400 x: a structure constant no float holds
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"name": "huge", "basis": ["1", "x"], "unit": 0, "dual": [0, 1],
+                                "N": [[[1, 0], [0, 1]], [[0, 1], [1, 10**400]]]}))
+    for argv in (("bound", "--fusion", str(huge), "--object", "x"), ("classify", "--fusion", str(huge))):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error:") and "structure constant at (1,1,1)" in err, err
 
 
 def test_fusion_file_input(tmp_path, capsys):

@@ -14,7 +14,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlab.rings import generic_tower
+from tlab.rings import Triple, construct_ring, generic_tower
 from tlab.sl2model import _matching_entries
 from tlab.tldiag import (
     DOWN,
@@ -23,6 +23,7 @@ from tlab.tldiag import (
     TLMorphism,
     Word,
     _order_key,
+    _times_generator,
     compose,
     enumerate_basis,
     rescale_weight,
@@ -30,6 +31,8 @@ from tlab.tldiag import (
 )
 
 TOWER = generic_tower()
+F2 = construct_ring("Fp:2")
+F2_ZERO = Triple(F2, F2.zero, F2.zero)  # every closed loop kills its term
 SETTINGS = settings(max_examples=80, deadline=None)
 
 
@@ -49,14 +52,14 @@ def matchings(draw, source, target):
 
 
 @st.composite
-def morphisms(draw, source, target):
+def morphisms(draw, source, target, triple=TOWER):
     """A combination of up to three basis diagrams with small coefficients."""
-    ring = TOWER.ring
+    ring = triple.ring
     terms = {}
     for _ in range(draw(st.integers(1, 3))):
         m = draw(matchings(source, target))
         terms[m] = terms.get(m, ring.zero) + ring.from_int(draw(st.integers(-2, 2)))
-    return TLMorphism(TOWER, source, target, terms)
+    return TLMorphism(triple, source, target, terms)
 
 
 @st.composite
@@ -173,3 +176,17 @@ def test_dual_is_contravariant(fg):
     f, g = fg
     assert f.dual().dual() == f
     assert compose(f, g).dual() == compose(g.dual(), f.dual())
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([TOWER, F2_ZERO]), st.integers(2, 6))
+def test_generator_surgery_is_composition_with_the_generator(data, triple, n):
+    """f * e_i and e_i * f, for f out of and into alt(n), against compose."""
+    word = Word.alt(n)
+    other = data.draw(words(n % 2))
+    right = data.draw(morphisms(word, other, triple))
+    left = data.draw(morphisms(other, word, triple))
+    for i in range(1, n):
+        gen = TLMorphism.e(triple, n, i)
+        assert _times_generator(right, i) == compose(right, gen), i
+        assert _times_generator(left, i, left=True) == compose(gen, left), i

@@ -87,7 +87,7 @@ def test_solve_returns_not_exists_on_every_missing_case():
 
 
 def test_solve_system_has_only_the_right_kill_rows(monkeypatch):
-    sizes = []
+    sizes, distinct = [], []
     original = ExactMatrix.solve
 
     def counting(self, rhs, in_place=False):
@@ -95,7 +95,6 @@ def test_solve_system_has_only_the_right_kill_rows(monkeypatch):
         distinct.append(len({tuple(sorted(row.items())) for row in self.entries}))
         return original(self, rhs, in_place)
 
-    distinct = []
     monkeypatch.setattr(ExactMatrix, "solve", counting)
     result = jw(Triple.parse("Fp:2", "0", "0"), 7, "solve")
     assert isinstance(result, TLMorphism)

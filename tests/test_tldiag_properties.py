@@ -2,7 +2,9 @@
 
 Words are arbitrary, of length at most 6, and coefficients live in the
 generic tower Q(t)(u), where the two loop values differ, so every closed
-loop's chirality shows in the result.
+loop's chirality shows in the result.  Products with a generator are also
+checked over F_2 with both loop values 0, where a closed loop kills its
+term.
 
 Endpoint pairs, the sl2 matrix entries and the rescaling weight are read
 off the boundary involution; the references below compute them from

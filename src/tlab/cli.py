@@ -44,10 +44,11 @@ class InputLimitError(ValueError):
 # limit also keeps peak memory under 480 MB, and the peak about doubles with
 # each n.  `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11,
 # 10 s at 12, 34 s at 13 (160 MB) and over 75 s at 14, and with `--model
-# 2tl`, where computing JW_n dominates, 0.7 s at n = 7, 3.3 s at 8, 19 s at 9
-# (35 MB) and over 75 s at 10.  `jw` over the default ratfun:ratfun:Q took
-# 1.8 s at n = 7, 10 s at 8 and 56-58 s at 9 (48 MB); over `--ring Fp:101
-# --d1 3 --d2 5` it takes 1.7 s at 9, 7.2 s at 10 and 31 s at 11 (199 MB).
+# 2tl`, where computing JW_n dominates, 0.3 s at n = 7, 1.8 s at 8, 12 s at 9
+# (37 MB) and 54 s at 10 (83 MB), too near 60 s to admit.  `jw` over the
+# default ratfun:ratfun:Q took 1.3 s at n = 7, 6.2 s at 8, 36 s at 9 (42 MB)
+# and over 75 s at 10; over `--ring Fp:101 --d1 3 --d2 5` it takes 0.7 s at
+# 9, 2.6 s at 10 and 10 s at 11 (77 MB).
 # `rotatable` took 43 s at n = 500 (178 MB) and 62 s at 550.  `qnum` 24 s
 # at 400, 59 s at 550 (160 MB) and over 75 s at 600.  `classify`
 # at the built-in rank limit (fusion.MAX_BUILTIN_RANK) took 15 s at
@@ -190,9 +191,9 @@ def cmd_homology(args) -> int:
                 {"n": args.n, "jw_exists": False, "reason": result.reason},
             )
             return 0
-        # jw certifies e_i JW_n = 0 = JW_n e_i for every i (_check_jw), and
-        # every non-identity basis diagram factors through some e_i, so
-        # tr(JW_n m) = [m = id] tr(JW_n): JW_n is negligible exactly when
+        # jw certifies JW_n e_i = 0 for every i (_check_jw), and every
+        # non-identity basis diagram m is e_i m' for some i, so JW_n m = 0
+        # and tr(JW_n m) = [m = id] tr(JW_n): JW_n is negligible exactly when
         # its Markov trace vanishes, without is_negligible's basis loop
         trace = tldiag.markov_trace(result) if result is not None else triple.ring.one
         negligible = trace.is_zero()

@@ -172,6 +172,18 @@ class FusionRing:
         }
 
 
+def _integers(value, field: str, depth: int):
+    """value as nested tuples of ints, lists depth levels deep; a float, a
+    string or a bool is refused, not coerced."""
+    if depth == 0:
+        if type(value) is not int:
+            raise FusionRingError(f"{field} must be an integer, not {type(value).__name__}")
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise FusionRingError(f"{field} must be a list, not {type(value).__name__}")
+    return tuple(_integers(v, f"{field}[{k}]", depth - 1) for k, v in enumerate(value))
+
+
 def load_fusion_ring(document: Union[str, dict]) -> FusionRing:
     """Build and validate a fusion ring from its JSON document:
     {"name": str, "basis": [str], "unit": int, "dual": [int], "N": [[[int]]]},
@@ -181,6 +193,8 @@ def load_fusion_ring(document: Union[str, dict]) -> FusionRing:
             data = json.loads(document)
         except json.JSONDecodeError as exc:
             raise FusionRingError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise FusionRingError("invalid JSON: nested too deeply") from None
     else:
         data = document
     if not isinstance(data, dict):
@@ -191,11 +205,9 @@ def load_fusion_ring(document: Union[str, dict]) -> FusionRing:
         ring = FusionRing(
             name=name,
             basis=tuple(str(b) for b in data["basis"]),
-            unit=int(data["unit"]),
-            dual=tuple(int(d) for d in data["dual"]),
-            table=tuple(
-                tuple(tuple(int(n) for n in cell) for cell in row) for row in data["N"]
-            ),
+            unit=_integers(data["unit"], "unit", 0),
+            dual=_integers(data["dual"], "dual", 1),
+            table=_integers(data["N"], "N", 3),
         )
     except (KeyError, TypeError) as exc:
         raise FusionRingError(f"document does not match the schema: {exc}") from None

@@ -180,7 +180,8 @@ class PlanarMatching:
         return self.inv == other.inv and self.source == other.source and self.target == other.target
 
     def __hash__(self):
-        return hash((self.source.letters, self.target.letters, self.inv))
+        # equal matchings have equal involutions; __eq__ also compares the words
+        return hash(self.inv)
 
     @staticmethod
     def identity(word: Word) -> "PlanarMatching":
@@ -293,28 +294,25 @@ def _compose_matchings(top: PlanarMatching, bot: PlanarMatching):
     return PlanarMatching._of(bot.source, top.target, tuple(inv)), tuple(loop_letters)
 
 
-def _generator_surgery(m: PlanarMatching, i: int, left: bool):
-    """m * e_i, or e_i * m when left, by surgery on m's involution; returns
-    (product, letter at the leftmost middle point of the loop it closes, or
-    None when it closes none).
+def _generator_surgery(m: PlanarMatching, i: int):
+    """m * e_i by surgery on m's involution; returns (product, letter at the
+    leftmost middle point of the loop it closes, or None when it closes none).
 
-    Why this equals composing with e_i: e_i joins positions j = len(word) -
-    1 - i and j + 1 of the word it shares with m (points p and q of m's
-    circle) by one arc on either side of that word, and runs every other
-    position straight through.  Straight strands are identity strands, so
-    every other arc of m survives as it is, and e_i's far arc becomes the
-    product's arc p-q.  Its near arc meets m at p and q: the strand reaching
-    p from a = inv[p] crosses it and leaves q for b = inv[q], so a and b
-    become one arc.  When inv[p] == q that strand is m's own arc p-q, which
-    the near arc closes into a loop whose leftmost middle point is position
-    j; the far arc puts the arc p-q back, so the diagram is m again."""
-    nb, nt = len(m.source), len(m.target)
-    word = m.target if left else m.source
-    j = len(word) - 1 - i
-    p, q = (nb + nt - 1 - j, nb + nt - 2 - j) if left else (j, j + 1)
+    Why this equals composing with e_i: e_i joins positions j = len(source)
+    - 1 - i and j + 1 of m's source (points p and q of m's circle) by one arc
+    on either side of that word, and runs every other position straight
+    through.  Straight strands are identity strands, so every other arc of m
+    survives as it is, and e_i's far arc becomes the product's arc p-q.  Its
+    near arc meets m at p and q: the strand reaching p from a = inv[p]
+    crosses it and leaves q for b = inv[q], so a and b become one arc.  When
+    inv[p] == q that strand is m's own arc p-q, which the near arc closes
+    into a loop whose leftmost middle point is position j; the far arc puts
+    the arc p-q back, so the diagram is m again."""
+    j = len(m.source) - 1 - i
+    p, q = j, j + 1
     inv = m.inv
     if inv[p] == q:
-        return m, word[j]
+        return m, m.source[j]
     a, b = inv[p], inv[q]
     joined = list(inv)
     joined[a], joined[b], joined[p], joined[q] = b, a, q, p
@@ -495,14 +493,14 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     return TLMorphism(triple, g.source, f.target, terms)
 
 
-def _times_generator(f: TLMorphism, i: int, left: bool = False) -> TLMorphism:
-    """f * e_i, or e_i * f when left, by _generator_surgery on each term."""
+def _times_generator(f: TLMorphism, i: int) -> TLMorphism:
+    """f * e_i by _generator_surgery on each term."""
     triple = f.triple
     # every closed loop has the same letter, so c * delta is keyed by c alone
     looped: Dict[RingValue, RingValue] = {}
     terms: Dict[PlanarMatching, RingValue] = {}
     for m, c in f.terms.items():
-        product, letter = _generator_surgery(m, i, left)
+        product, letter = _generator_surgery(m, i)
         if letter is not None:
             value = looped.get(c)
             if value is None:
@@ -558,16 +556,23 @@ def hazi_witness(triple: Triple, n: int) -> Optional[int]:
 
 
 def _check_jw(candidate: TLMorphism, n: int):
-    """Verify identity coefficient and the two-sided kill conditions.
-
-    These conditions force idempotency and uniqueness, so the quadratic
-    idempotency check is not repeated here (the test suite asserts it)."""
+    """Certify candidate as JW_n: phi(candidate) = 1, phi the identity
+    coefficient, and candidate * e_i = 0 for 1 <= i < n.  Any such x is
+    JW_n, so its left kills and idempotency are not tested (phi is
+    multiplicative: a product with a non-identity diagram has none).
+    - Soundness: these are a subset of the two-sided conditions, so when
+      they have no solution (the solve's NotExists) JW_n does not exist.
+    - Existence: the top-bottom flip is an anti-automorphism of End(alt n)
+      fixing every e_i and every loop's leftmost letter, so flip(x) * x is
+      killed on both sides with phi = 1: JW_n exists whenever x does.
+    - Uniqueness: a non-identity diagram D is e_i * D' (a top cup) and
+      D'' * e_j (a bottom cap), so x * D = 0 and D * JW_n = 0.  For h the
+      difference of x and JW_n, phi(h) = 0, so h = h * JW_n = 0."""
     if not candidate.identity_coefficient().is_one():
         raise AssertionError("identity coefficient is not 1")
     for i in range(1, n):
-        for left in (True, False):
-            if not _times_generator(candidate, i, left).is_zero():
-                raise AssertionError(f"candidate not killed by generator e_{i}")
+        if not _times_generator(candidate, i).is_zero():
+            raise AssertionError(f"candidate not killed by generator e_{i}")
 
 
 def _jw_by_recursion(triple: Triple, n: int) -> TLMorphism:
@@ -597,21 +602,14 @@ def _jw_by_solve(triple: Triple, n: int) -> Optional[TLMorphism]:
     # One sparse row {basis index: coefficient} per diagram in x * e_i; a
     # basis diagram maps to a single diagram, so no entry repeats, and a row
     # met under two generators is kept once.  The right kills x * e_i = 0
-    # (1 <= i < n) with phi(x) = 1, phi the identity coefficient, determine
-    # JW_n, so the left kills are not imposed:
-    # - NotExists is sound: these equations are a subset of the two-sided ones.
-    # - Uniqueness: a non-identity diagram D is e_i * D' (a top cup) and
-    #   D'' * e_j (a bottom cap), so x * D = 0 and D * JW_n = 0.  For h the
-    #   difference of two solutions, phi(h) = 0, so h = h * JW_n = 0.
-    # - Existence: the top-bottom flip is an anti-automorphism of End(alt n)
-    #   fixing every e_i and every loop's leftmost letter, and phi is
-    #   multiplicative, so flip(x) * x is killed on both sides with phi = 1.
-    # _check_jw still certifies both sides of the result.
+    # (1 <= i < n) with identity coefficient 1 determine JW_n, and have no
+    # solution when it does not exist (proof in _check_jw's docstring), so
+    # the left kills are not imposed.
     kills: Dict[tuple, Dict[int, RingValue]] = {}
     for i in range(1, n):
         equations: Dict[PlanarMatching, Dict[int, RingValue]] = {}
         for j, m in enumerate(basis):
-            res, letter = _generator_surgery(m, i, False)
+            res, letter = _generator_surgery(m, i)
             coeff = ring.one if letter is None else (triple.delta1 if letter == DOWN else triple.delta2)
             if not coeff.is_zero():
                 equations.setdefault(res, {})[j] = coeff

@@ -1,6 +1,23 @@
 import pytest
 
+from tlab import tldiag
 from tlab.rings import Triple, construct_ring, generic_tower
+
+
+@pytest.fixture(autouse=True)
+def jw_killed_on_both_sides(monkeypatch):
+    """tldiag._check_jw tests the right kills x * e_i = 0 only; every JW_n
+    the suite certifies must also pass the left kills e_i * x = 0, computed
+    by the general compose rather than by generator surgery."""
+    certify = tldiag._check_jw
+
+    def check_both_sides(candidate, n):
+        certify(candidate, n)
+        for i in range(1, n):
+            product = tldiag.compose(tldiag.TLMorphism.e(candidate.triple, n, i), candidate)
+            assert product.is_zero(), f"JW_{n} not killed by e_{i} on the left"
+
+    monkeypatch.setattr(tldiag, "_check_jw", check_both_sides)
 
 
 @pytest.fixture(scope="session")

@@ -134,6 +134,24 @@ def test_domain_errors_exit_one(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error:") and "structure constant at (1,1,1)" in err, err
+    # values that are not integers are refused, not truncated or parsed
+    from tlab.fusion import builtin_ring
+
+    documents = [builtin_ring("ising").to_json_dict() for _ in range(4)]
+    documents[0]["N"][1][1][0] = 1.9
+    documents[1]["unit"] = 0.5
+    documents[2]["N"][1][1][0] = "1"
+    documents[3]["dual"][1] = True
+    messages = ("N[1][1][0]", "unit", "N[1][1][0]", "dual[1]")
+    cases = [(json.dumps(d), message) for d, message in zip(documents, messages)]
+    # 100,000 nested brackets used to end the parser in a RecursionError
+    cases.append(("[" * 100000, "nested too deeply"))
+    bad = tmp_path / "bad.json"
+    for text, message in cases:
+        bad.write_text(text)
+        code, _, err = run(capsys, "bound", "--fusion", str(bad), "--object", "sigma")
+        assert code == 1, message
+        assert err.startswith("error:") and message in err, err
 
 
 def test_fusion_file_input(tmp_path, capsys):

@@ -183,12 +183,8 @@ def test_dual_is_contravariant(fg):
 @SETTINGS
 @given(st.data(), st.sampled_from([TOWER, F2_ZERO]), st.integers(2, 6))
 def test_generator_surgery_is_composition_with_the_generator(data, triple, n):
-    """f * e_i and e_i * f, for f out of and into alt(n), against compose."""
+    """f * e_i, for f out of alt(n), against compose."""
     word = Word.alt(n)
-    other = data.draw(words(n % 2))
-    right = data.draw(morphisms(word, other, triple))
-    left = data.draw(morphisms(other, word, triple))
+    f = data.draw(morphisms(word, data.draw(words(n % 2)), triple))
     for i in range(1, n):
-        gen = TLMorphism.e(triple, n, i)
-        assert _times_generator(right, i) == compose(right, gen), i
-        assert _times_generator(left, i, left=True) == compose(gen, left), i
+        assert _times_generator(f, i) == compose(f, TLMorphism.e(triple, n, i)), i

@@ -173,8 +173,8 @@ class FusionRing:
 
 
 def _integers(value, field: str, depth: int):
-    """value as nested tuples of ints, lists depth levels deep; a float, a
-    string or a bool is refused, not coerced."""
+    """value, lists nested depth levels deep around ints, as nested tuples;
+    a float, a string or a bool where an int belongs is refused, not coerced."""
     if depth == 0:
         if type(value) is not int:
             raise FusionRingError(f"{field} must be an integer, not {type(value).__name__}")

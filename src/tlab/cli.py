@@ -38,11 +38,11 @@ class InputLimitError(ValueError):
 # Largest --n (--upto for `qnum`, --max-n for `bound` and `classify`): the
 # largest value that finished within 60 s without error (CPython 3.11, one
 # core of an Intel Xeon virtual machine), with the default rings unless said
-# otherwise.  `continuant` took 14 s at n = 19 (211 MB; 18-19 s and 183 MB
-# with --format json) and 26-31 s at 20 (411 MB; 43 s and 411 MB with --format
-# json; the upper variant 33 s and 414 MB, 48 s and 436 MB as JSON); the
-# limit also keeps peak memory under 480 MB, and the peak about doubles with
-# each n.  `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11,
+# otherwise.  `continuant` took 7-8 s at n = 19 (134-140 MB; 10-11 s and
+# 116-120 MB with --format json) and 11-13 s at 20 (292-341 MB, set by the
+# text summary's dense rows; 22-23 s and 255 MB with --format json), either
+# variant; the limit also keeps peak memory under 480 MB, and the peak about
+# doubles with each n.  `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11,
 # 10 s at 12, 34 s at 13 (160 MB) and over 75 s at 14, and with `--model
 # 2tl`, where computing JW_n dominates, 0.3 s at n = 7, 1.8 s at 8, 12 s at 9
 # (37 MB) and 54 s at 10 (83 MB), too near 60 s to admit.  `jw` over the

@@ -172,16 +172,18 @@ class FusionRing:
         }
 
 
-def _integers(value, field: str, depth: int):
-    """value, lists nested depth levels deep around ints, as nested tuples;
-    a float, a string or a bool where an int belongs is refused, not coerced."""
+def _fields(value, field: str, depth: int, kind: type = int):
+    """value, lists nested depth levels deep around values of the given kind
+    (int or str), as nested tuples; a float, a bool or a value of the other
+    kind where one of this kind belongs is refused, not coerced."""
     if depth == 0:
-        if type(value) is not int:
-            raise FusionRingError(f"{field} must be an integer, not {type(value).__name__}")
+        if type(value) is not kind:
+            article = "an integer" if kind is int else "a string"
+            raise FusionRingError(f"{field} must be {article}, not {type(value).__name__}")
         return value
     if not isinstance(value, (list, tuple)):
         raise FusionRingError(f"{field} must be a list, not {type(value).__name__}")
-    return tuple(_integers(v, f"{field}[{k}]", depth - 1) for k, v in enumerate(value))
+    return tuple(_fields(v, f"{field}[{k}]", depth - 1, kind) for k, v in enumerate(value))
 
 
 def load_fusion_ring(document: Union[str, dict]) -> FusionRing:
@@ -200,14 +202,18 @@ def load_fusion_ring(document: Union[str, dict]) -> FusionRing:
     if not isinstance(data, dict):
         raise FusionRingError("the document is not a JSON object")
     try:
-        name = str(data.get("name", "unnamed"))
+        name = _fields(data.get("name", "unnamed"), "name", 0, str)
         _check_rank(name, len(data["basis"]), MAX_DOCUMENT_RANK)
+        basis = _fields(data["basis"], "basis", 1, str)
+        for k, label in enumerate(basis):
+            if basis.index(label) != k:  # a label names one element
+                raise FusionRingError(f"basis[{k}] repeats the label {label!r} of basis[{basis.index(label)}]")
         ring = FusionRing(
             name=name,
-            basis=tuple(str(b) for b in data["basis"]),
-            unit=_integers(data["unit"], "unit", 0),
-            dual=_integers(data["dual"], "dual", 1),
-            table=_integers(data["N"], "N", 3),
+            basis=basis,
+            unit=_fields(data["unit"], "unit", 0),
+            dual=_fields(data["dual"], "dual", 1),
+            table=_fields(data["N"], "N", 3),
         )
     except (KeyError, TypeError) as exc:
         raise FusionRingError(f"document does not match the schema: {exc}") from None

@@ -1,5 +1,4 @@
-import gc
-import weakref
+import tracemalloc
 
 import pytest
 
@@ -12,7 +11,6 @@ from tlab.complexes import (
     FormalObject,
     build_continuant,
     cone,
-    continuant_levels,
     k0_class,
     shift,
     twinned_subsets,
@@ -20,7 +18,7 @@ from tlab.complexes import (
 )
 from tlab.contpoly import IntPolynomial, kappa, mu
 from tlab.rings import Triple, construct_ring
-from tlab.tldiag import DOWN, UP, TLMorphism, Word, compose, jw, tensor
+from tlab.tldiag import DOWN, UP, TLMorphism, Word, compose, flip_letter, jw, tensor
 
 
 def unit_complex(triple):
@@ -239,15 +237,12 @@ def test_upper_variant_duality(tower):
         assert mirrored == swapped, n
 
 
-def test_recorded_maps_are_chain_maps(tower):
-    # f_1, ..., f_5 as the build yields them, and phi_1, ..., phi_5 of the
-    # reference construction, which defines f_m through letter(m) (x) phi_m
-    maps = [f for _, f in continuant_levels(6, tower, UP) if f is not None]
-    assert len(maps) == 5
-    for k, f in enumerate(maps, 1):
-        assert f.verify(), k
-    _, phi_maps = reference_maps(5, tower, UP)
+def test_reference_maps_are_chain_maps(tower):
+    # f_1, ..., f_5 and phi_1, ..., phi_5 of the reference construction,
+    # which defines f_m through letter(m) (x) phi_m
+    _, f_maps, phi_maps = reference_maps(6, tower, UP)
     for k in range(1, 6):
+        assert f_maps[k].verify(), k
         assert phi_maps[k].verify(), k
 
 
@@ -267,18 +262,43 @@ def test_json_dump_shape(tower):
     assert "differential" in data["degrees"]["0"]
 
 
-# -- the recorded maps against the construction that whiskers twice ----------
+# -- the build against the literal iterated cone --------------------------------
+
+
+def _tensor_letter_complex(C, letter):
+    terms = {i: obj.tensor_letter(letter) for i, obj in C.terms.items()}
+    diffs = {i: d.tensor_letter(letter) for i, d in C.diffs.items()}
+    return FormalComplex(C.triple, terms, diffs, C.labels)
+
+
+def _sort_by_labels(C, labels):
+    """Reorder each degree's summands lexicographically by label."""
+    position = {}  # degree -> {old index: new index}
+    new_terms = {}
+    new_labels = {}
+    for i, obj in C.terms.items():
+        order = sorted(range(len(obj)), key=lambda j: labels[i][j])
+        position[i] = {old: new for new, old in enumerate(order)}
+        new_terms[i] = FormalObject(tuple(obj.summands[j] for j in order))
+        new_labels[i] = tuple(labels[i][j] for j in order)
+    new_diffs = {}
+    for i, d in C.diffs.items():
+        src_pos, tgt_pos = position[i], position[i - 1]
+        blocks = {(tgt_pos[a], src_pos[b]): e for (a, b), e in d.blocks.items()}
+        new_diffs[i] = FormalMorphism._from_blocks(C.triple, new_terms[i], new_terms[i - 1], blocks)
+    return FormalComplex(C.triple, new_terms, new_diffs, new_labels)
 
 
 def reference_maps(n, triple, letter):
-    """f_m and phi_m of the lower build as first written: phi_m's target
-    whiskers E_{m-1} again, and f_m is the matrix product of the block
-    diagonal ev (x) id with letter(m) (x) phi_m."""
-    from tlab.complexes import _letter_of, _sort_by_labels, _tensor_letter_complex
+    """E_0, ..., E_n of the lower variant built literally as
+    E_m = Cone(f_{m-1})[-1], with f_m and phi_m for m < n as first written:
+    phi_m's target whiskers E_{m-1} again, and f_m is the matrix product of
+    the block diagonal ev (x) id with letter(m) (x) phi_m."""
+    from tlab.complexes import _letter_of
 
     e0 = FormalComplex(triple, {0: FormalObject.unit()}, {}, {0: ((),)})
     e1 = FormalComplex(triple, {0: FormalObject.of(Word.single(letter))}, {}, {0: ((),)})
-    complexes = [e0, e1]
+    complexes = [e0, e1][: n + 1]
     f1_source = _tensor_letter_complex(e1, _letter_of(letter, 1))
     ev1 = FormalMorphism(triple, f1_source.term(0), e0.term(0), [[TLMorphism.ev(triple, letter)]])
     f_maps = {1: ChainMap(f1_source, e0, {0: ev1})}
@@ -293,6 +313,8 @@ def reference_maps(n, triple, letter):
         }
         em = _sort_by_labels(em_raw, labels)
         complexes.append(em)
+        if m == n:
+            break
         c_part = _tensor_letter_complex(prev, _letter_of(letter, m - 1))
         phi_parts = {}
         for i, obj in em.terms.items():
@@ -314,96 +336,70 @@ def reference_maps(n, triple, letter):
                 rows[a][a] = tensor(ev, TLMorphism.identity(triple, w))
             f_parts[i] = FormalMorphism(triple, padded.target, prev.term(i), rows) * padded
         f_maps[m] = ChainMap(_tensor_letter_complex(em, _letter_of(letter, m)), prev, f_parts)
-    return f_maps, phi_maps
+    return complexes, f_maps, phi_maps
+
+
+def reference_upper(lower, n):
+    """The upper variant as first written: the dual of the lower variant of
+    the flipped letter, relabelled by p -> n-1-p and sorted again."""
+    dualised = lower.dual()
+    labels = {
+        i: [tuple(sorted(n - 1 - p for p in lab)) for lab in labs]
+        for i, labs in dualised.labels.items()
+    }
+    return _sort_by_labels(dualised, labels)
 
 
 def same_complex(a, b):
+    # the order of the degrees is compared too: homology prints in it
     return (
         a.triple == b.triple and a.terms == b.terms and a.labels == b.labels
         and a.diffs == b.diffs
+        and list(a.terms) == list(b.terms) and list(a.diffs) == list(b.diffs)
+        and list(a.labels) == list(b.labels)
     )
 
 
-def same_chain_map(a, b):
-    return same_complex(a.source, b.source) and same_complex(a.target, b.target) and a.parts == b.parts
-
-
-def test_recorded_maps_match_the_twice_whiskered_construction(tower):
-    # f_1, ..., f_8 and the levels E_1, ..., E_8 against the reference, for
-    # both letters (the upper variant dualises the build of DOWN); the lower
-    # build of E_m is the m-th level
+def test_build_matches_the_reference_construction(tower):
+    # E_0, ..., E_9 of both variants and both letters, over the tower and
+    # over F_5 at (2, 3), against the literal iterated cone and its dual
     f5 = construct_ring("Fp:5")
-    triples = (tower, Triple(f5, f5.from_int(2), f5.from_int(3)))
-    for triple in triples:
+    for triple in (tower, Triple(f5, f5.from_int(2), f5.from_int(3))):
+        references = {letter: reference_maps(9, triple, letter)[0] for letter in (UP, DOWN)}
         for letter in (UP, DOWN):
-            f_maps, phi_maps = reference_maps(8, triple, letter)
-            levels = list(continuant_levels(9, triple, letter))
-            assert len(levels) == 10
-            for m, (level, f) in enumerate(levels):
-                assert same_complex(build_continuant(m, "lower", triple, letter).complex, level), m
-                if 1 <= m <= 8:
-                    assert same_complex(level, phi_maps[m].source), (triple, letter, m)
-                if m < 2:
-                    assert f is None, m
-                else:
-                    assert same_chain_map(f, f_maps[m - 1]), (triple, letter, m)
+            for m in range(10):
+                lower = build_continuant(m, "lower", triple, letter).complex
+                assert same_complex(lower, references[letter][m]), (triple, letter, m)
+                upper = build_continuant(m, "upper", triple, letter).complex
+                expected = reference_upper(references[flip_letter(letter)][m], m)
+                assert same_complex(upper, expected), (triple, letter, m)
 
 
-def test_each_level_is_whiskered_once(tower, monkeypatch):
-    from tlab import complexes
+def test_the_build_composes_nothing(tower, monkeypatch):
+    from tlab import complexes, tldiag
 
-    whiskered = []  # (complex, its whiskered copy)
-    original = complexes._tensor_letter_complex
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build called a product, a tensor or a cone")
 
-    def whisker(C, letter):
-        whiskered.append((C, original(C, letter)))
-        return whiskered[-1][1]
-
-    monkeypatch.setattr(complexes, "_tensor_letter_complex", whisker)
-    for n in range(0, 9):
-        whiskered.clear()
-        build_continuant(n, "lower", tower)
-        assert len(whiskered) == max(n - 1, 0), n
-        whiskered.clear()
-        levels = list(continuant_levels(n, tower, UP))
-        assert len(whiskered) == max(n - 1, 0), n
-        # E_{m-1}'s one whiskered copy is the source of f_{m-1}; E_n has none
-        for m in range(2, n + 1):
-            level, copy = whiskered[m - 2]
-            assert level is levels[m - 1][0], (n, m)
-            assert levels[m][1].source is copy, (n, m)
+    with monkeypatch.context() as patched:
+        for module, name in ((complexes, "compose"), (complexes, "tensor"), (complexes, "cone"),
+                             (tldiag, "compose"), (tldiag, "tensor")):
+            patched.setattr(module, name, refuse)
+        patched.setattr(FormalMorphism, "__mul__", refuse)
+        builds = [
+            build_continuant(n, variant, tower, letter)
+            for n in range(9) for variant in ("lower", "upper") for letter in (UP, DOWN)
+        ]
+    assert all(validate(build).ok for build in builds)
 
 
-def test_levels_below_m_minus_two_are_released(tower):
-    refs = []
-    for level, f in continuant_levels(9, tower, UP):
-        m = len(refs)
-        refs.append(weakref.ref(level))
-        del level, f
-        gc.collect()
-        alive = [k for k, ref in enumerate(refs) if ref() is not None]
-        assert all(k >= m - 2 for k in alive), (m, alive)
-        assert len(alive) <= 3, (m, alive)
-
-
-def test_the_build_multiplies_matrices_only_to_check_chain_maps(tower, monkeypatch):
-    outside, verifying = [], []
-    original_mul, original_verify = FormalMorphism.__mul__, ChainMap.verify
-
-    def mul(self, other):
-        if not verifying:
-            outside.append((self.target, other.source))
-        return original_mul(self, other)
-
-    def verify(self):
-        verifying.append(self)
+def test_the_build_peaks_near_what_it_leaves(tower):
+    for variant in ("lower", "upper"):
+        tracemalloc.start()
         try:
-            return original_verify(self)
+            build = build_continuant(14, variant, tower)
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
-            verifying.pop()
-
-    monkeypatch.setattr(FormalMorphism, "__mul__", mul)
-    monkeypatch.setattr(ChainMap, "verify", verify)
-    build = build_continuant(6, "lower", tower)
-    assert not outside
-    assert validate(build).ok
+            tracemalloc.stop()
+        assert peak <= 1.2 * kept, (variant, kept, peak)
+        del build

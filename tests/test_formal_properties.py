@@ -8,7 +8,7 @@ length at most three, over the tower Q(t)(u) and over F_5."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlab.complexes import FormalMorphism, FormalObject, build_continuant, continuant_levels
+from tlab.complexes import FormalMorphism, FormalObject, build_continuant
 from tlab.rings import Triple, construct_ring, generic_tower
 from tlab.tldiag import DOWN, UP, TLMorphism, Word, compose, enumerate_basis, tensor
 
@@ -139,11 +139,10 @@ def test_dense_round_trip(case):
 
 
 def test_continuant_builds_store_no_zero():
-    for m, (level, f) in enumerate(continuant_levels(8, TOWER, UP)):
-        for d in level.diffs.values():
-            assert _stores_no_zero(d), m
-        for part in f.parts.values() if f is not None else ():
-            assert _stores_no_zero(part), m
+    for variant in ("lower", "upper"):
+        for n in range(9):
+            for d in build_continuant(n, variant, TOWER).complex.diffs.values():
+                assert _stores_no_zero(d), (variant, n)
 
 
 def test_zero_matrices_over_different_triples_differ():

@@ -287,6 +287,26 @@ def test_json_round_trip_and_validation_errors():
     assert load_fusion_ring(trivial).rank == 1
 
 
+def test_labels_and_name_are_strings_named_once():
+    # labels used to be coerced with str(), and a repeated label could never
+    # be named, since index_of finds the first
+    cases = (
+        ({"basis": [1.5, True, None]}, "basis[0] must be a string, not float"),
+        ({"basis": ["a", True, None]}, "basis[1] must be a string, not bool"),
+        ({"basis": ["a", "a", "b"]}, "basis[1] repeats the label 'a' of basis[0]"),
+        ({"name": 3}, "name must be a string, not int"),
+        ({"basis": "abc"}, "basis must be a list, not str"),
+    )
+    for change, message in cases:
+        document = {**builtin_ring("ising").to_json_dict(), **change}
+        with pytest.raises(FusionRingError) as info:
+            load_fusion_ring(document)
+        assert str(info.value) == message, change
+    ising = builtin_ring("ising").to_json_dict()
+    ising.pop("name")
+    assert load_fusion_ring(ising).name == "unnamed"
+
+
 def test_report_json_shape():
     report = minimal_bound(builtin_ring("ising"), "sigma")
     data = report.to_json_dict()

@@ -39,13 +39,12 @@ class InputLimitError(ValueError):
 # largest value that finished within 60 s without error (CPython 3.11, one
 # core of an Intel Xeon virtual machine), with the default rings unless said
 # otherwise.  `continuant` took 7-8 s at n = 19 (134-140 MB; 10-11 s and
-# 116-120 MB with --format json) and 11-13 s at 20 (292-341 MB, set by the
-# text summary's dense rows; 22-23 s and 255 MB with --format json), either
-# variant; the limit also keeps peak memory under 480 MB, and the peak about
-# doubles with each n.  `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11,
-# 10 s at 12, 34 s at 13 (160 MB) and over 75 s at 14, and with `--model
-# 2tl`, where computing JW_n dominates, 0.3 s at n = 7, 1.8 s at 8, 12 s at 9
-# (37 MB) and 54 s at 10 (83 MB), too near 60 s to admit.  `jw` over the
+# 116-120 MB with --format json) and 18 s at 20 (179-190 MB, the text
+# printed one degree at a time; 22-23 s and 255 MB with --format json),
+# either variant; the limit also keeps peak memory under 480 MB, and the peak
+# about doubles with each n.  `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11,
+# 10 s at 12, 34 s at 13 (160 MB) and over 75 s at 14; `--model 2tl` builds
+# no JW_n and takes 0.02 s at 13.  `jw` over the
 # default ratfun:ratfun:Q took 1.3 s at n = 7, 6.2 s at 8, 36 s at 9 (42 MB)
 # and over 75 s at 10; over `--ring Fp:101 --d1 3 --d2 5` it takes 0.7 s at
 # 9, 2.6 s at 10 and 10 s at 11 (77 MB).
@@ -57,7 +56,6 @@ class InputLimitError(ValueError):
 # --max-n, and over slq:111 it went from 57 MB at 64 to 229 MB at 256.
 MAX_CONTINUANT_N = 20
 MAX_HOMOLOGY_N = 13
-MAX_HOMOLOGY_2TL_N = 9
 MAX_JW_N = 9
 MAX_ROTATABLE_N = 500
 MAX_QNUM_UPTO = 550
@@ -160,14 +158,12 @@ def cmd_continuant(args) -> int:
         payload["validation"] = {"ok": report.ok, "issues": report.issues}
         _print_json(payload)
     else:
-        print(build.complex.summary())
+        sys.stdout.writelines(line + "\n" for line in build.complex._summary_lines())
         print(report)
     return 0
 
 
 def cmd_homology(args) -> int:
-    if args.model == "2tl":
-        _check_limit(args.n, MAX_HOMOLOGY_2TL_N, "homology --model 2tl --n")
     _check_limit(args.n, MAX_HOMOLOGY_N, "homology --n")
     if args.n < 0:
         raise complexes.ComplexError("n must be a natural number")
@@ -183,19 +179,31 @@ def cmd_homology(args) -> int:
         return 1
     triple = params.balanced_triple()
     if args.model == "2tl":
-        result = tldiag.jw(triple, args.n) if args.n >= 1 else None
-        if isinstance(result, tldiag.NotExists):
+        verdict = tldiag._binomial_verdict(triple, args.n)
+        if verdict is not None:
             _emit(
                 args,
-                f"E_{args.n} at q={args.q}: {result}",
-                {"n": args.n, "jw_exists": False, "reason": result.reason},
+                f"E_{args.n} at q={args.q}: {verdict}",
+                {"n": args.n, "jw_exists": False, "reason": verdict.reason},
             )
             return 0
-        # jw certifies JW_n e_i = 0 for every i (_check_jw), and every
-        # non-identity basis diagram m is e_i m' for some i, so JW_n m = 0
-        # and tr(JW_n m) = [m = id] tr(JW_n): JW_n is negligible exactly when
-        # its Markov trace vanishes, without is_negligible's basis loop
-        trace = tldiag.markov_trace(result) if result is not None else triple.ring.one
+        # tr(JW_n) = [n+1], with no JW_n built.  Let rho be sl2model's
+        # realization of TL(delta, delta), delta = q + q^-1: it is monoidal,
+        # so a scalar realizes to itself, and every diagram keeps the number
+        # k of ones in a string s of n bits; W_k is spanned by those strings.
+        # 1. markov_trace closes strand j by a cup and a cap with left ends on
+        #    f's side, weighing bit 0 by q * 1 and bit 1 by 1 * q^-1, so
+        #    tr(f) = sum_s q^(#0(s) - #1(s)) rho(f)_ss = sum_k q^(n-2k) Tr(rho(f) | W_k).
+        # 2. ker rho(e_i) is the kernel of its cap, x_..10.. = -q x_..01..;
+        #    adjacent swaps join all of W_k, so S_k = W_k cap (ker rho(e_i) for
+        #    all i) is spanned by x_s = (-q)^inv(s).
+        # 3. e_i JW_n = 0 puts the image of rho(JW_n) in S, and every
+        #    non-identity diagram is D' e_i, so rho(JW_n) fixes S: on W_k it
+        #    is an idempotent of rank 1, of trace 1 in every characteristic.
+        # 4. So tr(JW_n) = sum_k q^(n-2k) = [n+1] at (delta, delta).
+        # And JW_n m = 0 for every non-identity diagram m, so JW_n is
+        # negligible exactly when [n+1] = tr(JW_n) vanishes.
+        trace = contpoly.qnum(triple, args.n + 1)[0]
         negligible = trace.is_zero()
         _emit(
             args,

@@ -248,13 +248,15 @@ class FormalComplex:
         return FormalComplex(self.triple, terms, diffs, labels)
 
     def summary(self) -> str:
-        lines = []
+        return "\n".join(self._summary_lines())
+
+    def _summary_lines(self):
+        """summary() line by line, so a printer holds one degree's rows at a time."""
         for i in sorted(self.terms, reverse=True):
-            lines.append(f"degree {i}: {self.terms[i]}")
+            yield f"degree {i}: {self.terms[i]}"
             d = self.diffs.get(i)
             if d is not None:
-                lines.append(f"  d_{i} term counts: {d.term_counts()}")
-        return "\n".join(lines)
+                yield f"  d_{i} term counts: {d.term_counts()}"
 
     def to_json_dict(self) -> dict:
         out = {"degrees": {}}

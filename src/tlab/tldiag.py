@@ -555,6 +555,12 @@ def hazi_witness(triple: Triple, n: int) -> Optional[int]:
     return next((i for i in range(1, n + 1) if _binomial_vanishes(triple, n, i)), None)
 
 
+def _binomial_verdict(triple: Triple, n: int) -> Optional[NotExists]:
+    """jw's verdict when some (n over i) is not invertible; else None, and JW_n exists."""
+    witness = hazi_witness(triple, n)
+    return None if witness is None else NotExists(n, f"binom({n},{witness}) is not invertible")
+
+
 def _check_jw(candidate: TLMorphism, n: int):
     """Certify candidate as JW_n: phi(candidate) = 1, phi the identity
     coefficient, and candidate * e_i = 0 for 1 <= i < n.  Any such x is
@@ -657,12 +663,9 @@ def jw(triple: Triple, n: int, strategy: str = "auto"):
         cached = _JW_CACHE.get((triple, n))
         if cached is not None:
             return cached
-        witness = hazi_witness(triple, n)
-        if witness is not None:
-            verdict = NotExists(n, f"binom({n},{witness}) is not invertible")
-            _JW_CACHE[(triple, n)] = verdict
-            return verdict
-        result = jw(triple, n, "recursion" if _recursion_legal(triple, n) else "solve")
+        result = _binomial_verdict(triple, n) or jw(
+            triple, n, "recursion" if _recursion_legal(triple, n) else "solve"
+        )
         _JW_CACHE[(triple, n)] = result
         return result
 

@@ -287,28 +287,29 @@ def test_n_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
     from tlab.cli import MAX_CONTINUANT_N, MAX_HOMOLOGY_N
 
     assert MAX_CONTINUANT_N >= 12 and MAX_HOMOLOGY_N >= 8
-    for command, limit in (("continuant", MAX_CONTINUANT_N), ("homology", MAX_HOMOLOGY_N)):
-        (code, _, err), took = _timed(capsys, command, "--n", str(limit + 1))
-        assert code == 1, command
+    for argv, limit in (
+        (("continuant",), MAX_CONTINUANT_N),
+        (("homology", "--model", "sl2"), MAX_HOMOLOGY_N),
+        (("homology", "--model", "2tl"), MAX_HOMOLOGY_N),
+    ):
+        (code, _, err), took = _timed(capsys, *argv, "--n", str(limit + 1))
+        assert code == 1, argv
         assert f"beyond the limit of {limit}" in err
-        assert took < 0.5, (command, took)
+        assert took < 0.5, (argv, took)
 
 
 def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys, tmp_path):
-    from tlab.cli import (
-        MAX_FUSION_N, MAX_HOMOLOGY_2TL_N, MAX_JW_N, MAX_QNUM_UPTO, MAX_ROTATABLE_N,
-    )
+    from tlab.cli import MAX_FUSION_N, MAX_JW_N, MAX_QNUM_UPTO, MAX_ROTATABLE_N
     from tlab.fusion import MAX_BUILTIN_RANK, MAX_DOCUMENT_BYTES, MAX_DOCUMENT_RANK, builtin_ring
 
     # the largest such jobs the benchmark runs (slq:12 has rank 11; --max-n
     # keeps its default)
-    assert MAX_JW_N >= 7 and MAX_ROTATABLE_N >= 5 and MAX_QNUM_UPTO >= 8 and MAX_HOMOLOGY_2TL_N >= 5
+    assert MAX_JW_N >= 7 and MAX_ROTATABLE_N >= 5 and MAX_QNUM_UPTO >= 8
     assert MAX_BUILTIN_RANK >= 11 and MAX_FUSION_N >= 64
     for argv, limit in (
         (("jw", "--n"), MAX_JW_N),
         (("rotatable", "--n"), MAX_ROTATABLE_N),
         (("qnum", "--upto"), MAX_QNUM_UPTO),
-        (("homology", "--model", "2tl", "--n"), MAX_HOMOLOGY_2TL_N),
         (("bound", "--builtin", "slq:5", "--object", "L1", "--max-n"), MAX_FUSION_N),
         (("classify", "--builtin", "ising", "--max-n"), MAX_FUSION_N),
     ):
@@ -353,11 +354,16 @@ def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys, tmp_pa
 
 
 def test_raised_jw_ceilings_are_reached_in_seconds(capsys):
-    # JW_7 over the default tower Q(t)(u), and the 2tl model at n = 8
+    # JW_7 over the default tower Q(t)(u), and the 2tl model at the homology
+    # ceiling, which reads [n+1] and builds no JW_n
+    from tlab.cli import MAX_HOMOLOGY_N
+
     (code, _, _), took = _timed(capsys, "jw", "--n", "7", "--format", "json")
     assert code == 0 and took < 10, took
-    code, out, _ = run(capsys, "homology", "--model", "2tl", "--n", "8", "--format", "json")
-    assert code == 0
+    (code, out, _), took = _timed(
+        capsys, "homology", "--model", "2tl", "--n", str(MAX_HOMOLOGY_N), "--format", "json"
+    )
+    assert code == 0 and took < 1, took
     assert json.loads(out)["jw_exists"] is True
 
 

@@ -3,7 +3,10 @@
 The digests were recorded before the continuant complexes were written from
 the closed form of their iterated cones; they pin every character, and so
 the order in which the degrees are printed, which an equality of parsed
-JSON documents would not notice."""
+JSON documents would not notice.  The `--model 2tl` digests were recorded
+while that model still built JW_n and took its Markov trace; they cover
+idempotents that exist, blocked ones that exist (cyclo:10 at n = 9, F_3 at
+n = 5 and 8, F_2 at n = 3 and 7) and ones that do not."""
 
 import hashlib
 
@@ -40,6 +43,32 @@ DIGESTS = (
     ("homology --n 5 --variant upper --ring Fp:7 --q 3 --format json", "142b19410da558cdb878a5648a75653aa12deeea73e2793d732b4a733394a41e"),
     ("homology --n 8 --variant lower --ring Fp:7 --q 3 --format json", "2d4ade08d40ba7565cc8af6e0718c5182bd828cc0e3233ef39aa13e2772b18d7"),
     ("homology --n 8 --variant upper --ring Fp:7 --q 3 --format json", "da2dce4498adc0448605a69a13abeab750a59838300ced57b4ff2839ad35dd97"),
+    ("homology --model 2tl --n 0 --format text", "377b5157d88d7d682c5fb712ee673507b82517243f0c8faca980cac111dece07"),
+    ("homology --model 2tl --n 0 --format json", "ce4701b34d5bcca269c3185e4091a39b4cc9478c515b6f9e8119555c01f085ba"),
+    ("homology --model 2tl --n 1 --format text", "42633ebbba50785e6f831dad55ebf247a66d43056ff9cb4e3276f2cadd28f458"),
+    ("homology --model 2tl --n 1 --format json", "ea84f5c82af1e605fcda9da6c2fc1780d94753788225c9ceb0e4db47db50fa9c"),
+    ("homology --model 2tl --n 5 --format text", "cee3b90805882256667a45d84b4d6a5cd4bd7f65f5eeaae498bc501d7b97b873"),
+    ("homology --model 2tl --n 5 --format json", "300348751c947c91b81463e46228828c4804b4ec3e2276c8e39c122e5f3c4742"),
+    ("homology --model 2tl --n 9 --format text", "eed12c722d31b9383bbc4be885b6abb836f584d6f0dcd70173b1fd7c192b046c"),
+    ("homology --model 2tl --n 9 --format json", "7f114b514ec7cc050a4d36b07cf2bf23533fa8fed360b4c850dd842b4c0f58a8"),
+    ("homology --model 2tl --n 4 --ring cyclo:10 --q q --format text", "fad159dc2b9298eb16c554b574a48a740500a5095fd816882ce1f09ebc1f840a"),
+    ("homology --model 2tl --n 4 --ring cyclo:10 --q q --format json", "7f950be145ce47b0611d00512489726d8ce3b76739e0d6117385bb2f8d6f63f1"),
+    ("homology --model 2tl --n 5 --ring cyclo:10 --q q --format text", "efd57b3cdfd934497416be47143965bccc779ffe063bdc133d773336ea78a52c"),
+    ("homology --model 2tl --n 5 --ring cyclo:10 --q q --format json", "081cf01af40acde0f4b8b074838bb54f6c7a8a4c365ddbbbd9d094a661d061b0"),
+    ("homology --model 2tl --n 9 --ring cyclo:10 --q q --format text", "6c12a4f086f97d6280781a4ef634d848e406072b5d7fa893890f7d163282a996"),
+    ("homology --model 2tl --n 9 --ring cyclo:10 --q q --format json", "cc99f019326914556bdff8dddb6504fd8ed2d765588fb6fa206c569c422987d5"),
+    ("homology --model 2tl --n 5 --ring Fp:3 --q 1 --format text", "5a27797c923174c637c4ed9cefd36909594b6472f08c4b556bce91967fe5810a"),
+    ("homology --model 2tl --n 5 --ring Fp:3 --q 1 --format json", "fdbcf05cefbada7ad0890e5febd9a2b184b37f5291ac2862b407b4eae70f0d98"),
+    ("homology --model 2tl --n 6 --ring Fp:3 --q 1 --format text", "8674f165dd31c5163e067a00d1b2d6c3b9c159aa4dbfbf68d2dd37928fd19cf2"),
+    ("homology --model 2tl --n 6 --ring Fp:3 --q 1 --format json", "459b47a9a593e4cd612e6f8bd1fdd0a78e0ed75036fd3cb981059e10a8b80231"),
+    ("homology --model 2tl --n 8 --ring Fp:3 --q 1 --format text", "4731ff4df47f77092be10188d861f47742e8b257bb5015e5b942e1bd4faa0d0e"),
+    ("homology --model 2tl --n 8 --ring Fp:3 --q 1 --format json", "9bd2bb1560af3265a99b534cb2b818b4e74a49bbd701a0255e226f2ebc4a537e"),
+    ("homology --model 2tl --n 3 --ring Fp:2 --q 1 --format text", "f9c88e7cab6cfd002053d1fac5eff85748a8d9aec417a80eb7f8618acee52d2e"),
+    ("homology --model 2tl --n 3 --ring Fp:2 --q 1 --format json", "0829aa912acc856e4f3f8c3246970067b7b5a28e651d61affc4a750196d08ed9"),
+    ("homology --model 2tl --n 5 --ring Fp:2 --q 1 --format text", "499ed44308b6e72952b56305ce61573be815528e1c09fa1c4b4077d5234e72fe"),
+    ("homology --model 2tl --n 5 --ring Fp:2 --q 1 --format json", "c1dbc1544328f48682cb0dfc5c375e3c31b096eda15b5ed2823ef78acfa0e484"),
+    ("homology --model 2tl --n 7 --ring Fp:2 --q 1 --format text", "5d096236189a1052078b4dc222a7c30a6f0761e496779146c0a97ea0171f792e"),
+    ("homology --model 2tl --n 7 --ring Fp:2 --q 1 --format json", "6fa5d7670a3b4deeb90c6d36f97f29fef6e624d18649c0003a9ca1ebcc5a3440"),
 )
 
 

@@ -487,9 +487,12 @@ def test_rescaling_changes_triple(tower):
 
 
 def test_negligible_exactly_when_the_jw_trace_vanishes():
-    # `homology --model 2tl` reads negligibility off tr(JW_n): JW_n is killed
-    # by every e_i, so tr(JW_n m) = [m = id] tr(JW_n); is_negligible, the
-    # basis-loop definition, is the oracle
+    # `homology --model 2tl` builds no JW_n: it decides existence by the
+    # binomial criterion alone, reads tr(JW_n) as [n+1] (the proof is beside
+    # it in cli.py) and negligibility off that trace, since JW_n is killed by
+    # every e_i and so tr(JW_n m) = [m = id] tr(JW_n).  jw, markov_trace and
+    # is_negligible, the basis-loop definition, are the oracles, blocked
+    # cases included
     cases = [(f"cyclo:{m}", "q+q^-1", 6) for m in (8, 10, 12)]
     cases += [("Fp:2", "0", 7), ("Fp:3", "2", 7), ("Fp:5", "2", 7), ("ratfun:Q", "t", 5), ("Q", "3", 5)]
     negligible = []
@@ -497,10 +500,13 @@ def test_negligible_exactly_when_the_jw_trace_vanishes():
         triple = Triple.parse(spec, d, d)
         for n in range(1, top + 1):
             f = jw(triple, n)
+            assert (hazi_witness(triple, n) is None) == (not isinstance(f, NotExists)), (spec, n)
             if isinstance(f, NotExists):
                 continue
+            trace = markov_trace(f)
+            assert trace == qnum(triple, n + 1)[0], (spec, n)
             verdict = is_negligible(f)
-            assert verdict == markov_trace(f).is_zero(), (spec, n)
+            assert verdict == trace.is_zero(), (spec, n)
             if verdict:
                 negligible.append((spec, n))
     # the Lucas cases over F_2 and F_3 and the roots of unity are reached

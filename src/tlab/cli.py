@@ -45,9 +45,11 @@ class InputLimitError(ValueError):
 # about doubles with each n.  `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11,
 # 10 s at 12, 34 s at 13 (160 MB) and over 75 s at 14; `--model 2tl` builds
 # no JW_n and takes 0.02 s at 13.  `jw` over the
-# default ratfun:ratfun:Q took 1.3 s at n = 7, 6.2 s at 8, 36 s at 9 (42 MB)
-# and over 75 s at 10; over `--ring Fp:101 --d1 3 --d2 5` it takes 0.7 s at
-# 9, 2.6 s at 10 and 10 s at 11 (77 MB).
+# default ratfun:ratfun:Q, from the integer table over Z[z], took 0.9 s at
+# n = 8, 4.2 s at 9, 16-19 s at 10 (55 MB) and 78-88 s at 11 (186 MB), most
+# of it printing; over `--ring Fp:101 --d1 3 --d2 5` it takes 0.7 s at 9
+# and 3.4 s at 10 (39 MB), and over ratfun:Q with loop values t+t^-1 and 2t,
+# which keep the recursion, 5.7 s at 9 and 28 s at 10 (63 MB).
 # `rotatable` took 43 s at n = 500 (178 MB) and 62 s at 550.  `qnum` 24 s
 # at 400, 59 s at 550 (160 MB) and over 75 s at 600.  `classify`
 # at the built-in rank limit (fusion.MAX_BUILTIN_RANK) took 15 s at
@@ -56,7 +58,7 @@ class InputLimitError(ValueError):
 # --max-n, and over slq:111 it went from 57 MB at 64 to 229 MB at 256.
 MAX_CONTINUANT_N = 20
 MAX_HOMOLOGY_N = 13
-MAX_JW_N = 9
+MAX_JW_N = 10
 MAX_ROTATABLE_N = 500
 MAX_QNUM_UPTO = 550
 MAX_FUSION_N = 256
@@ -113,8 +115,7 @@ def cmd_jw(args) -> int:
     triple = _triple_from_args(args)
     result = tldiag.jw(triple, args.n, args.strategy)
     if isinstance(result, tldiag.NotExists):
-        witness = tldiag.hazi_witness(triple, args.n)
-        detail = f"Hazi: binom({args.n},{witness})=0" if witness else result.reason
+        detail = f"Hazi: binom({args.n},{result.witness})=0" if result.witness else result.reason
         _emit(
             args,
             f"JW_{args.n}: does not exist ({detail})",

@@ -756,6 +756,32 @@ def _zprim(a, k: int):
     return tuple(_zdiv(x, c, k - 1) if x else x for x in a)
 
 
+def _zmonomial(a, k: int):
+    """The exponents (outermost variable first) of a when it is a monomial
+    with coefficient 1, else None."""
+    exponents = []
+    for _ in range(k):
+        if not a or any(a[:-1]):
+            return None
+        exponents.append(len(a) - 1)
+        a = a[-1]
+    return tuple(exponents) if a == 1 else None
+
+
+def _zfrom_terms(terms: dict, k: int):
+    """The polynomial with the non-zero coefficients {exponents (outermost
+    variable first): c}; every exponent is non-negative."""
+    if k == 0:
+        return terms.get((), 0)
+    inner: dict = {}
+    for (e, *rest), c in terms.items():
+        inner.setdefault(e, {})[tuple(rest)] = c
+    out = [_zconst(0, k - 1)] * (max(inner) + 1)
+    for e, sub in inner.items():
+        out[e] = _zfrom_terms(sub, k - 1)
+    return tuple(out)
+
+
 def _zshape(a, k: int):
     """(degree summed over the variables, largest bit length of an integer
     coefficient) of a, a rough measure of its size."""

@@ -37,9 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .contpoly import qbinom_exponents, qnum
+from .contpoly import mu, qbinom_exponents, qnum
 from .linalg import ExactMatrix
-from .rings import RingValue, Triple
+from .rings import (IntFractionField, RingValue, Triple, _trim, _zadd, _zdiv, _zfrom_terms, _zgcd, _zlead,
+                    _zmonomial, _zmul, _zneg)
 
 UP = "^"
 DOWN = "v"
@@ -532,10 +533,12 @@ def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
 
 @dataclass(frozen=True)
 class NotExists:
-    """Verdict: the requested idempotent does not exist, with evidence."""
+    """Verdict: the requested idempotent does not exist, with evidence: the
+    first i with (n over i) not invertible, and a reason."""
 
     n: int
     reason: str
+    witness: Optional[int] = None
 
     def __str__(self):
         return f"JW_{self.n} does not exist ({self.reason})"
@@ -558,7 +561,7 @@ def hazi_witness(triple: Triple, n: int) -> Optional[int]:
 def _binomial_verdict(triple: Triple, n: int) -> Optional[NotExists]:
     """jw's verdict when some (n over i) is not invertible; else None, and JW_n exists."""
     witness = hazi_witness(triple, n)
-    return None if witness is None else NotExists(n, f"binom({n},{witness}) is not invertible")
+    return None if witness is None else NotExists(n, f"binom({n},{witness}) is not invertible", witness)
 
 
 def _check_jw(candidate: TLMorphism, n: int):
@@ -596,6 +599,142 @@ def _jw_by_recursion(triple: Triple, n: int) -> TLMorphism:
             term = _times_generator(term, j)
             current = current + (qnum(triple, j)[0] * inv * (-1) ** (k - j)) * term
     return current
+
+
+def _zqnum(k: int) -> tuple:
+    """[k] at the loop values (z, 1), in Z[z]."""
+    out = [0] * k
+    for (i, _), c in mu(k - 1).coeffs.items():
+        out[i] += c
+    return _trim(out)
+
+
+def _ztimes_generator(table: Dict[PlanarMatching, tuple], i: int) -> Dict[PlanarMatching, tuple]:
+    """table * e_i at the loop values (z, 1), with coefficients in Z[z] and
+    no zero coefficient; _times_generator's rule, where a loop closed at a
+    ``v`` multiplies by z and one closed at a ``^`` by 1."""
+    out: Dict[PlanarMatching, tuple] = {}
+    for m, c in table.items():
+        product, letter = _generator_surgery(m, i)
+        if letter == DOWN:
+            c = (0,) + c
+        old = out.get(product)
+        out[product] = c if old is None else _zadd(old, c, 1)
+    return {m: c for m, c in out.items() if c}
+
+
+def _jw_table(n: int) -> Tuple[Dict[PlanarMatching, tuple], tuple]:
+    """(P_n, c_n) with c_n = [2]...[n] and P_n = c_n * JW_n at (z, 1), over
+    Z[z], certified: the identity coefficient of P_n is c_n and P_n * e_i = 0.
+
+    _jw_by_recursion's expansion times c_k, with X = 1 (x) P_{k-1}:
+      P_k = [k] X + sum_{j=1}^{k-1} (-1)^{k-j} [j] X g_{k-1} ... g_j,
+    so no coefficient has a denominator."""
+    word = Word.alt(n)
+    table = {PlanarMatching.identity(Word.alt(1)): (1,)}
+    c_n = (1,)
+    for k in range(2, n + 1):
+        level = Word.alt(k)
+        pad = PlanarMatching.identity(Word.single(level[0]))
+        term = {_tensor_matchings(pad, m, level, level): c for m, c in table.items()}
+        qk = _zqnum(k)
+        c_n = _zmul(c_n, qk, 1)
+        table = {m: _zmul(qk, c, 1) for m, c in term.items()}
+        for j in range(k - 1, 0, -1):
+            term = _ztimes_generator(term, j)
+            qj = _zqnum(j) if (k - j) % 2 == 0 else _zneg(_zqnum(j), 1)
+            for m, c in term.items():
+                c = _zmul(qj, c, 1)
+                old = table.get(m)
+                table[m] = c if old is None else _zadd(old, c, 1)
+        table = {m: c for m, c in table.items() if c}
+    if table.get(PlanarMatching.identity(word)) != c_n:
+        raise AssertionError("identity coefficient of P_n is not [2]...[n]")
+    for i in range(1, n):
+        if _ztimes_generator(table, i):
+            raise AssertionError(f"P_{n} not killed by generator e_{i}")
+    return table, c_n
+
+
+def _monomial_loops(triple: Triple) -> Optional[Tuple[tuple, tuple]]:
+    """The exponent vectors of delta1 and delta2 when the ring is Q(x1)...(xk)
+    on integer payloads, both are monic monomials (negative exponents
+    allowed) and delta1 * delta2 is not constant; else None."""
+    ring = triple.ring
+    if not isinstance(ring, IntFractionField):
+        return None
+    k, exponents = ring.depth, []
+    for delta in (triple.delta1, triple.delta2):
+        num, den = (_zmonomial(p, k) for p in delta.payload)
+        if num is None or den is None:
+            return None
+        exponents.append(tuple(a - b for a, b in zip(num, den)))
+    e1, e2 = exponents
+    if not any(a + b for a, b in zip(e1, e2)):
+        return None
+    return e1, e2
+
+
+def _spread(p: tuple, c: tuple, step: tuple, shift: tuple, k: int):
+    """The canonical payload of x^shift * p(x^step) / c(x^step) in
+    Q(x1)...(xk), for p, c in Z[z] and a non-zero exponent vector step
+    (proof in _jw_by_table)."""
+    g = _zgcd(p, c, 1)
+    if g != (1,):
+        p, c = _zdiv(p, g, 1), _zdiv(c, g, 1)
+    num = {tuple(j * s + h for s, h in zip(step, shift)): x for j, x in enumerate(p) if x}
+    den = {tuple(j * s for s in step): x for j, x in enumerate(c) if x}
+    # cancel the common monomial: the lowest exponent of each variable
+    low = [min(e[v] for e in (*num, *den)) for v in range(k)]
+    num, den = (
+        _zfrom_terms({tuple(a - b for a, b in zip(e, low)): x for e, x in part.items()}, k)
+        for part in (num, den)
+    )
+    if _zlead(den, k) < 0:
+        num, den = _zneg(num, k), _zneg(den, k)
+    return num, den
+
+
+def _jw_by_table(triple: Triple, n: int) -> TLMorphism:
+    """JW_n for monic monomial loop values (see _monomial_loops), mapped
+    from the certified integer table of _jw_table.
+
+    The coefficient of a diagram D is lam^w(D) * P_D(z0) / c_n(z0), with
+    z0 = delta1 * delta2, lam = delta2^-1 and w = rescale_weight.  Why it is
+    JW_n, so that only the identity guard runs on it:
+    - z -> z0 is a ring map Z[z] -> Q(x1..xk), injective because z0 is a
+      non-constant monomial, so P_n(z0) keeps the identity coefficient
+      c_n(z0) != 0 and the kills, and P_n(z0) / c_n(z0) passes _check_jw's
+      conditions at (z0, 1): it is JW_n there.
+    - rescale_transport by lam is an algebra isomorphism
+      TL(z0, 1) -> TL(delta1, delta2) that fixes the identity and scales
+      each e_i by a unit, so it sends JW_n(z0, 1) to JW_n(delta1, delta2).
+    - The payload is canonical: after dividing P_D and c_n by their gcd in
+      Z[z], a Bezout identity over Q maps to Q[x1^+-1..xk^+-1], where the
+      images stay coprime; the only common factors left in Z[x1..xk] are
+      monomials, cancelled below, and the integer contents are those of
+      P_D and c_n, which are coprime.
+    Every [k] is invertible here, [k] = delta2^-((k-1) mod 2) [k](z0, 1),
+    so the recursion is legal and JW_n exists."""
+    ring = triple.ring
+    k = ring.depth
+    e1, e2 = _monomial_loops(triple)
+    z0 = tuple(a + b for a, b in zip(e1, e2))
+    table, c_n = _jw_table(n)
+    # many diagrams share (P_D, w(D)), and so their coefficient
+    mapped: Dict[Tuple[tuple, int], RingValue] = {}
+    terms = {}
+    for m, p in table.items():
+        key = (p, rescale_weight(m))
+        value = mapped.get(key)
+        if value is None:
+            value = mapped[key] = RingValue(ring, _spread(p, c_n, z0, tuple(-key[1] * b for b in e2), k))
+        terms[m] = value
+    word = Word.alt(n)
+    candidate = TLMorphism(triple, word, word, terms)
+    if not candidate.identity_coefficient().is_one():
+        raise AssertionError("identity coefficient is not 1")
+    return candidate
 
 
 def _jw_by_solve(triple: Triple, n: int) -> Optional[TLMorphism]:
@@ -646,11 +785,22 @@ def jw(triple: Triple, n: int, strategy: str = "auto"):
     ``recursion`` runs the two-parameter Wenzl recursion
     JW_{k+1} = A - ([k]/[k+1]) A e_k A with A = 1 (x) JW_k by its
     single-clasp expansion, legal only when [2], ..., [n] are all
-    invertible.  ``auto`` first applies the invertible-binomial existence
-    criterion; when JW_n exists it runs the recursion if that is legal and
-    the linear solve otherwise (the blocked cases: Lucas cases in
-    characteristic p and roots of unity).  The defining properties
-    of the result are checked, not assumed.
+    invertible.  ``auto`` maps JW_n from one integer table when the ring
+    is Q(t), Q(t)(u), ... on integer payloads and delta1, delta2 are monic
+    monomials with a non-constant product, such as the default (t, u) or
+    (t, t): _jw_table builds P_n = [2]...[n] JW_n at (z, 1) over Z[z] and
+    certifies it there, and _jw_by_table maps it with no bivariate gcd
+    (proof in its docstring).  Every other triple keeps the older path:
+    the invertible-binomial existence criterion, then the recursion if
+    that is legal and the linear solve otherwise (the blocked cases: Lucas
+    cases in characteristic p and roots of unity).  Over a prime or
+    cyclotomic field a coefficient costs no more than an integer
+    polynomial, so the table does not pay: over Fp:101 at (3, 5), n = 7,
+    the table and its certificate took 39-49 ms and a Horner map 16-20 ms,
+    against 47-56 ms for the recursion and _check_jw.  The defining
+    properties of the result are checked, not assumed: by _check_jw, or on
+    the table route by the integral certificate and the identity
+    coefficient of the result.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -663,9 +813,12 @@ def jw(triple: Triple, n: int, strategy: str = "auto"):
         cached = _JW_CACHE.get((triple, n))
         if cached is not None:
             return cached
-        result = _binomial_verdict(triple, n) or jw(
-            triple, n, "recursion" if _recursion_legal(triple, n) else "solve"
-        )
+        if _monomial_loops(triple):
+            result = _jw_by_table(triple, n)
+        else:
+            result = _binomial_verdict(triple, n) or jw(
+                triple, n, "recursion" if _recursion_legal(triple, n) else "solve"
+            )
         _JW_CACHE[(triple, n)] = result
         return result
 
@@ -676,7 +829,7 @@ def jw(triple: Triple, n: int, strategy: str = "auto"):
     else:
         candidate = _jw_by_solve(triple, n)
         if candidate is None:
-            return NotExists(n, "kill conditions have no solution")
+            return NotExists(n, "kill conditions have no solution", hazi_witness(triple, n))
     _check_jw(candidate, n)
     return candidate
 

@@ -6,7 +6,15 @@ the order in which the degrees are printed, which an equality of parsed
 JSON documents would not notice.  The `--model 2tl` digests were recorded
 while that model still built JW_n and took its Markov trace; they cover
 idempotents that exist, blocked ones that exist (cyclo:10 at n = 9, F_3 at
-n = 5 and 8, F_2 at n = 3 and 7) and ones that do not."""
+n = 5 and 8, F_2 at n = 3 and 7) and ones that do not.
+
+The `jw` digests were recorded while JW_n over Q(t) and Q(t)(u) still came
+from the single-clasp recursion over those fields, and before a NotExists
+verdict carried its binomial witness; they cover the integer table route
+(the default tower, monomial triples over Q(t)), the recursion (prime and
+cyclotomic fields), the solve (blocked cases over F_2 and F_3), the
+constant product delta1 * delta2 = 1, and the verdicts of `auto` and of
+`--strategy solve` when JW_n does not exist."""
 
 import hashlib
 
@@ -71,8 +79,29 @@ DIGESTS = (
     ("homology --model 2tl --n 7 --ring Fp:2 --q 1 --format json", "6fa5d7670a3b4deeb90c6d36f97f29fef6e624d18649c0003a9ca1ebcc5a3440"),
 )
 
+JW_DIGESTS = (
+    ("jw --n 5", "7317e7091742436feeb760e8ec328dd48f8ab0a088ccee36d2ed3402f4c91dc4"),
+    ("jw --n 6", "ae991e1297481cf53fca289a6f81d9d02460a052f1c0c0eaa7287b73272b7a95"),
+    ("jw --n 7", "97beafacc4faa8fe232bc088f02471b406da2b1bb37866b452233c824d40c04e"),
+    ("jw --n 6 --format json", "4ec7584ab040194f391a66efa6cbe7d0a0341f27e76cf09cd445d3517f79bc9a"),
+    ("jw --ring Fp:101 --d1 3 --d2 5 --n 7", "3063e851a4c1ad0327d90063a95ccaad59215548e510aa1698c2c5c7142ca504"),
+    ("jw --ring Fp:2 --d1 0 --d2 0 --n 7", "fd59414bdfb913ce12fc80688372d5d8056a6a18f61ac10574e7bd2011ddcf62"),
+    ("jw --ring Fp:3 --d1 2 --d2 2 --n 8", "0702039cfff7b700b288e0f0ef860bed2c6d76054c5ac82117874ff66227f0e4"),
+    ("jw --ring cyclo:12 --d1 q+q^-1 --d2 q^2+q^-2 --n 6", "e2cd6803758d365a9ba4022d29c2fb8eebf5aeee6c55b7489753e58635848079"),
+    ("jw --ring ratfun:Q --d1 t --d2 t --n 6", "1ccbbff2d802cd32dbca282ad65551cfdccca0c6af4516bff581bbe7f37f14bb"),
+    ("jw --ring ratfun:Q --d1 t --d2 t --n 7", "dd3b6c06392924cb601eeb769421a58cd0d437192bd24ea03ab32e0901bb8029"),
+    ("jw --ring ratfun:Q --d1 t^-1 --d2 t^3 --n 5 --format json", "c5b95e54784f97a25c3eedef5096886d24030b615dac80e291bdb3af35a79e71"),
+    ("jw --ring ratfun:Q --d1 t --d2 t^-1 --n 5", "70fd542ef14c44f75d5cbdca2a7e66bf61ecd43cced17ba100ffa44832ccc2f6"),
+    ("jw --ring ratfun:Q --d1 t --d2 t^-1 --n 3 --format json", "0994a72d6e4a75e1e3e242c5cfe6652bba65fcbd2b9665ad78c69972dc6aaee4"),
+    ("jw --ring Fp:2 --d1 0 --d2 0 --n 5", "f3a78e9716a1cb15fd94fb882960a3379c1db7374829c1c703fae1717370235d"),
+    ("jw --ring Fp:2 --d1 0 --d2 0 --n 5 --format json", "7299dcd5ac069ea32972d3e0f8bcfcaa8b9f50d0e84b6a1c0c82a4a94fc8184e"),
+    ("jw --ring Fp:2 --d1 0 --d2 0 --n 5 --strategy solve", "f3a78e9716a1cb15fd94fb882960a3379c1db7374829c1c703fae1717370235d"),
+    ("jw --ring Fp:2 --d1 0 --d2 0 --n 5 --strategy solve --format json", "7299dcd5ac069ea32972d3e0f8bcfcaa8b9f50d0e84b6a1c0c82a4a94fc8184e"),
+    ("jw --ring Fp:3 --d1 2 --d2 2 --n 4 --strategy solve", "965dc9797688b9b8c68c79141b94545550f4aaa02ce80a441386d7822a492fc1"),
+)
 
-@pytest.mark.parametrize("command, digest", DIGESTS, ids=[c for c, _ in DIGESTS])
+
+@pytest.mark.parametrize("command, digest", DIGESTS + JW_DIGESTS, ids=[c for c, _ in DIGESTS + JW_DIGESTS])
 def test_stdout_bytes_are_pinned(capsys, command, digest):
     assert main(command.split()) == 0
     out = capsys.readouterr().out

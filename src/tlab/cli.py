@@ -45,11 +45,12 @@ class InputLimitError(ValueError):
 # about doubles with each n.  `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11,
 # 10 s at 12, 34 s at 13 (160 MB) and over 75 s at 14; `--model 2tl` builds
 # no JW_n and takes 0.02 s at 13.  `jw` over the
-# default ratfun:ratfun:Q, from the integer table over Z[z], took 0.9 s at
-# n = 8, 4.2 s at 9, 16-19 s at 10 (55 MB) and 78-88 s at 11 (186 MB), most
-# of it printing; over `--ring Fp:101 --d1 3 --d2 5` it takes 0.7 s at 9
-# and 3.4 s at 10 (39 MB), and over ratfun:Q with loop values t+t^-1 and 2t,
-# which keep the recursion, 5.7 s at 9 and 28 s at 10 (63 MB).
+# default ratfun:ratfun:Q, from the integer table over Z[z], took 0.2-0.3 s
+# at n = 8, 0.9-1.0 s at 9, 4.0-4.4 s at 10 (59 MB) and 15-22 s at 11
+# (197 MB; 16-20 s and 227 MB with --format json); over `--ring Fp:101 --d1
+# 3 --d2 5` it takes 0.3-0.5 s at 9 and 1.5-1.8 s at 10 (36 MB), and over
+# ratfun:Q with loop values t+t^-1 and 2t, which keep the recursion, 2.8 s
+# at 9, 14 s at 10 (64 MB) and 75 s at 11 (209 MB), over the 60 s.
 # `rotatable` took 43 s at n = 500 (178 MB) and 62 s at 550.  `qnum` 24 s
 # at 400, 59 s at 550 (160 MB) and over 75 s at 600.  `classify`
 # at the built-in rank limit (fusion.MAX_BUILTIN_RANK) took 15 s at
@@ -58,7 +59,7 @@ class InputLimitError(ValueError):
 # --max-n, and over slq:111 it went from 57 MB at 64 to 229 MB at 256.
 MAX_CONTINUANT_N = 20
 MAX_HOMOLOGY_N = 13
-MAX_JW_N = 10
+MAX_JW_N = 11
 MAX_ROTATABLE_N = 500
 MAX_QNUM_UPTO = 550
 MAX_FUSION_N = 256

@@ -34,18 +34,22 @@ pairs are only the constructor's input and the ``pairs`` view.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .contpoly import mu, qbinom_exponents, qnum
+from .contpoly import qbinom_exponents, qnum
 from .linalg import ExactMatrix
-from .rings import (IntFractionField, RingValue, Triple, _trim, _zadd, _zdiv, _zfrom_terms, _zgcd, _zlead,
-                    _zmonomial, _zmul, _zneg)
+from .rings import IntFractionField, RingValue, Triple, _zdiv, _zfrom_terms, _zgcd, _zlead, _zmonomial, _zneg
 
 UP = "^"
 DOWN = "v"
 
 _DISPLAY = {UP: "∧", DOWN: "∨"}
+
+# coefficients printed without parentheses: a rational number or a signed name
+_NUMBER = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_NAME = re.compile(r"-?[a-z][0-9]*")
 
 
 def flip_letter(letter: str) -> str:
@@ -462,13 +466,17 @@ class TLMorphism:
     def __str__(self):
         if not self.terms:
             return "0"
-        import re
-
+        # many diagrams share a coefficient, so each value is rendered once
+        rendered: Dict[RingValue, str] = {}
         parts = []
         for m in sorted(self.terms, key=_order_key):
-            c = str(self.terms[m])
-            if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", c) and not re.fullmatch(r"-?[a-z][0-9]*", c):
-                c = f"({c})"
+            value = self.terms[m]
+            c = rendered.get(value)
+            if c is None:
+                c = str(value)
+                if not _NUMBER.fullmatch(c) and not _NAME.fullmatch(c):
+                    c = f"({c})"
+                rendered[value] = c
             parts.append(f"{c} * {m}")
         return " + ".join(parts)
 
@@ -494,22 +502,21 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     return TLMorphism(triple, g.source, f.target, terms)
 
 
-def _times_generator(f: TLMorphism, i: int) -> TLMorphism:
-    """f * e_i by _generator_surgery on each term."""
-    triple = f.triple
+def _times_generator(triple: Triple, terms: Dict[PlanarMatching, RingValue], i: int):
+    """terms * e_i by _generator_surgery on each term, with no zero coefficient."""
     # every closed loop has the same letter, so c * delta is keyed by c alone
     looped: Dict[RingValue, RingValue] = {}
-    terms: Dict[PlanarMatching, RingValue] = {}
-    for m, c in f.terms.items():
+    out: Dict[PlanarMatching, RingValue] = {}
+    for m, c in terms.items():
         product, letter = _generator_surgery(m, i)
         if letter is not None:
             value = looped.get(c)
             if value is None:
                 value = looped[c] = c * (triple.delta1 if letter == DOWN else triple.delta2)
             c = value
-        old = terms.get(product)
-        terms[product] = c if old is None else old + c
-    return TLMorphism(triple, f.source, f.target, terms)
+        old = out.get(product)
+        out[product] = c if old is None else old + c
+    return {m: c for m, c in out.items() if c}
 
 
 def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
@@ -580,80 +587,67 @@ def _check_jw(candidate: TLMorphism, n: int):
     if not candidate.identity_coefficient().is_one():
         raise AssertionError("identity coefficient is not 1")
     for i in range(1, n):
-        if not _times_generator(candidate, i).is_zero():
+        if _times_generator(candidate.triple, candidate.terms, i):
             raise AssertionError(f"candidate not killed by generator e_{i}")
 
 
-def _jw_by_recursion(triple: Triple, n: int) -> TLMorphism:
-    # Single-clasp expansion of the Wenzl recursion (Morrison, "A formula for
-    # the Jones-Wenzl projections", arXiv:1503.00384): with X = 1 (x) JW_{k-1}
-    # and g_j = e_j in End(alt k), the ratios [j]/[j+1] telescope to
-    #   JW_k = X + sum_{j=1}^{k-1} (-1)^{k-j} ([j]/[k]) X g_{k-1} g_{k-2} ... g_j,
-    # so each term is the previous one times a single diagram.
-    current = TLMorphism.identity(triple, Word.alt(1))
-    for k in range(2, n + 1):
-        term = current = tensor(TLMorphism.identity(triple, Word.single(Word.alt(k)[0])), current)
-        inv = qnum(triple, k)[0].inverse()
-        assert inv is not None, "recursion requires invertible quantum numbers"
-        for j in range(k - 1, 0, -1):
-            term = _times_generator(term, j)
-            current = current + (qnum(triple, j)[0] * inv * (-1) ** (k - j)) * term
-    return current
+def _clasp(triple: Triple, n: int) -> Tuple[Dict[PlanarMatching, RingValue], RingValue]:
+    """(P_n, c_n) with c_n = [2]...[n] and P_n = c_n * JW_n, with no zero coefficient.
 
-
-def _zqnum(k: int) -> tuple:
-    """[k] at the loop values (z, 1), in Z[z]."""
-    out = [0] * k
-    for (i, _), c in mu(k - 1).coeffs.items():
-        out[i] += c
-    return _trim(out)
-
-
-def _ztimes_generator(table: Dict[PlanarMatching, tuple], i: int) -> Dict[PlanarMatching, tuple]:
-    """table * e_i at the loop values (z, 1), with coefficients in Z[z] and
-    no zero coefficient; _times_generator's rule, where a loop closed at a
-    ``v`` multiplies by z and one closed at a ``^`` by 1."""
-    out: Dict[PlanarMatching, tuple] = {}
-    for m, c in table.items():
-        product, letter = _generator_surgery(m, i)
-        if letter == DOWN:
-            c = (0,) + c
-        old = out.get(product)
-        out[product] = c if old is None else _zadd(old, c, 1)
-    return {m: c for m, c in out.items() if c}
-
-
-def _jw_table(n: int) -> Tuple[Dict[PlanarMatching, tuple], tuple]:
-    """(P_n, c_n) with c_n = [2]...[n] and P_n = c_n * JW_n at (z, 1), over
-    Z[z], certified: the identity coefficient of P_n is c_n and P_n * e_i = 0.
-
-    _jw_by_recursion's expansion times c_k, with X = 1 (x) P_{k-1}:
+    Single-clasp expansion of the Wenzl recursion (Morrison, "A formula for
+    the Jones-Wenzl projections", arXiv:1503.00384): with X = 1 (x) JW_{k-1}
+    and g_j = e_j in End(alt k), the ratios [j]/[j+1] telescope to
+      JW_k = X + sum_{j=1}^{k-1} (-1)^{k-j} ([j]/[k]) X g_{k-1} g_{k-2} ... g_j,
+    so each term is the previous one times a single diagram.  Times c_k,
+    with X = 1 (x) P_{k-1}:
       P_k = [k] X + sum_{j=1}^{k-1} (-1)^{k-j} [j] X g_{k-1} ... g_j,
-    so no coefficient has a denominator."""
-    word = Word.alt(n)
-    table = {PlanarMatching.identity(Word.alt(1)): (1,)}
-    c_n = (1,)
+    which divides by nothing; P_n / c_n is JW_n when c_n is invertible."""
+    ring = triple.ring
+    terms = {PlanarMatching.identity(Word.alt(1)): ring.one}
+    c_n = ring.one
     for k in range(2, n + 1):
         level = Word.alt(k)
         pad = PlanarMatching.identity(Word.single(level[0]))
-        term = {_tensor_matchings(pad, m, level, level): c for m, c in table.items()}
-        qk = _zqnum(k)
-        c_n = _zmul(c_n, qk, 1)
-        table = {m: _zmul(qk, c, 1) for m, c in term.items()}
+        term = {_tensor_matchings(pad, m, level, level): c for m, c in terms.items()}
+        qk = qnum(triple, k)[0]
+        c_n = c_n * qk
+        terms = {m: qk * c for m, c in term.items()}
         for j in range(k - 1, 0, -1):
-            term = _ztimes_generator(term, j)
-            qj = _zqnum(j) if (k - j) % 2 == 0 else _zneg(_zqnum(j), 1)
+            term = _times_generator(triple, term, j)
+            qj = qnum(triple, j)[0] * (-1) ** (k - j)
             for m, c in term.items():
-                c = _zmul(qj, c, 1)
-                old = table.get(m)
-                table[m] = c if old is None else _zadd(old, c, 1)
-        table = {m: c for m, c in table.items() if c}
-    if table.get(PlanarMatching.identity(word)) != c_n:
+                c = qj * c
+                old = terms.get(m)
+                terms[m] = c if old is None else old + c
+        terms = {m: c for m, c in terms.items() if c}
+    return terms, c_n
+
+
+def _jw_by_recursion(triple: Triple, n: int) -> TLMorphism:
+    """JW_n as _clasp's P_n / c_n, when [2], ..., [n] are invertible."""
+    terms, c_n = _clasp(triple, n)
+    inv = c_n.inverse()
+    if inv is None:
+        raise ValueError("recursion requires invertible quantum numbers [2], ..., [n]")
+    word = Word.alt(n)
+    return TLMorphism(triple, word, word, {m: c * inv for m, c in terms.items()})
+
+
+# the loop values (z, 1), z the generator t of Q(t): every value _clasp
+# meets there has denominator 1, so it adds and multiplies with no gcd
+_INTEGRAL = Triple.parse("ratfun:Q", "t", "1")
+
+
+def _jw_table(n: int) -> Tuple[Dict[PlanarMatching, tuple], tuple]:
+    """(P_n, c_n) of _clasp at the loop values (z, 1), as tuples over Z[z],
+    certified: the identity coefficient of P_n is c_n and P_n * e_i = 0."""
+    terms, c_n = _clasp(_INTEGRAL, n)
+    if terms.get(PlanarMatching.identity(Word.alt(n))) != c_n:
         raise AssertionError("identity coefficient of P_n is not [2]...[n]")
     for i in range(1, n):
-        if _ztimes_generator(table, i):
+        if _times_generator(_INTEGRAL, terms, i):
             raise AssertionError(f"P_{n} not killed by generator e_{i}")
-    return table, c_n
+    return {m: c.payload[0] for m, c in terms.items()}, c_n.payload[0]
 
 
 def _monomial_loops(triple: Triple) -> Optional[Tuple[tuple, tuple]]:
@@ -783,24 +777,24 @@ def jw(triple: Triple, n: int, strategy: str = "auto"):
     ``solve`` sets up the right kill conditions x e_i = 0, with identity
     coefficient 1, as an exact linear system over the diagram basis;
     ``recursion`` runs the two-parameter Wenzl recursion
-    JW_{k+1} = A - ([k]/[k+1]) A e_k A with A = 1 (x) JW_k by its
-    single-clasp expansion, legal only when [2], ..., [n] are all
-    invertible.  ``auto`` maps JW_n from one integer table when the ring
-    is Q(t), Q(t)(u), ... on integer payloads and delta1, delta2 are monic
-    monomials with a non-constant product, such as the default (t, u) or
-    (t, t): _jw_table builds P_n = [2]...[n] JW_n at (z, 1) over Z[z] and
-    certifies it there, and _jw_by_table maps it with no bivariate gcd
-    (proof in its docstring).  Every other triple keeps the older path:
-    the invertible-binomial existence criterion, then the recursion if
-    that is legal and the linear solve otherwise (the blocked cases: Lucas
-    cases in characteristic p and roots of unity).  Over a prime or
-    cyclotomic field a coefficient costs no more than an integer
-    polynomial, so the table does not pay: over Fp:101 at (3, 5), n = 7,
-    the table and its certificate took 39-49 ms and a Horner map 16-20 ms,
-    against 47-56 ms for the recursion and _check_jw.  The defining
-    properties of the result are checked, not assumed: by _check_jw, or on
-    the table route by the integral certificate and the identity
-    coefficient of the result.
+    JW_{k+1} = A - ([k]/[k+1]) A e_k A with A = 1 (x) JW_k by _clasp's
+    fraction-free single-clasp expansion and one scaling by ([2]...[n])^-1,
+    legal only when [2], ..., [n] are all invertible.  ``auto`` maps JW_n
+    from one integer table when the ring is Q(t), Q(t)(u), ... on integer
+    payloads and delta1, delta2 are monic monomials with a non-constant
+    product, such as the default (t, u) or (t, t): _jw_table runs the same
+    expansion at (z, 1), where every coefficient lies in Z[z], certifies it
+    there, and _jw_by_table maps it with no bivariate gcd (proof in its
+    docstring).  Every other triple keeps the older path: the
+    invertible-binomial existence criterion, then the recursion if that is
+    legal and the linear solve otherwise (the blocked cases: Lucas cases in
+    characteristic p and roots of unity).  Over a prime or cyclotomic field
+    a coefficient costs no more than an integer polynomial, so the table
+    does not pay: over Fp:101 at (3, 5), n = 7, the table and its
+    certificate took 23-31 ms and a Horner map 7-13 ms, against 17-23 ms for
+    the recursion and _check_jw.  The defining properties of the result are
+    checked, not assumed: by _check_jw, or on the table route by the
+    integral certificate and the identity coefficient of the result.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -14,7 +14,9 @@ verdict carried its binomial witness; they cover the integer table route
 (the default tower, monomial triples over Q(t)), the recursion (prime and
 cyclotomic fields), the solve (blocked cases over F_2 and F_3), the
 constant product delta1 * delta2 = 1, and the verdicts of `auto` and of
-`--strategy solve` when JW_n does not exist."""
+`--strategy solve` when JW_n does not exist.  The digests over Q at (2, 5),
+cyclo:12 at n = 7 and ratfun:Q at (t+t^-1, 2t) were recorded while the
+recursion still divided by [k] at every level."""
 
 import hashlib
 
@@ -88,6 +90,9 @@ JW_DIGESTS = (
     ("jw --ring Fp:2 --d1 0 --d2 0 --n 7", "fd59414bdfb913ce12fc80688372d5d8056a6a18f61ac10574e7bd2011ddcf62"),
     ("jw --ring Fp:3 --d1 2 --d2 2 --n 8", "0702039cfff7b700b288e0f0ef860bed2c6d76054c5ac82117874ff66227f0e4"),
     ("jw --ring cyclo:12 --d1 q+q^-1 --d2 q^2+q^-2 --n 6", "e2cd6803758d365a9ba4022d29c2fb8eebf5aeee6c55b7489753e58635848079"),
+    ("jw --ring cyclo:12 --d1 q+q^-1 --d2 q^2+q^-2 --n 7", "dc1f7109d1ae36bc6a7c552d1de41c93cf5b8ac745bbac995bedfda3d6ed3892"),
+    ("jw --ring Q --d1 2 --d2 5 --n 7", "888d43c934a5e799fa6cdf2582e6062e161fdc1d7721fb1d111a55622f4f9886"),
+    ("jw --ring ratfun:Q --d1 t+t^-1 --d2 2*t --n 6", "84dac1bbb4d47ad3b0b170cdaf75380b18fe27ec86c8e3f85e08a3353df2c38c"),
     ("jw --ring ratfun:Q --d1 t --d2 t --n 6", "1ccbbff2d802cd32dbca282ad65551cfdccca0c6af4516bff581bbe7f37f14bb"),
     ("jw --ring ratfun:Q --d1 t --d2 t --n 7", "dd3b6c06392924cb601eeb769421a58cd0d437192bd24ea03ab32e0901bb8029"),
     ("jw --ring ratfun:Q --d1 t^-1 --d2 t^3 --n 5 --format json", "c5b95e54784f97a25c3eedef5096886d24030b615dac80e291bdb3af35a79e71"),

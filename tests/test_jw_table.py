@@ -6,6 +6,7 @@ are monic monomials with a non-constant product.  These tests compare it
 with the single-clasp recursion and the sandwich recursion (hypothesis),
 and each mapped coefficient with sympy's cancel."""
 
+import hashlib
 from unittest import mock
 
 import pytest
@@ -82,12 +83,37 @@ def test_other_triples_do_not_take_the_table_route():
 
 
 def test_the_integral_certificate_rejects_a_wrong_table(monkeypatch):
-    qnum = tldiag._zqnum
-    # [3] doubled: the identity coefficient is still the product of the
-    # [k] used, but the kills fail
-    monkeypatch.setattr(tldiag, "_zqnum", lambda k: tuple(2 * c for c in qnum(k)) if k == 3 else qnum(k))
+    qnum = tldiag.qnum
+
+    def doubled(triple, k):
+        q = qnum(triple, k)
+        return (2 * q[0], q[1]) if triple == tldiag._INTEGRAL and k == 3 else q
+
+    # [3] doubled at (z, 1) only: the identity coefficient is still the
+    # product of the [k] used, but the kills fail
+    monkeypatch.setattr(tldiag, "qnum", doubled)
     with pytest.raises(AssertionError, match="not killed"):
         tldiag._jw_table(4)
+
+
+# sha256 of repr((c_n, sorted (inv, P_D) pairs)) for _jw_table(n), recorded
+# while the table was still built on plain Z[z] tuples by its own loop
+TABLE_DIGESTS = {
+    2: "8c5c955fad0370d67add83b304ffe6bdc5043081795eba32f03b1d960c551c18",
+    3: "f9864a2b7a52b1c44ec6b960e9ab898aaa4af69c642094a66733ce960b4ece66",
+    4: "0dd582a7149a45bf5a37f42c7d0be7e947da2e53c4f17895177542cb4dd6aab7",
+    5: "4521b5a283ec03ee88f89f8ac7986c275d4eab96494fe49741739514a8074ea0",
+    6: "26b160c0e912e0d359349868cb6c6535b4be4dda0ade20f026d5e8b282f0206c",
+    7: "71683d771c637bad40bad914b7cc48e29a40364167f793a996442890c6da0375",
+    8: "c485aa62b07616f9ed3f5ce2e5ba9fe9a7c7df24f493755a18bcf16b1393b634",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
+def test_the_integer_table_is_pinned(n):
+    table, c_n = tldiag._jw_table(n)
+    text = repr((c_n, sorted((m.inv, p) for m, p in table.items())))
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[n]
 
 
 # -- sympy as an independent oracle -----------------------------------------

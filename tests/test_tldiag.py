@@ -12,6 +12,7 @@ from tlab.tldiag import (
     PlanarMatching,
     TLMorphism,
     Word,
+    _clasp,
     _jw_by_recursion,
     _recursion_legal,
     compose,
@@ -289,9 +290,26 @@ def test_single_clasp_expansion_matches_the_sandwich_recursion():
             assert _jw_by_recursion(triple, n) == reference, (spec, d1, d2, n)
 
 
+def test_clasp_is_the_sandwich_recursion_times_the_quantum_numbers():
+    # P_n = c_n * JW_n with c_n = [2]...[n], on triples where [2..n] are invertible
+    for (spec, d1, d2), top in (
+        (("Fp:101", "3", "5"), 7), (("Q", "2", "5"), 6), (("Q", "-3", "7"), 6),
+        (("cyclo:12", "q+q^-1", "q^2+q^-2"), 6), (("ratfun:Q", "t+t^-1", "2*t"), 5), (("ratfun:Q", "t", "1"), 6),
+    ):
+        triple = _triple(spec, d1, d2)
+        c_n = triple.ring.one
+        for n, reference in enumerate(_jw_by_sandwich(triple, top), start=1):
+            c_n = c_n * qnum(triple, n)[0]  # [1] = 1
+            terms, c = _clasp(triple, n)
+            assert c == c_n and terms == reference.scale(c_n).terms, (spec, d1, d2, n)
+
+
 def test_jw_recursion_guard(f2_zero):
     with pytest.raises(ValueError):
         jw(f2_zero, 3, "recursion")
+    # [2] = 0 over F_2 at (0, 0), so c_3 = [2][3] has no inverse
+    with pytest.raises(ValueError, match="invertible"):
+        _jw_by_recursion(f2_zero, 3)
 
 
 def test_jw_defining_properties(tower, qt_balanced, zeta10_balanced, f2_zero):

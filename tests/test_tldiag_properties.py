@@ -187,4 +187,4 @@ def test_generator_surgery_is_composition_with_the_generator(data, triple, n):
     word = Word.alt(n)
     f = data.draw(morphisms(word, data.draw(words(n % 2)), triple))
     for i in range(1, n):
-        assert _times_generator(f, i) == compose(f, TLMorphism.e(triple, n, i)), i
+        assert _times_generator(triple, f.terms, i) == compose(f, TLMorphism.e(triple, n, i)).terms, i

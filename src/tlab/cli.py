@@ -18,6 +18,7 @@ from typing import Callable, List, Tuple
 from . import complexes, contpoly, fusion, sl2model, tldiag
 from .rings import (
     ElementParseError,
+    FractionField,
     RingError,
     RingSpecError,
     Triple,
@@ -48,9 +49,17 @@ class InputLimitError(ValueError):
 # default ratfun:ratfun:Q, from the integer table over Z[z], took 0.2-0.3 s
 # at n = 8, 0.9-1.0 s at 9, 4.0-4.4 s at 10 (59 MB) and 15-22 s at 11
 # (197 MB; 16-20 s and 227 MB with --format json); over `--ring Fp:101 --d1
-# 3 --d2 5` it takes 0.3-0.5 s at 9 and 1.5-1.8 s at 10 (36 MB), and over
-# ratfun:Q with loop values t+t^-1 and 2t, which keep the recursion, 2.8 s
-# at 9, 14 s at 10 (64 MB) and 75 s at 11 (209 MB), over the 60 s.
+# 3 --d2 5` it takes 0.3-0.5 s at 9, 1.5-1.8 s at 10 (36 MB) and 12 s at 11
+# (81 MB).  Off the integer table (loop values that are not monic
+# monomials, or --strategy recursion or solve) JW_n is built over the
+# rational-function field itself, with a gcd in nearly every operation, and
+# MAX_JW_RATFUN_N holds, one less for each further level of rational
+# functions.  Over one variable, ratfun:cyclo:5 with (t+q, t) took 11 s at
+# n = 7 and 65 s at 8; ratfun:Fp:101 with (t+t^-1, 2t) 41 s at 9; ratfun:Q
+# with (t+t^-1, 2t) 18 s at 10 and 96-108 s at 11 (224 MB), and 57 s at 9
+# with --strategy solve.  Over two, ratfun:ratfun:Fp:101 with (t+u, u) took
+# 2.2 s at 6 and 20 s at 7, and ratfun:ratfun:Q with (t+u, u) 93 s at 9;
+# over three, ratfun:ratfun:ratfun:Q with (t+u, v) 1.7 s at 6 and 22 s at 7.
 # `rotatable` took 43 s at n = 500 (178 MB) and 62 s at 550.  `qnum` 24 s
 # at 400, 59 s at 550 (160 MB) and over 75 s at 600.  `classify`
 # at the built-in rank limit (fusion.MAX_BUILTIN_RANK) took 15 s at
@@ -60,6 +69,7 @@ class InputLimitError(ValueError):
 MAX_CONTINUANT_N = 20
 MAX_HOMOLOGY_N = 13
 MAX_JW_N = 11
+MAX_JW_RATFUN_N = 7
 MAX_ROTATABLE_N = 500
 MAX_QNUM_UPTO = 550
 MAX_FUSION_N = 256
@@ -114,6 +124,13 @@ def cmd_qnum(args) -> int:
 def cmd_jw(args) -> int:
     _check_limit(args.n, MAX_JW_N, "jw --n")
     triple = _triple_from_args(args)
+    ring = triple.ring
+    if isinstance(ring, FractionField) and not (args.strategy == "auto" and tldiag._monomial_loops(triple)):
+        limit = MAX_JW_RATFUN_N + 1 - ring.depth
+        if args.n > limit:
+            raise InputLimitError(
+                f"jw --n {args.n} is beyond the limit of {limit} off the integer table over {args.ring}"
+            )
     result = tldiag.jw(triple, args.n, args.strategy)
     if isinstance(result, tldiag.NotExists):
         detail = f"Hazi: binom({args.n},{result.witness})=0" if result.witness else result.reason
@@ -174,11 +191,7 @@ def cmd_homology(args) -> int:
         q = parse_element(ring, args.q)
     except (RingSpecError, ElementParseError) as exc:
         raise UsageError(str(exc)) from None
-    try:
-        params = sl2model.FiberParams(ring, q)
-    except sl2model.ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    params = sl2model.FiberParams(ring, q)
     triple = params.balanced_triple()
     if args.model == "2tl":
         verdict = tldiag._binomial_verdict(triple, args.n)
@@ -241,12 +254,7 @@ def cmd_bound(args) -> int:
     if obj is None:
         raise UsageError("--object is required")
     report = fusion.minimal_bound(ring, obj, args.max_n)
-    verdict = report.verdict
-    if verdict.kind == "strictly_bounded":
-        text = f"strictly {verdict.n}-bounded; FPdim={report.fpdim:.6f}"
-    else:
-        text = f"{verdict}; FPdim={report.fpdim:.6f}"
-    _emit(args, text, report.to_json_dict())
+    _emit(args, f"{report.verdict}; FPdim={report.fpdim:.6f}", report.to_json_dict())
     return 0
 
 

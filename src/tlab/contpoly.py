@@ -237,10 +237,10 @@ def qbinom(triple: Triple, n: int, i: int) -> RingValue:
     """Quantum binomial (n choose i) of the triple, as a product of the [[d]]."""
     result = triple.ring.one
     for d, e in qbinom_exponents(n, i).items():
-        if e == 0:
-            continue
-        assert e == 1, "binomial exponents must lie in {0, 1}"
-        result = result * qnum(triple, d)[1]
+        if e not in (0, 1):
+            raise ValueError("binomial exponents must lie in {0, 1}")
+        if e:
+            result = result * qnum(triple, d)[1]
     return result
 
 

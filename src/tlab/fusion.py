@@ -500,7 +500,8 @@ def minimal_bound(
         )
     elif first_zero is not None:
         N = first_zero + 1
-        seq = continuant_sequence(ring, x, max(3 * N - 1, max_n))
+        if 3 * N - 1 > max_n:
+            seq = continuant_sequence(ring, x, 3 * N - 1)
         zero_indices = tuple(m for m in range(len(seq)) if m and not any(seq[m]))
         prev = seq[N - 2]
         support = [i for i, c in enumerate(prev) if c]

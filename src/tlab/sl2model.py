@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Dict, List
 
-from .complexes import FormalComplex
+from .complexes import FormalComplex, FormalMorphism, FormalObject
 from .linalg import ExactMatrix
 from .rings import Ring, RingValue, Triple
 from .tldiag import PlanarMatching, TLMorphism, Word
@@ -86,40 +86,19 @@ def _matching_entries(matching: PlanarMatching):
     return tuple(entries)
 
 
+def _check_balanced(triple: Triple, balanced: Triple) -> None:
+    if triple.ring != balanced.ring or triple != balanced:
+        raise ModelError("morphism triple must be balanced at q + q^-1 over the model field")
+
+
 def realize_morphism(f: TLMorphism, params: FiberParams) -> ExactMatrix:
     """The matrix of a diagram morphism under the two-dimensional model.
 
     Requires the morphism's triple to be balanced at q + q^-1 over the
     model's field.
     """
-    balanced = params.balanced_triple()
-    if f.triple.ring != params.ring or f.triple != balanced:
-        raise ModelError("morphism triple must be balanced at q + q^-1 over the model field")
-    out = ExactMatrix.zeros(params.ring, word_dimension(f.target), word_dimension(f.source))
-    qpow = {0: params.ring.one, 1: params.q, -1: params.q.inverse()}
-
-    def power(k: int) -> RingValue:
-        got = qpow.get(k)
-        if got is None:
-            got = params.q**k
-            qpow[k] = got
-        return got
-
-    entries = out.entries
-    for matching, coeff in f.terms.items():
-        scaled = {}
-        for row, col, exponent in _matching_entries(matching):
-            value = scaled.get(exponent)
-            if value is None:
-                value = coeff * power(exponent)
-                scaled[exponent] = value
-            target = entries[row]
-            old = target.pop(col, None)
-            if old is not None:
-                value = old + value
-            if value:  # a sum that cancels stays out of the row
-                target[col] = value
-    return out
+    source, target = FormalObject.of(f.source), FormalObject.of(f.target)
+    return _realize_formal(FormalMorphism._from_blocks(f.triple, source, target, {(0, 0): f}), params)
 
 
 def realized_trace(f: TLMorphism, params: FiberParams) -> RingValue:
@@ -128,9 +107,7 @@ def realized_trace(f: TLMorphism, params: FiberParams) -> RingValue:
     characteristic zero this integer equals the rank of its image."""
     if f.source != f.target:
         raise ModelError("trace requires an endomorphism")
-    balanced = params.balanced_triple()
-    if f.triple.ring != params.ring or f.triple != balanced:
-        raise ModelError("morphism triple must be balanced at q + q^-1 over the model field")
+    _check_balanced(f.triple, params.balanced_triple())
     total = params.ring.zero
     for matching, coeff in f.terms.items():
         diagonal = params.ring.zero
@@ -141,25 +118,37 @@ def realized_trace(f: TLMorphism, params: FiberParams) -> RingValue:
     return total
 
 
-def realize_object(obj, params: FiberParams) -> int:
-    """Total dimension of a formal direct sum of words."""
-    return sum(word_dimension(w) for w in obj.summands)
-
-
 def _offsets(obj) -> List[int]:
     """Where each summand's coordinates start, and the total dimension."""
     return list(accumulate((word_dimension(w) for w in obj.summands), initial=0))
 
 
-def _realize_formal(morphism, params: FiberParams) -> ExactMatrix:
+def _realize_formal(morphism: FormalMorphism, params: FiberParams) -> ExactMatrix:
+    """The matrix of a formal morphism, each entry's diagrams written
+    straight into that entry's block."""
+    balanced = params.balanced_triple()
+    _check_balanced(morphism.triple, balanced)
     rows, cols = _offsets(morphism.target), _offsets(morphism.source)
     out = ExactMatrix.zeros(params.ring, rows[-1], cols[-1])
+    qpow = {0: params.ring.one, 1: params.q, -1: params.q.inverse()}
+    entries = out.entries
     for (i, j), entry in morphism.blocks.items():
-        block = realize_morphism(entry, params)
-        for a, row in enumerate(block.entries):
-            target, col = out.entries[rows[i] + a], cols[j]
-            for b, value in row.items():
-                target[col + b] = value
+        _check_balanced(entry.triple, balanced)
+        top, left = rows[i], cols[j]
+        for matching, coeff in entry.terms.items():
+            scaled = {}
+            for row, col, exponent in _matching_entries(matching):
+                value = scaled.get(exponent)
+                if value is None:
+                    if exponent not in qpow:
+                        qpow[exponent] = params.q**exponent
+                    value = scaled[exponent] = coeff * qpow[exponent]
+                target, key = entries[top + row], left + col
+                old = target.pop(key, None)
+                if old is not None:
+                    value = old + value
+                if value:  # a sum that cancels stays out of the row
+                    target[key] = value
     return out
 
 
@@ -209,7 +198,7 @@ class HomologyReport:
 
 def homology(complex_: FormalComplex, params: FiberParams) -> HomologyReport:
     """Exact homology of a realized complex of formal word sums."""
-    dims = {i: realize_object(obj, params) for i, obj in complex_.terms.items()}
+    dims = {i: _offsets(obj)[-1] for i, obj in complex_.terms.items()}
     matrices = {i: _realize_formal(d, params) for i, d in complex_.diffs.items()}
     for i, mat in matrices.items():
         upper = matrices.get(i + 1)

@@ -298,6 +298,30 @@ def test_n_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
         assert took < 0.5, (argv, took)
 
 
+def test_jw_off_the_integer_table_over_rational_functions_has_a_lower_ceiling(capsys, monkeypatch):
+    from tlab import tldiag
+    from tlab.cli import MAX_JW_N, MAX_JW_RATFUN_N
+
+    assert MAX_JW_RATFUN_N < MAX_JW_N
+    for argv, limit in (
+        (("--ring", "ratfun:Q", "--d1", "t+t^-1", "--d2", "2*t"), MAX_JW_RATFUN_N),
+        (("--ring", "ratfun:Fp:101", "--d1", "t", "--d2", "t"), MAX_JW_RATFUN_N),
+        (("--ring", "ratfun:ratfun:Q", "--d1", "t+u", "--d2", "u"), MAX_JW_RATFUN_N - 1),
+        (("--strategy", "recursion"), MAX_JW_RATFUN_N - 1),  # the default tower, off the table
+        (("--ring", "ratfun:ratfun:ratfun:cyclo:5", "--d1", "t+u", "--d2", "v"), MAX_JW_RATFUN_N - 2),
+        (("--ring", "ratfun:Q", "--d1", "t", "--d2", "t", "--strategy", "solve"), MAX_JW_RATFUN_N),
+    ):
+        (code, _, err), took = _timed(capsys, "jw", *argv, "--n", str(limit + 1))
+        assert code == 1, argv
+        assert f"beyond the limit of {limit} off the integer table" in err, argv
+        assert took < 1, (argv, took)
+    # the integer table route, and every other field, keep MAX_JW_N
+    monkeypatch.setattr(tldiag, "jw", lambda triple, n, strategy: tldiag.NotExists(n, "not built"))
+    for argv in ((), ("--ring", "ratfun:Q", "--d1", "t", "--d2", "t^2"), ("--ring", "Fp:101", "--d1", "3", "--d2", "5")):
+        code, out, _ = run(capsys, "jw", *argv, "--n", str(MAX_JW_N))
+        assert code == 0 and "not built" in out, argv
+
+
 def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys, tmp_path):
     from tlab.cli import MAX_FUSION_N, MAX_JW_N, MAX_QNUM_UPTO, MAX_ROTATABLE_N
     from tlab.fusion import MAX_BUILTIN_RANK, MAX_DOCUMENT_BYTES, MAX_DOCUMENT_RANK, builtin_ring

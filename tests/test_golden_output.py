@@ -1,4 +1,5 @@
-"""The exact bytes that `continuant` and `homology` print, as sha256 digests.
+"""The exact bytes that `continuant`, `homology`, `jw` and `bound` print, as
+sha256 digests.
 
 The digests were recorded before the continuant complexes were written from
 the closed form of their iterated cones; they pin every character, and so
@@ -16,7 +17,12 @@ cyclotomic fields), the solve (blocked cases over F_2 and F_3), the
 constant product delta1 * delta2 = 1, and the verdicts of `auto` and of
 `--strategy solve` when JW_n does not exist.  The digests over Q at (2, 5),
 cyclo:12 at n = 7 and ratfun:Q at (t+t^-1, 2t) were recorded while the
-recursion still divided by [k] at every level."""
+recursion still divided by [k] at every level.
+
+The last two `homology` digests were recorded while each entry of a
+differential was still realized as a matrix of its own and copied into
+place, and the two `bound` digests while `bound` still printed a strictly
+bounded verdict through a branch of its own."""
 
 import hashlib
 
@@ -79,6 +85,10 @@ DIGESTS = (
     ("homology --model 2tl --n 5 --ring Fp:2 --q 1 --format json", "c1dbc1544328f48682cb0dfc5c375e3c31b096eda15b5ed2823ef78acfa0e484"),
     ("homology --model 2tl --n 7 --ring Fp:2 --q 1 --format text", "5d096236189a1052078b4dc222a7c30a6f0761e496779146c0a97ea0171f792e"),
     ("homology --model 2tl --n 7 --ring Fp:2 --q 1 --format json", "6fa5d7670a3b4deeb90c6d36f97f29fef6e624d18649c0003a9ca1ebcc5a3440"),
+    ("homology --n 10 --ring cyclo:10 --q q --format json", "f69b71f13d3751567fc3bc7489e7cc22fdb20eb4501b60e2158a5cdc21524945"),
+    ("homology --n 9 --variant upper --ring Q --q 2 --format json", "42818f6672a09128aa8d0199c5c6ffe697767b3b9d0a2e523d84771f8e38ffd3"),
+    ("bound --builtin ising --object sigma", "73a0afa014816308773cc38d969adceb8ab74b52185187390ee73095f7a5a3ba"),
+    ("bound --builtin ising --object eps", "2f0e14da2d79ecd87c8324f460d598d1f1eb83b61a95a5d1ab649df1f534a3ea"),
 )
 
 JW_DIGESTS = (

@@ -1,14 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tlab.complexes import FormalComplex, FormalMorphism, build_continuant
+from test_formal_properties import formal_morphisms, formal_objects
+from tlab.complexes import FormalComplex, FormalMorphism, FormalObject, build_continuant
 from tlab.contpoly import kappa
 from tlab.linalg import ExactMatrix
 from tlab.rings import Triple, construct_ring
 from tlab.sl2model import (
     FiberParams,
     ModelError,
+    _matching_entries,
+    _realize_formal,
     homology,
     realize_morphism,
     realized_trace,
@@ -86,6 +91,116 @@ def test_loop_values(generic_params):
 def test_triple_mismatch_rejected(generic_params, tower):
     with pytest.raises(ModelError):
         realize_morphism(TLMorphism.identity(tower, Word.alt(1)), generic_params)
+
+
+def test_zero_morphism_over_another_triple_rejected(generic_params, tower):
+    # a zero morphism realizes to a zero matrix, but only over its own triple
+    w = Word.alt(2)
+    ring = generic_params.ring
+    other_q = FiberParams(ring, ring.from_int(2) * generic_params.q).balanced_triple()
+    for triple in (tower, other_q):
+        with pytest.raises(ModelError, match="balanced"):
+            realize_morphism(TLMorphism.zero(triple, w, w), generic_params)
+        with pytest.raises(ModelError, match="balanced"):
+            _realize_formal(FormalMorphism.zero(triple, FormalObject.of(w), FormalObject.of(w)), generic_params)
+
+
+def test_each_entry_of_a_formal_morphism_is_checked(generic_params, tower):
+    w = FormalObject.of(Word.alt(1))
+    balanced = generic_params.balanced_triple()
+    ident = TLMorphism.identity(tower, Word.alt(1))
+    mixed = FormalMorphism._from_blocks(balanced, w, w, {(0, 0): ident})
+    with pytest.raises(ModelError, match="balanced"):
+        _realize_formal(mixed, generic_params)
+
+
+def _realize_entry(f, params):
+    """One diagram morphism realized as its own matrix."""
+    out = ExactMatrix.zeros(params.ring, word_dimension(f.target), word_dimension(f.source))
+    for matching, coeff in f.terms.items():
+        for row, col, exponent in _matching_entries(matching):
+            value = coeff * params.q**exponent
+            old = out.entries[row].pop(col, None)
+            if old is not None:
+                value = old + value
+            if value:
+                out.entries[row][col] = value
+    return out
+
+
+def _per_entry_assembly(morphism, params):
+    """The reference: realize every entry as its own matrix, then copy it
+    cell by cell into its block of the whole matrix."""
+    rows, cols = [0], [0]
+    for offsets, obj in ((rows, morphism.target), (cols, morphism.source)):
+        for w in obj.summands:
+            offsets.append(offsets[-1] + 2 ** len(w))
+    out = ExactMatrix.zeros(params.ring, rows[-1], cols[-1])
+    for (i, j), entry in morphism.blocks.items():
+        for a, row in enumerate(_realize_entry(entry, params).entries):
+            for b, value in row.items():
+                out.entries[rows[i] + a][cols[j] + b] = value
+    return out
+
+
+_Q, _F5, _QT, _C10 = (construct_ring(spec) for spec in ("Q", "Fp:5", "ratfun:Q", "cyclo:10"))
+BALANCED_PARAMS = (
+    FiberParams(_Q, _Q.one),  # every cell of every diagram is 1, so sums cancel often
+    FiberParams(_F5, _F5.from_int(2)),  # q + q^-1 = 0
+    FiberParams(_QT, _QT.generators()["t"]),
+    FiberParams(_C10, _C10.generators()["q"]),
+)
+
+
+@st.composite
+def dense_formal_morphisms(draw, triple, source, target):
+    """Every basis diagram of every entry with a coefficient in {-1, 0, 1}:
+    at q = 1 every realized cell is a sum of these, and many cancel."""
+    coefficients = st.sampled_from([triple.ring.from_int(k) for k in (-1, 0, 1)])
+
+    def entry(ws, wt):
+        return TLMorphism(triple, ws, wt, {m: draw(coefficients) for m in enumerate_basis(ws, wt)})
+
+    rows = [[entry(ws, wt) for ws in source.summands] for wt in target.summands]
+    return FormalMorphism(triple, source, target, rows)
+
+
+@st.composite
+def realization_cases(draw):
+    """A formal morphism over a balanced triple; the source may be empty,
+    entries may be zero, and terms may cancel in the realized cells."""
+    params = draw(st.sampled_from(BALANCED_PARAMS))
+    charge = draw(st.integers(-1, 1))
+    S, T = draw(formal_objects(charge, min_size=0)), draw(formal_objects(charge))
+    morphisms = st.sampled_from((formal_morphisms, dense_formal_morphisms))
+    return params, draw(draw(morphisms)(params.balanced_triple(), S, T))
+
+
+@settings(max_examples=150, deadline=None)
+@given(realization_cases())
+def test_one_pass_realization_is_the_per_entry_assembly(case):
+    params, morphism = case
+    got, want = _realize_formal(morphism, params), _per_entry_assembly(morphism, params)
+    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+    assert got.entries == want.entries
+    # the same cells in the same order, and no zero stored by a cancellation
+    assert [list(row) for row in got.entries] == [list(row) for row in want.entries]
+    assert all(v for row in got.entries for v in row.values())
+
+
+def test_cancelling_cells_are_not_stored():
+    # at q = 1 the identity and e_1 on alt(2) share the two middle diagonal
+    # cells, which cancel in id - e_1
+    Q = construct_ring("Q")
+    params = FiberParams(Q, Q.one)
+    T = params.balanced_triple()
+    f = TLMorphism.identity(T, Word.alt(2)) - TLMorphism.e(T, 2, 1)
+    got = realize_morphism(f, params)
+    w = FormalObject.of(Word.alt(2))
+    assert got.entries == _per_entry_assembly(FormalMorphism(T, w, w, [[f]]), params).entries
+    assert {(r, c): str(v) for r, row in enumerate(got.entries) for c, v in row.items()} == {
+        (0, 0): "1", (1, 2): "-1", (2, 1): "-1", (3, 3): "1"
+    }
 
 
 def test_functoriality_random_pairs():

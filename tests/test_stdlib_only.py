@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the Python standard library."""
+"""The runtime imports nothing outside the Python standard library, and
+keeps no check in an `assert` statement, which `python -O` strips."""
 
 import ast
 import pathlib
@@ -25,3 +26,15 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert not outside, outside
+
+
+def test_runtime_has_no_assert_statements():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -19,6 +19,7 @@ from . import complexes, contpoly, fusion, sl2model, tldiag
 from .rings import (
     ElementParseError,
     FractionField,
+    IntFractionField,
     RingError,
     RingSpecError,
     Triple,
@@ -50,16 +51,14 @@ class InputLimitError(ValueError):
 # at n = 8, 0.9-1.0 s at 9, 4.0-4.4 s at 10 (59 MB) and 15-22 s at 11
 # (197 MB; 16-20 s and 227 MB with --format json); over `--ring Fp:101 --d1
 # 3 --d2 5` it takes 0.3-0.5 s at 9, 1.5-1.8 s at 10 (36 MB) and 12 s at 11
-# (81 MB).  Off the integer table (loop values that are not monic
-# monomials, or --strategy recursion or solve) JW_n is built over the
-# rational-function field itself, with a gcd in nearly every operation, and
-# MAX_JW_RATFUN_N holds, one less for each further level of rational
-# functions.  Over one variable, ratfun:cyclo:5 with (t+q, t) took 11 s at
-# n = 7 and 65 s at 8; ratfun:Fp:101 with (t+t^-1, 2t) 41 s at 9; ratfun:Q
-# with (t+t^-1, 2t) 18 s at 10 and 96-108 s at 11 (224 MB), and 57 s at 9
-# with --strategy solve.  Over two, ratfun:ratfun:Fp:101 with (t+u, u) took
-# 2.2 s at 6 and 20 s at 7, and ratfun:ratfun:Q with (t+u, u) 93 s at 9;
-# over three, ratfun:ratfun:ratfun:Q with (t+u, v) 1.7 s at 6 and 22 s at 7.
+# (81 MB); blocked, at cyclo:12 (q+q^-1, q+q^-1), 9-11 s (121 MB).  Other
+# loop values over a rational-function field take a gcd per coefficient:
+# MAX_JW_RATFUN_N over Q, two less per further variable, and
+# MAX_JW_FIELD_RATFUN_N over F_p or Q(zeta_m), over one variable and more.
+# ratfun:Q with (t+t^-1, 2t) took 19 s at 11, ratfun:Fp:101 50 s (150 MB),
+# ratfun:cyclo:5 with (t+q, t) 62 s at 10; over Q(t)(u) with (t+u, u+1)
+# 83 s at 10, over F_101(t)(u) 71 s at 8, over Q(zeta_5)(t)(u) with
+# (t+u, u+q) 71 s at 6; over Q(t)(u)(v) with (t+u, v+1) over 90 s at 8.
 # `rotatable` took 43 s at n = 500 (178 MB) and 62 s at 550.  `qnum` 24 s
 # at 400, 59 s at 550 (160 MB) and over 75 s at 600.  `classify`
 # at the built-in rank limit (fusion.MAX_BUILTIN_RANK) took 15 s at
@@ -69,7 +68,8 @@ class InputLimitError(ValueError):
 MAX_CONTINUANT_N = 20
 MAX_HOMOLOGY_N = 13
 MAX_JW_N = 11
-MAX_JW_RATFUN_N = 7
+MAX_JW_RATFUN_N = 11
+MAX_JW_FIELD_RATFUN_N = (9, 5)
 MAX_ROTATABLE_N = 500
 MAX_QNUM_UPTO = 550
 MAX_FUSION_N = 256
@@ -125,15 +125,16 @@ def cmd_jw(args) -> int:
     _check_limit(args.n, MAX_JW_N, "jw --n")
     triple = _triple_from_args(args)
     ring = triple.ring
-    if isinstance(ring, FractionField) and not (args.strategy == "auto" and tldiag._monomial_loops(triple)):
-        limit = MAX_JW_RATFUN_N + 1 - ring.depth
+    if isinstance(ring, FractionField) and not tldiag._monomial_loops(triple):
+        limit = MAX_JW_RATFUN_N + 2 - 2 * ring.depth
+        if not isinstance(ring, IntFractionField):
+            limit = min(limit, MAX_JW_FIELD_RATFUN_N[ring.depth > 1])
         if args.n > limit:
-            raise InputLimitError(
-                f"jw --n {args.n} is beyond the limit of {limit} off the integer table over {args.ring}"
-            )
-    result = tldiag.jw(triple, args.n, args.strategy)
+            raise InputLimitError(f"jw --n {args.n} is beyond the limit of {limit} over {args.ring}"
+                                  " with these loop values")
+    result = tldiag.jw(triple, args.n)
     if isinstance(result, tldiag.NotExists):
-        detail = f"Hazi: binom({args.n},{result.witness})=0" if result.witness else result.reason
+        detail = f"Hazi: binom({args.n},{result.witness})=0"
         _emit(
             args,
             f"JW_{args.n}: does not exist ({detail})",
@@ -536,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jw", help="Jones-Wenzl idempotent or non-existence verdict")
     ring_flags(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--strategy", choices=("auto", "solve", "recursion"), default="auto")
     common(p)
     p.set_defaults(func=cmd_jw)
 

@@ -2,14 +2,14 @@
 
 Each row is a dict from column index to a non-zero entry; a zero that
 appears by cancellation is dropped, so only non-zeros are ever stored,
-multiplied or eliminated.  Rank and solving use Gaussian elimination with
-exact field arithmetic; no floating point is involved, so ranks remain
+multiplied or eliminated.  Rank uses Gaussian elimination with exact
+field arithmetic; no floating point is involved, so ranks remain
 meaningful at root-of-unity degenerations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .rings import Ring, RingValue
 
@@ -97,10 +97,8 @@ class ExactMatrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _eliminate(self, extra: Optional[List[RingValue]] = None, in_place: bool = False) -> tuple:
-        """Forward elimination of a working copy, with ``extra`` appended as
-        column ``ncols`` when given; ``in_place`` reduces the matrix's own
-        rows instead, for a caller that does not read the matrix again.
+    def _eliminate(self) -> tuple:
+        """Forward elimination of a working copy of the rows.
 
         Columns are swept left to right, and a column is a pivot column when
         some row not yet used as a pivot has a non-zero there; the pivot
@@ -113,11 +111,7 @@ class ExactMatrix:
         Returns (pivots, rows): pivots lists (column, index of the pivot
         row) in sweep order, and rows holds the reduced rows.
         """
-        rows = self.entries if in_place else [dict(r) for r in self.entries]
-        if extra is not None:
-            for row, e in zip(rows, extra):
-                if e:
-                    row[self.ncols] = e
+        rows = [dict(r) for r in self.entries]
         # column -> rows not yet used as a pivot with a non-zero there
         index: Dict[int, set] = {}
         for i, row in enumerate(rows):
@@ -160,27 +154,6 @@ class ExactMatrix:
     def rank(self) -> int:
         pivots, _ = self._eliminate()
         return len(pivots)
-
-    def solve(self, rhs: List[RingValue], in_place: bool = False) -> Optional[List[RingValue]]:
-        """One solution of A x = rhs (free variables set to zero), or None
-        when the system is inconsistent; ``in_place`` as for ``_eliminate``."""
-        if len(rhs) != self.nrows:
-            raise ValueError("right-hand side has wrong length")
-        n = self.ncols
-        pivots, rows = self._eliminate(rhs, in_place)
-        used = {p for _, p in pivots}
-        if any(n in row for i, row in enumerate(rows) if i not in used):
-            return None
-        solution = [self.ring.zero] * n
-        # back substitution; only pivot columns carry non-zero values
-        for c, p in reversed(pivots):
-            row = rows[p]
-            acc = row.get(n, self.ring.zero)
-            for j, e in row.items():
-                if j != c and j != n:
-                    acc = acc - e * solution[j]
-            solution[c] = acc / row[c]
-        return solution
 
     def __repr__(self):
         return f"ExactMatrix({self.nrows}x{self.ncols} over {self.ring})"

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .contpoly import qbinom_exponents, qnum
-from .linalg import ExactMatrix
 from .rings import IntFractionField, RingValue, Triple, _zdiv, _zfrom_terms, _zgcd, _zlead, _zmonomial, _zneg
 
 UP = "^"
@@ -545,7 +544,7 @@ class NotExists:
 
     n: int
     reason: str
-    witness: Optional[int] = None
+    witness: int
 
     def __str__(self):
         return f"JW_{self.n} does not exist ({self.reason})"
@@ -576,8 +575,8 @@ def _check_jw(candidate: TLMorphism, n: int):
     coefficient, and candidate * e_i = 0 for 1 <= i < n.  Any such x is
     JW_n, so its left kills and idempotency are not tested (phi is
     multiplicative: a product with a non-identity diagram has none).
-    - Soundness: these are a subset of the two-sided conditions, so when
-      they have no solution (the solve's NotExists) JW_n does not exist.
+    - Soundness: these are a subset of the two-sided conditions, so where
+      they have no solution (a pole in _jw_by_table) JW_n does not exist.
     - Existence: the top-bottom flip is an anti-automorphism of End(alt n)
       fixing every e_i and every loop's leftmost letter, so flip(x) * x is
       killed on both sides with phi = 1: JW_n exists whenever x does.
@@ -638,15 +637,16 @@ def _jw_by_recursion(triple: Triple, n: int) -> TLMorphism:
 _INTEGRAL = Triple.parse("ratfun:Q", "t", "1")
 
 
-def _jw_table(n: int) -> Tuple[Dict[PlanarMatching, tuple], tuple]:
-    """(P_n, c_n) of _clasp at the loop values (z, 1), as tuples over Z[z],
-    certified: the identity coefficient of P_n is c_n and P_n * e_i = 0."""
+def _jw_table(n: int, certify: bool = True) -> Tuple[Dict[PlanarMatching, tuple], tuple]:
+    """(P_n, c_n) of _clasp at the loop values (z, 1), as tuples over Z[z];
+    ``certify`` checks P_n's identity coefficient c_n and P_n * e_i = 0."""
     terms, c_n = _clasp(_INTEGRAL, n)
-    if terms.get(PlanarMatching.identity(Word.alt(n))) != c_n:
-        raise AssertionError("identity coefficient of P_n is not [2]...[n]")
-    for i in range(1, n):
-        if _times_generator(_INTEGRAL, terms, i):
-            raise AssertionError(f"P_{n} not killed by generator e_{i}")
+    if certify:
+        if terms.get(PlanarMatching.identity(Word.alt(n))) != c_n:
+            raise AssertionError("identity coefficient of P_n is not [2]...[n]")
+        for i in range(1, n):
+            if _times_generator(_INTEGRAL, terms, i):
+                raise AssertionError(f"P_{n} not killed by generator e_{i}")
     return {m: c.payload[0] for m, c in terms.items()}, c_n.payload[0]
 
 
@@ -689,32 +689,115 @@ def _spread(p: tuple, c: tuple, step: tuple, shift: tuple, k: int):
     return num, den
 
 
-def _jw_by_table(triple: Triple, n: int) -> TLMorphism:
-    """JW_n for monic monomial loop values (see _monomial_loops), mapped
-    from the certified integer table of _jw_table.
+def _synthetic(p: List[RingValue], z0: RingValue) -> Tuple[List[RingValue], RingValue]:
+    """(q, p(z0)) with p = (z - z0) q + p(z0), by synthetic division;
+    coefficients ascending."""
+    acc, partial = z0.ring.zero, []
+    for c in reversed(p):
+        acc = acc * z0 + c
+        partial.append(acc)
+    return partial[-2::-1], partial[-1]
 
-    The coefficient of a diagram D is lam^w(D) * P_D(z0) / c_n(z0), with
-    z0 = delta1 * delta2, lam = delta2^-1 and w = rescale_weight.  Why it is
-    JW_n, so that only the identity guard runs on it:
-    - z -> z0 is a ring map Z[z] -> Q(x1..xk), injective because z0 is a
-      non-constant monomial, so P_n(z0) keeps the identity coefficient
-      c_n(z0) != 0 and the kills, and P_n(z0) / c_n(z0) passes _check_jw's
-      conditions at (z0, 1): it is JW_n there.
-    - rescale_transport by lam is an algebra isomorphism
-      TL(z0, 1) -> TL(delta1, delta2) that fixes the identity and scales
-      each e_i by a unit, so it sends JW_n(z0, 1) to JW_n(delta1, delta2).
-    - The payload is canonical: after dividing P_D and c_n by their gcd in
-      Z[z], a Bezout identity over Q maps to Q[x1^+-1..xk^+-1], where the
-      images stay coprime; the only common factors left in Z[x1..xk] are
-      monomials, cancelled below, and the integer contents are those of
-      P_D and c_n, which are coprime.
-    Every [k] is invertible here, [k] = delta2^-((k-1) mod 2) [k](z0, 1),
-    so the recursion is legal and JW_n exists."""
+
+def _at_point(triple: Triple, c_n: tuple, n: int):
+    """_jw_by_table's map for delta2 != 0: (P_D, w) to delta2^-w Q_D(z0) /
+    c(z0), for z0 = delta1 * delta2, k the order of c_n at z0, c = c_n /
+    (z - z0)^k and Q_D = P_D / (z - z0)^k."""
     ring = triple.ring
-    k = ring.depth
-    e1, e2 = _monomial_loops(triple)
-    z0 = tuple(a + b for a, b in zip(e1, e2))
-    table, c_n = _jw_table(n)
+    z0 = triple.delta1 * triple.delta2
+    k, (quotient, value) = 0, _synthetic([ring.from_int(x) for x in c_n], z0)
+    while not value:
+        k, (quotient, value) = k + 1, _synthetic(quotient, z0)
+    scale, lam = value.inverse(), triple.delta2.inverse()
+
+    def coefficient(p: tuple, w: int) -> RingValue:
+        q = [ring.from_int(x) for x in p]
+        for _ in range(k):
+            q, rest = _synthetic(q, z0)
+            if rest:
+                raise AssertionError(f"JW_{n} has a pole at the loop values")
+        return _synthetic(q, z0)[1] * scale * lam**w
+
+    return coefficient
+
+
+def _at_origin(triple: Triple, c_n: tuple, n: int):
+    """_jw_by_table's map for delta2 = 0: (P_D, w) to the value at s = 0 of
+    s^-w P_D(z) / c_n(z) on the curve (delta1, s), where z = delta1 * s, or
+    on (s, s), where z = s^2, when delta1 = 0 too."""
+    ring = triple.ring
+    step, base = (1, triple.delta1) if triple.delta1 else (2, ring.one)
+
+    def lowest(p: tuple):  # (a, p[a]) for the least a with p[a] != 0 in the field, or None
+        return next(((a, x) for a, x in enumerate(map(ring.from_int, p)) if x), None)
+
+    b, lead = lowest(c_n)
+
+    def coefficient(p: tuple, w: int) -> RingValue:
+        low = lowest(p)
+        if low is None:
+            return ring.zero
+        a, x = low
+        order = step * (a - b) - w
+        if order < 0:
+            raise AssertionError(f"JW_{n} has a pole at the loop values")
+        return x / lead * base ** (a - b) if order == 0 else ring.zero
+
+    return coefficient
+
+
+def _jw_by_table(triple: Triple, n: int) -> TLMorphism:
+    """JW_n from the integer table (P_n, c_n) of _jw_table: the coefficient
+    of a diagram D is the value at the triple of lam^w P_D(z) / c_n(z), for
+    lam = delta2^-1 and w = rescale_weight(D).  A pole raises: JW_n does
+    not exist there, and jw calls this only where the binomial criterion
+    says that it does.
+
+    Proof.  Let A x = b be _check_jw's conditions (right kills, identity
+    coefficient 1) over the N diagrams; A's entries are 0, 1, delta1 and
+    delta2.  Where JW_n exists it is their only solution (_check_jw), so A
+    has rank N there, and where it does not they have none.
+    - At (z, 1) over F(z), F the field, P_n / c_n solves them: the table's
+      identities hold in Z[z], so in F[z], and c_n != 0 in F[z], since
+      each [k](z, 1) is monic.
+    - delta2 != 0: rescale_transport by lam is an algebra isomorphism
+      TL(z0, 1) -> TL(delta1, delta2), z0 = delta1 * delta2, fixing the
+      identity and scaling each e_i by a unit, so it carries JW_n, if any,
+      with coefficients scaled by lam^w.  Let R be F[z] localised at z0.
+      If every P_D / c_n lies in R, evaluation at z0, a ring map R -> F,
+      sends the generic solution to one at (z0, 1), which _at_point
+      computes.  If JW_n exists at (z0, 1), some N rows of A form M(z)
+      with det M(z0) != 0, and by Cramer's rule the generic solution
+      adj(M) b_M / det M lies in R.  So there is a pole exactly when JW_n
+      does not exist.
+    - delta2 = 0: the same over F[s] localised at s = 0, on the curve
+      (delta1, s), rescaled by s^-1 so that z = delta1 * s, or on (s, s),
+      z = s^2, when delta1 = 0 too; _at_origin reads each coefficient's
+      order and value at s = 0 from the lowest terms.
+    - Monic monomial loop values over Q(x1..xk) (_monomial_loops): z -> z0
+      is injective on Z[z], and _spread's payload is canonical with no
+      bivariate gcd: after dividing P_D and c_n by their gcd in Z[z], a
+      Bezout identity over Q maps to Q[x1^+-1..xk^+-1], where the images
+      stay coprime; the only common factors left in Z[x1..xk] are
+      monomials, cancelled there, and the integer contents are those of
+      P_D and c_n, which are coprime.
+    Over a rational-function field the table is certified over Z[z] and the
+    result's identity coefficient checked; elsewhere _check_jw, on a result
+    that is sparse where the recursion is blocked (63 of 429 terms at Fp:2
+    (0, 0), n = 7), costs less."""
+    ring = triple.ring
+    rational = ring.kind == "ratfun"
+    table, c_n = _jw_table(n, certify=rational)
+    loops = _monomial_loops(triple)
+    if loops:
+        e1, e2 = loops
+        z0 = tuple(a + b for a, b in zip(e1, e2))
+
+        def coefficient(p: tuple, w: int) -> RingValue:
+            return RingValue(ring, _spread(p, c_n, z0, tuple(-w * b for b in e2), ring.depth))
+
+    else:
+        coefficient = (_at_point if triple.delta2 else _at_origin)(triple, c_n, n)
     # many diagrams share (P_D, w(D)), and so their coefficient
     mapped: Dict[Tuple[tuple, int], RingValue] = {}
     terms = {}
@@ -722,46 +805,15 @@ def _jw_by_table(triple: Triple, n: int) -> TLMorphism:
         key = (p, rescale_weight(m))
         value = mapped.get(key)
         if value is None:
-            value = mapped[key] = RingValue(ring, _spread(p, c_n, z0, tuple(-key[1] * b for b in e2), k))
+            value = mapped[key] = coefficient(*key)
         terms[m] = value
     word = Word.alt(n)
     candidate = TLMorphism(triple, word, word, terms)
-    if not candidate.identity_coefficient().is_one():
+    if not rational:
+        _check_jw(candidate, n)
+    elif not candidate.identity_coefficient().is_one():
         raise AssertionError("identity coefficient is not 1")
     return candidate
-
-
-def _jw_by_solve(triple: Triple, n: int) -> Optional[TLMorphism]:
-    ring = triple.ring
-    word = Word.alt(n)
-    basis = enumerate_basis(word, word)
-    index = {m: j for j, m in enumerate(basis)}
-    identity = PlanarMatching.identity(word)
-
-    # One sparse row {basis index: coefficient} per diagram in x * e_i; a
-    # basis diagram maps to a single diagram, so no entry repeats, and a row
-    # met under two generators is kept once.  The right kills x * e_i = 0
-    # (1 <= i < n) with identity coefficient 1 determine JW_n, and have no
-    # solution when it does not exist (proof in _check_jw's docstring), so
-    # the left kills are not imposed.
-    kills: Dict[tuple, Dict[int, RingValue]] = {}
-    for i in range(1, n):
-        equations: Dict[PlanarMatching, Dict[int, RingValue]] = {}
-        for j, m in enumerate(basis):
-            res, letter = _generator_surgery(m, i)
-            coeff = ring.one if letter is None else (triple.delta1 if letter == DOWN else triple.delta2)
-            if not coeff.is_zero():
-                equations.setdefault(res, {})[j] = coeff
-        for row in equations.values():
-            kills.setdefault(tuple(row.items()), row)
-    rows = [*kills.values(), {index[identity]: ring.one}]
-
-    system = ExactMatrix.zeros(ring, len(rows), len(basis))
-    system.entries = rows
-    solution = system.solve([ring.zero] * (len(rows) - 1) + [ring.one], in_place=True)
-    if solution is None:
-        return None
-    return TLMorphism(triple, word, word, {m: solution[j] for j, m in enumerate(basis)})
 
 
 def _recursion_legal(triple: Triple, n: int) -> bool:
@@ -771,61 +823,36 @@ def _recursion_legal(triple: Triple, n: int) -> bool:
 _JW_CACHE: Dict[Tuple[Triple, int], object] = {}
 
 
-def jw(triple: Triple, n: int, strategy: str = "auto"):
+def jw(triple: Triple, n: int):
     """The Jones-Wenzl idempotent of End(alt(n)), or a NotExists verdict.
 
-    ``solve`` sets up the right kill conditions x e_i = 0, with identity
-    coefficient 1, as an exact linear system over the diagram basis;
-    ``recursion`` runs the two-parameter Wenzl recursion
-    JW_{k+1} = A - ([k]/[k+1]) A e_k A with A = 1 (x) JW_k by _clasp's
-    fraction-free single-clasp expansion and one scaling by ([2]...[n])^-1,
-    legal only when [2], ..., [n] are all invertible.  ``auto`` maps JW_n
-    from one integer table when the ring is Q(t), Q(t)(u), ... on integer
-    payloads and delta1, delta2 are monic monomials with a non-constant
-    product, such as the default (t, u) or (t, t): _jw_table runs the same
-    expansion at (z, 1), where every coefficient lies in Z[z], certifies it
-    there, and _jw_by_table maps it with no bivariate gcd (proof in its
-    docstring).  Every other triple keeps the older path: the
-    invertible-binomial existence criterion, then the recursion if that is
-    legal and the linear solve otherwise (the blocked cases: Lucas cases in
-    characteristic p and roots of unity).  Over a prime or cyclotomic field
-    a coefficient costs no more than an integer polynomial, so the table
-    does not pay: over Fp:101 at (3, 5), n = 7, the table and its
-    certificate took 23-31 ms and a Horner map 7-13 ms, against 17-23 ms for
-    the recursion and _check_jw.  The defining properties of the result are
-    checked, not assumed: by _check_jw, or on the table route by the
-    integral certificate and the identity coefficient of the result.
+    The invertible-binomial criterion decides existence, except for monic
+    monomial loop values with a non-constant product, such as the default
+    (t, u), where every [k] is invertible.  _jw_by_recursion builds JW_n
+    where [2], ..., [n] are invertible over a field that is not a
+    rational-function field; _jw_by_table, the integer table mapped to the
+    triple, everywhere else: where the recursion is blocked (Lucas cases,
+    roots of unity) or would take a gcd in nearly every operation.  The
+    table does not pay where the recursion runs: over Fp:101 at (3, 5),
+    n = 7, it took 23-31 ms with its certificate and a Horner map 7-13 ms,
+    against 17-23 ms for the recursion and _check_jw.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if strategy not in ("auto", "solve", "recursion"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     if n == 1:
         return TLMorphism.identity(triple, Word.alt(1))
-
-    if strategy == "auto":
-        cached = _JW_CACHE.get((triple, n))
-        if cached is not None:
-            return cached
-        if _monomial_loops(triple):
-            result = _jw_by_table(triple, n)
+    cached = _JW_CACHE.get((triple, n))
+    if cached is not None:
+        return cached
+    result = None if _monomial_loops(triple) else _binomial_verdict(triple, n)
+    if result is None:
+        if triple.ring.kind != "ratfun" and _recursion_legal(triple, n):
+            result = _jw_by_recursion(triple, n)
+            _check_jw(result, n)
         else:
-            result = _binomial_verdict(triple, n) or jw(
-                triple, n, "recursion" if _recursion_legal(triple, n) else "solve"
-            )
-        _JW_CACHE[(triple, n)] = result
-        return result
-
-    if strategy == "recursion":
-        if not _recursion_legal(triple, n):
-            raise ValueError("recursion strategy requires invertible [2..n]")
-        candidate = _jw_by_recursion(triple, n)
-    else:
-        candidate = _jw_by_solve(triple, n)
-        if candidate is None:
-            return NotExists(n, "kill conditions have no solution", hazi_witness(triple, n))
-    _check_jw(candidate, n)
-    return candidate
+            result = _jw_by_table(triple, n)
+    _JW_CACHE[(triple, n)] = result
+    return result
 
 
 # ---------------------------------------------------------------------------

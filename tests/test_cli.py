@@ -110,6 +110,10 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "bound", "--object", "sigma")
     assert code == 2
+    # jw picks its builder itself: --strategy is no longer an option
+    code, _, err = run(capsys, "jw", "--ring", "Fp:2", "--d1", "0", "--d2", "0", "--n", "5", "--strategy", "solve")
+    assert code == 2
+    assert "--strategy" in err
 
 
 def test_domain_errors_exit_one(capsys, tmp_path):
@@ -298,28 +302,32 @@ def test_n_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
         assert took < 0.5, (argv, took)
 
 
-def test_jw_off_the_integer_table_over_rational_functions_has_a_lower_ceiling(capsys, monkeypatch):
+def test_jw_over_rational_functions_has_a_lower_ceiling(capsys, monkeypatch):
     from tlab import tldiag
-    from tlab.cli import MAX_JW_N, MAX_JW_RATFUN_N
+    from tlab.cli import MAX_JW_FIELD_RATFUN_N, MAX_JW_N, MAX_JW_RATFUN_N
 
-    assert MAX_JW_RATFUN_N < MAX_JW_N
+    assert MAX_JW_RATFUN_N <= MAX_JW_N and max(MAX_JW_FIELD_RATFUN_N) < MAX_JW_N
+    one, more = MAX_JW_FIELD_RATFUN_N
     for argv, limit in (
-        (("--ring", "ratfun:Q", "--d1", "t+t^-1", "--d2", "2*t"), MAX_JW_RATFUN_N),
-        (("--ring", "ratfun:Fp:101", "--d1", "t", "--d2", "t"), MAX_JW_RATFUN_N),
-        (("--ring", "ratfun:ratfun:Q", "--d1", "t+u", "--d2", "u"), MAX_JW_RATFUN_N - 1),
-        (("--strategy", "recursion"), MAX_JW_RATFUN_N - 1),  # the default tower, off the table
-        (("--ring", "ratfun:ratfun:ratfun:cyclo:5", "--d1", "t+u", "--d2", "v"), MAX_JW_RATFUN_N - 2),
-        (("--ring", "ratfun:Q", "--d1", "t", "--d2", "t", "--strategy", "solve"), MAX_JW_RATFUN_N),
+        (("--ring", "ratfun:Fp:101", "--d1", "t+t^-1", "--d2", "2*t"), one),
+        (("--ring", "ratfun:Fp:101", "--d1", "t", "--d2", "t"), one),
+        (("--ring", "ratfun:cyclo:5", "--d1", "t+q", "--d2", "t"), one),
+        (("--ring", "ratfun:ratfun:Q", "--d1", "t+u", "--d2", "u"), MAX_JW_RATFUN_N - 2),
+        (("--ring", "ratfun:ratfun:ratfun:Q", "--d1", "t+u", "--d2", "v"), MAX_JW_RATFUN_N - 4),
+        (("--ring", "ratfun:ratfun:Fp:101", "--d1", "t+u", "--d2", "u"), more),
+        (("--ring", "ratfun:ratfun:ratfun:cyclo:5", "--d1", "t+u", "--d2", "v"), more),
     ):
         (code, _, err), took = _timed(capsys, "jw", *argv, "--n", str(limit + 1))
         assert code == 1, argv
-        assert f"beyond the limit of {limit} off the integer table" in err, argv
+        assert f"beyond the limit of {limit} over {argv[1]} with these loop values" in err, argv
         assert took < 1, (argv, took)
-    # the integer table route, and every other field, keep MAX_JW_N
-    monkeypatch.setattr(tldiag, "jw", lambda triple, n, strategy: tldiag.NotExists(n, "not built"))
-    for argv in ((), ("--ring", "ratfun:Q", "--d1", "t", "--d2", "t^2"), ("--ring", "Fp:101", "--d1", "3", "--d2", "5")):
+    # monic monomial loop values over Q(t), Q(t)(u), ..., every other loop
+    # value over Q(t) and every other field keep MAX_JW_N
+    monkeypatch.setattr(tldiag, "jw", lambda triple, n: tldiag.NotExists(n, "not built", 1))
+    for argv in ((), ("--ring", "ratfun:Q", "--d1", "t", "--d2", "t^2"), ("--ring", "Fp:101", "--d1", "3", "--d2", "5"),
+                 ("--ring", "ratfun:Q", "--d1", "t+t^-1", "--d2", "2*t"), ("--ring", "ratfun:Q", "--d1", "t", "--d2", "t^-1")):
         code, out, _ = run(capsys, "jw", *argv, "--n", str(MAX_JW_N))
-        assert code == 0 and "not built" in out, argv
+        assert code == 0 and f"does not exist (Hazi: binom({MAX_JW_N},1)=0)" in out, argv
 
 
 def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys, tmp_path):

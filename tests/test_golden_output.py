@@ -13,11 +13,16 @@ The `jw` digests were recorded while JW_n over Q(t) and Q(t)(u) still came
 from the single-clasp recursion over those fields, and before a NotExists
 verdict carried its binomial witness; they cover the integer table route
 (the default tower, monomial triples over Q(t)), the recursion (prime and
-cyclotomic fields), the solve (blocked cases over F_2 and F_3), the
-constant product delta1 * delta2 = 1, and the verdicts of `auto` and of
-`--strategy solve` when JW_n does not exist.  The digests over Q at (2, 5),
-cyclo:12 at n = 7 and ratfun:Q at (t+t^-1, 2t) were recorded while the
-recursion still divided by [k] at every level.
+cyclotomic fields), the blocked cases over F_2 and F_3, the constant
+product delta1 * delta2 = 1, and the verdicts when JW_n does not exist.
+The digests over Q at (2, 5), cyclo:12 at n = 7 and ratfun:Q at
+(t+t^-1, 2t) were recorded while the recursion still divided by [k] at
+every level.  The digests from cyclo:10 at n = 9 on were recorded while a
+blocked JW_n, and every JW_n over ratfun:Fp:101, still came from a sparse
+linear solve or the recursion over the field, before the integer table
+was divided at the point; they cover a root of unity, a Lucas case over
+F_5, (0, 0) at a fourth root of unity, delta2 = 0 with delta1 != 0,
+delta1 = 0 with delta2 != 0, and a loop value that is not a monomial.
 
 The last two `homology` digests were recorded while each entry of a
 differential was still realized as a matrix of its own and copied into
@@ -110,9 +115,14 @@ JW_DIGESTS = (
     ("jw --ring ratfun:Q --d1 t --d2 t^-1 --n 3 --format json", "0994a72d6e4a75e1e3e242c5cfe6652bba65fcbd2b9665ad78c69972dc6aaee4"),
     ("jw --ring Fp:2 --d1 0 --d2 0 --n 5", "f3a78e9716a1cb15fd94fb882960a3379c1db7374829c1c703fae1717370235d"),
     ("jw --ring Fp:2 --d1 0 --d2 0 --n 5 --format json", "7299dcd5ac069ea32972d3e0f8bcfcaa8b9f50d0e84b6a1c0c82a4a94fc8184e"),
-    ("jw --ring Fp:2 --d1 0 --d2 0 --n 5 --strategy solve", "f3a78e9716a1cb15fd94fb882960a3379c1db7374829c1c703fae1717370235d"),
-    ("jw --ring Fp:2 --d1 0 --d2 0 --n 5 --strategy solve --format json", "7299dcd5ac069ea32972d3e0f8bcfcaa8b9f50d0e84b6a1c0c82a4a94fc8184e"),
-    ("jw --ring Fp:3 --d1 2 --d2 2 --n 4 --strategy solve", "965dc9797688b9b8c68c79141b94545550f4aaa02ce80a441386d7822a492fc1"),
+    ("jw --ring Fp:3 --d1 2 --d2 2 --n 4", "965dc9797688b9b8c68c79141b94545550f4aaa02ce80a441386d7822a492fc1"),
+    ("jw --ring cyclo:10 --d1 q+q^-1 --d2 q+q^-1 --n 9", "3378a6a3a0dfef6485db29c5cac100732a52427927a7cb2afa657e0d3703a724"),
+    ("jw --ring Fp:5 --d1 2 --d2 2 --n 9", "22c78fa860587d11abeb949b17d5dddb9ac9cfcece84de448c98d0a5ceb67b22"),
+    ("jw --ring cyclo:4 --d1 0 --d2 0 --n 8", "c1ff38afa0c59d3091680f053e7283f9f94733122b6530c99cc674f3e5f3615e"),
+    ("jw --ring Fp:2 --d1 1 --d2 0 --n 7", "15ea398b76172417e7808795ea235ff55bfe5c339cbdcd612df51189e45d061d"),
+    ("jw --ring Fp:2 --d1 1 --d2 0 --n 7 --format json", "73532f2759ee4bd8a939a556fb31f1582a53e10ab8033563762ae3669f4733d7"),
+    ("jw --ring Fp:2 --d1 0 --d2 1 --n 7", "aa06d579dd370bd8010bbf4391e8b4a265aecd82e10539e0fbef28b78d1faa5e"),
+    ("jw --ring ratfun:Fp:101 --d1 t+t^-1 --d2 2*t --n 7", "0567033d8d4682aa0ba835f7b64a396426d2dd783719e39d77de8eb93c26e2e2"),
 )
 
 

@@ -1,10 +1,11 @@
 """Jones-Wenzl idempotents from the integer table over Z[z].
 
-``jw(..., "auto")`` builds JW_n over Q(t) and Q(t)(u) from one certified
-table P_n = [2]...[n] JW_n at the loop values (z, 1) when both loop values
-are monic monomials with a non-constant product.  These tests compare it
-with the single-clasp recursion and the sandwich recursion (hypothesis),
-and each mapped coefficient with sympy's cancel."""
+``jw`` builds JW_n over Q(t) and Q(t)(u) from one certified table P_n =
+[2]...[n] JW_n at the loop values (z, 1).  When both loop values are monic
+monomials with a non-constant product, each coefficient is mapped by
+``_spread``; these tests compare that with the single-clasp recursion and
+the sandwich recursion (hypothesis), and each mapped coefficient with
+sympy's cancel."""
 
 import hashlib
 from unittest import mock
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_jw_solve import _jw_by_solve
 from test_ratfun_properties import RINGS, T, U, sympy, to_sympy
 from test_tldiag import _jw_by_sandwich
 from tlab import tldiag
@@ -49,7 +51,7 @@ def _monomial_triples(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(_monomial_triples(), st.integers(2, 6))
-def test_auto_matches_both_recursions_on_monomial_triples(case, n):
+def test_jw_matches_both_recursions_on_monomial_triples(case, n):
     triple, e1, e2 = case
     routed = []
     table_route = tldiag._jw_by_table
@@ -61,19 +63,21 @@ def test_auto_matches_both_recursions_on_monomial_triples(case, n):
     with mock.patch.dict(tldiag._JW_CACHE, clear=True), mock.patch.object(tldiag, "_jw_by_table", spy):
         got = tldiag.jw(triple, n)
     if all(a + b == 0 for a, b in zip(e1, e2)):
-        # delta1 * delta2 = 1 is constant: the table route does not apply
-        assert tldiag._monomial_loops(triple) is None and not routed
-        want = tldiag.jw(triple, n, "solve")
-        assert isinstance(got, tldiag.NotExists) == isinstance(want, tldiag.NotExists)
-        if not isinstance(want, tldiag.NotExists):
+        # delta1 * delta2 = 1 is constant: the monomial map does not apply,
+        # and the table is divided at z0 = 1 where JW_n exists
+        assert tldiag._monomial_loops(triple) is None
+        want = _jw_by_solve(triple, n)
+        assert isinstance(got, tldiag.NotExists) == (want is None)
+        assert routed == ([] if want is None else [n])
+        if want is not None:
             _same(got, want)
         return
     assert tldiag._monomial_loops(triple) == (e1[::-1], e2[::-1]) and routed == [n]
-    _same(got, tldiag.jw(triple, n, "recursion"))
+    _same(got, tldiag._jw_by_recursion(triple, n))
     _same(got, _jw_by_sandwich(triple, n)[-1])
 
 
-def test_other_triples_do_not_take_the_table_route():
+def test_other_triples_do_not_take_the_monomial_map():
     for spec, d1, d2 in (
         ("ratfun:Q", "2*t", "t"), ("ratfun:Q", "t+1", "t"), ("ratfun:Q", "t", "t^-1"),
         ("ratfun:ratfun:Q", "t+u", "t"), ("ratfun:ratfun:Q", "0", "t"), ("ratfun:Fp:5", "t", "t"),

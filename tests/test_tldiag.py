@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from test_jw_solve import _jw_by_solve
 from tlab.contpoly import qbinom, qnum
 from tlab.rings import Triple, construct_ring, generic_tower, parse_element
 from tlab.tldiag import (
@@ -191,16 +192,16 @@ def test_jw5_fails_over_f2_zero(f2_zero):
     assert "binom(5,2)" in result.reason
 
 
-def test_jw_strategies_agree(tower, qt_balanced, f2_zero):
+def test_jw_builders_agree(tower, qt_balanced, f2_zero):
     for n in range(2, 5):
-        assert jw(tower, n, "solve") == jw(tower, n, "recursion")
-        assert jw(qt_balanced, n, "solve") == jw(qt_balanced, n, "recursion")
-    assert jw(f2_zero, 3, "solve") == _reduce_from_integer_lift(f2_zero, 3, 2)
+        assert _jw_by_solve(tower, n) == _jw_by_recursion(tower, n) == jw(tower, n)
+        assert _jw_by_solve(qt_balanced, n) == _jw_by_recursion(qt_balanced, n) == jw(qt_balanced, n)
+    assert _jw_by_solve(f2_zero, 3) == _reduce_from_integer_lift(f2_zero, 3, 2) == jw(f2_zero, 3)
 
 
 # Test-only reference constructions for the cases where the recursion is
-# blocked but JW_n exists, computed apart from the linear solve that jw()
-# runs there.
+# blocked but JW_n exists, computed apart from the integer table that jw()
+# divides at the point there.
 
 
 def _reduce_from_integer_lift(triple, n, m):
@@ -210,7 +211,7 @@ def _reduce_from_integer_lift(triple, n, m):
     ring = triple.ring
     assert triple.delta1 == triple.delta2 == ring.from_int(m)
     rationals = construct_ring("Q")
-    universal = jw(Triple(rationals, rationals.from_int(m), rationals.from_int(m)), n, "recursion")
+    universal = _jw_by_recursion(Triple(rationals, rationals.from_int(m), rationals.from_int(m)), n)
     terms = {}
     for matching, coeff in universal.terms.items():
         inv = ring.from_int(coeff.payload.denominator).inverse()
@@ -305,7 +306,8 @@ def test_clasp_is_the_sandwich_recursion_times_the_quantum_numbers():
 
 
 def test_jw_recursion_guard(f2_zero):
-    with pytest.raises(ValueError):
+    # jw picks its builder itself: there is no strategy to ask for
+    with pytest.raises(TypeError):
         jw(f2_zero, 3, "recursion")
     # [2] = 0 over F_2 at (0, 0), so c_3 = [2][3] has no inverse
     with pytest.raises(ValueError, match="invertible"):
@@ -547,8 +549,8 @@ def test_jw_caches_only_checked_idempotents(monkeypatch):
     assert checked == [7, 5]
     assert jw(triple, 5) is jw5 and jw(triple, 7) is jw7
     assert checked == [7, 5]
-    # the recursion builds from level 1, whatever auto has cached
-    assert jw(triple, 6, "recursion") == jw(triple, 6, "solve")
+    # the recursion builds from level 1, whatever jw has cached
+    assert _jw_by_recursion(triple, 6) == _jw_by_solve(triple, 6)
 
 
 def test_printing_leaves_nothing_allocated():

@@ -61,10 +61,10 @@ class InputLimitError(ValueError):
 # (t+u, u+q) 71 s at 6; over Q(t)(u)(v) with (t+u, v+1) over 90 s at 8.
 # `rotatable` took 43 s at n = 500 (178 MB) and 62 s at 550.  `qnum` 24 s
 # at 400, 59 s at 550 (160 MB) and over 75 s at 600.  `classify`
-# at the built-in rank limit (fusion.MAX_BUILTIN_RANK) took 15 s at
-# --max-n 256 with --format json (verp:101, 188 MB); the classes of objects
+# at the built-in rank limit (fusion.MAX_BUILTIN_RANK) took 7-10 s at
+# --max-n 256 with --format json (verp:101, 182 MB); the classes of objects
 # of FPdim above 2 grow exponentially, so memory grows as the square of
-# --max-n, and over slq:111 it went from 57 MB at 64 to 229 MB at 256.
+# --max-n, and over slq:111 it went from 49 MB at 64 to 220 MB at 256.
 MAX_CONTINUANT_N = 20
 MAX_HOMOLOGY_N = 13
 MAX_JW_N = 11
@@ -109,6 +109,8 @@ def _emit(args, text: str, payload) -> None:
 
 def cmd_qnum(args) -> int:
     _check_limit(args.upto, MAX_QNUM_UPTO, "qnum --upto")
+    if args.upto < 0:
+        raise ValueError("upto must be a natural number")
     triple = _triple_from_args(args)
     table = contpoly.QuantumTable.build(triple, args.upto)
     lines = ["  n  [n]              [[n]]"]

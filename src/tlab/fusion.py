@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 K0Vector = Tuple[int, ...]
+Cell = Tuple[Tuple[int, int], ...]  # the non-zero (k, N_ij^k) of b_i b_j, k ascending
 
 
 class FusionRingError(ValueError):
@@ -31,13 +32,16 @@ class FusionRingError(ValueError):
 
 @dataclass(frozen=True)
 class FusionRing:
-    """A based ring with non-negative structure constants."""
+    """A based ring with non-negative structure constants, stored sparsely:
+    table[i][j] is the cell of b_i b_j, so products and the associativity
+    sweep visit no zero constant.  `validate` checks the axioms on documents
+    as they are loaded; the built-in tables are correct by construction."""
 
     name: str
     basis: Tuple[str, ...]
     unit: int
     dual: Tuple[int, ...]
-    table: Tuple[Tuple[Tuple[int, ...], ...], ...]  # table[i][j][k] = N_{ij}^k
+    table: Tuple[Tuple[Cell, ...], ...]
     aliases: Dict[str, str] = field(default_factory=dict, compare=False)
 
     @property
@@ -74,15 +78,13 @@ class FusionRing:
 
     def multiply(self, x: Sequence[int], y: Sequence[int]) -> K0Vector:
         out = [0] * self.rank
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coeff = xi * yj
-                for k, n in enumerate(self.table[i][j]):
-                    if n:
+            if xi:
+                row = self.table[i]
+                for j, yj in ys:
+                    coeff = xi * yj
+                    for k, n in row[j]:
                         out[k] += coeff * n
         return tuple(out)
 
@@ -108,41 +110,39 @@ class FusionRing:
         for i in range(r):
             if self.dual[self.dual[i]] != i:
                 raise FusionRingError("dual map is not an involution")
-        if len(self.table) != r or any(
-            len(row) != r or any(len(cell) != r for cell in row) for row in self.table
-        ):
-            raise FusionRingError("structure-constant table has wrong shape")
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    if self.table[i][j][k] < 0:
-                        raise FusionRingError(
-                            f"negative structure constant at ({i},{j},{k})"
-                        )
-                    if self.table[i][j][k] > MAX_STRUCTURE_CONSTANT:
-                        raise FusionRingError(
-                            f"structure constant at ({i},{j},{k}) is beyond the limit of 2^53"
-                        )
+        for i, row in enumerate(self.table):
+            for j, cell in enumerate(row):
+                for k, n in cell:
+                    if n < 0:
+                        raise FusionRingError(f"negative structure constant at ({i},{j},{k})")
+                    if n > MAX_STRUCTURE_CONSTANT:
+                        raise FusionRingError(f"structure constant at ({i},{j},{k}) is beyond the limit of 2^53")
         for j in range(r):
+            left, right = dict(self.table[self.unit][j]), dict(self.table[j][self.unit])
             for k in range(r):
                 want = 1 if j == k else 0
-                if self.table[self.unit][j][k] != want:
+                if left.get(k, 0) != want:
                     raise FusionRingError(f"left unit law fails at ({j},{k})")
-                if self.table[j][self.unit][k] != want:
+                if right.get(k, 0) != want:
                     raise FusionRingError(f"right unit law fails at ({j},{k})")
-        for i in range(r):
-            for j in range(r):
-                want = 1 if j == self.dual[i] else 0
-                if self.table[i][j][self.unit] != want:
-                    raise FusionRingError(
-                        f"duality/Frobenius condition fails at ({i},{j})"
-                    )
-        basis = [self.basis_vector(i) for i in range(r)]
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    lhs = self.multiply(self.table[i][j], basis[k])
-                    if lhs != self.multiply(basis[i], self.table[j][k]):
+        for i, row in enumerate(self.table):
+            for j, cell in enumerate(row):
+                if dict(cell).get(self.unit, 0) != (1 if j == self.dual[i] else 0):
+                    raise FusionRingError(f"duality/Frobenius condition fails at ({i},{j})")
+        # (b_i b_j) b_k = sum_m N_ij^m table[m][k] against
+        # b_i (b_j b_k) = sum_m N_jk^m table[i][m], over the non-zero cells
+        columns = [[row[k] for row in self.table] for k in range(r)]
+        for i, row in enumerate(self.table):
+            for j, cell in enumerate(row):
+                for k, column in enumerate(columns):
+                    lhs, rhs = [0] * r, [0] * r
+                    for m, a in cell:
+                        for l, n in column[m]:
+                            lhs[l] += a * n
+                    for m, a in self.table[j][k]:
+                        for l, n in row[m]:
+                            rhs[l] += a * n
+                    if lhs != rhs:
                         raise FusionRingError(f"associativity fails at ({i},{j},{k})")
 
     def describe_vector(self, x: Sequence[int]) -> str:
@@ -168,7 +168,7 @@ class FusionRing:
             "basis": list(self.basis),
             "unit": self.unit,
             "dual": list(self.dual),
-            "N": [[list(cell) for cell in row] for row in self.table],
+            "N": [[[d.get(k, 0) for k in range(self.rank)] for d in map(dict, row)] for row in self.table],
         }
 
 
@@ -208,12 +208,15 @@ def load_fusion_ring(document: Union[str, dict]) -> FusionRing:
         for k, label in enumerate(basis):
             if basis.index(label) != k:  # a label names one element
                 raise FusionRingError(f"basis[{k}] repeats the label {label!r} of basis[{basis.index(label)}]")
+        N, r = _fields(data["N"], "N", 3), len(basis)
+        if len(N) != r or any(len(row) != r or any(len(cell) != r for cell in row) for row in N):
+            raise FusionRingError("structure-constant table has wrong shape")
         ring = FusionRing(
             name=name,
             basis=basis,
             unit=_fields(data["unit"], "unit", 0),
             dual=_fields(data["dual"], "dual", 1),
-            table=_fields(data["N"], "N", 3),
+            table=tuple(tuple(tuple((k, n) for k, n in enumerate(cell) if n) for cell in row) for row in N),
         )
     except (KeyError, TypeError) as exc:
         raise FusionRingError(f"document does not match the schema: {exc}") from None
@@ -227,35 +230,32 @@ def load_fusion_ring(document: Union[str, dict]) -> FusionRing:
 
 def _chebyshev_truncated(name: str, rank: int) -> FusionRing:
     """Rank-r ring with self-dual basis L_0..L_{r-1}, fusion given by the
-    truncated recursion L_1 L_i = L_{i-1} + L_{i+1}."""
-    table = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for i in range(rank):
-        for j in range(rank):
-            lo, hi = abs(i - j), min(i + j, 2 * (rank - 1) - i - j)
-            for k in range(lo, hi + 1, 2):
-                table[i][j][k] = 1
+    truncated recursion L_1 L_i = L_{i-1} + L_{i+1}: the Verlinde rule of
+    slq:N and Ver_p, so a fusion ring for every rank."""
+    ones = [(k, 1) for k in range(rank)]  # one pair per k, shared by the cells
     return FusionRing(
         name=name,
         basis=tuple(f"L{i}" for i in range(rank)),
         unit=0,
         dual=tuple(range(rank)),
-        table=tuple(tuple(tuple(cell) for cell in row) for row in table),
+        table=tuple(tuple(tuple(ones[abs(i - j):min(i + j, 2 * rank - 2 - i - j) + 1:2]) for j in range(rank))
+                    for i in range(rank)),
     )
 
 
-# Largest rank of a parametrised built-in, checked before its rank^3 table is
-# built (pointed:200 peaks at 144 MB).  The slowest request it admits is
-# `tlab classify` with --format json at the CLI's --max-n limit of 256: over
-# verp:101 (rank 100) it took 15 s (188 MB), over slq:111 (rank 110) 20 s
-# (229 MB) (CPython 3.11, one core of an Intel Xeon virtual machine).
+# Largest rank of a parametrised built-in, checked before its table is built;
+# the table holds the non-zero constants only (slq:201 peaks at 28 MB).  The
+# slowest request it admits is `tlab classify` with --format json at the
+# CLI's --max-n limit of 256: over verp:101 (rank 100) it took 7-10 s
+# (182 MB), over slq:111 (rank 110) 9 s (220 MB) (CPython 3.11, 2-core VM).
 MAX_BUILTIN_RANK = 100
 
 # Largest rank of a fusion-ring JSON document, checked on its basis before its
 # table is built: `validate` checks associativity with rank^3 pairs of
-# products, each up to rank^2 steps when the table is dense, and the sweep
-# over a table with every N_ij^k = 1 took 35 s at rank 44.  `tlab bound
-# --fusion` on pointed:44 written as JSON took 1.2 s, and `classify --fusion
-# --format json` 1.3 s (CPython 3.11, 2-core virtual machine).
+# products over the non-zero constants, up to rank^2 steps each on a dense
+# table; the sweep over a rank-44 table with every non-unit N_ij^k = 1 took
+# 14-18 s.  `tlab bound --fusion` on pointed:44 written as JSON took 0.3 s, and
+# `classify --fusion --format json` 0.6 s (CPython 3.11, 2-core VM).
 MAX_DOCUMENT_RANK = 44
 
 # Largest fusion-ring JSON file in bytes, checked as it is read: a rank-44
@@ -276,72 +276,66 @@ def _check_rank(name: str, rank: int, limit: int = MAX_BUILTIN_RANK) -> None:
         raise FusionRingError(f"{name} has rank {rank}, beyond the limit of {limit}")
 
 
+def _parameter(name: str) -> int:
+    """The integer after the colon of a parametrised built-in's name."""
+    try:
+        return int(name.partition(":")[2])
+    except ValueError:
+        raise FusionRingError(f"built-in ring {name!r} needs an integer after the colon") from None
+
+
 def builtin_ring(name: str) -> FusionRing:
     """Built-in fusion rings: slq:N (N >= 3), verp:p (p prime), ising,
-    ty_z3, pointed:m; the rank is at most MAX_BUILTIN_RANK."""
+    ty_z3, pointed:m; the rank is at most MAX_BUILTIN_RANK.  Each table is a
+    fixed function of the name, correct by construction and so not validated
+    here; the tests validate every family."""
     if name.startswith("slq:"):
-        N = int(name[4:])
+        N = _parameter(name)
         if N < 3:
             raise FusionRingError("slq:N requires N >= 3")
         _check_rank(name, N - 1)
-        ring = _chebyshev_truncated(name, N - 1)
-    elif name.startswith("verp:"):
-        p = int(name[5:])
+        return _chebyshev_truncated(name, N - 1)
+    if name.startswith("verp:"):
+        p = _parameter(name)
         _check_rank(name, p - 1)
         if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
             raise FusionRingError("verp:p requires a prime p")
-        ring = _chebyshev_truncated(name, p - 1)
-    elif name == "ising":
-        base = _chebyshev_truncated(name, 3)
-        ring = FusionRing(
+        return _chebyshev_truncated(name, p - 1)
+    if name == "ising":
+        # the Verlinde rule of slq:4, relabelled
+        return FusionRing(
             name="ising",
             basis=("1", "sigma", "eps"),
             unit=0,
             dual=(0, 1, 2),
-            table=base.table,
+            table=_chebyshev_truncated(name, 3).table,
             aliases={"σ": "sigma", "ε": "eps"},
         )
-    elif name == "ty_z3":
-        # basis 1, g, g2, X with g^3 = 1, gX = X = Xg, X^2 = 1 + g + g2
-        table = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-        for i in range(3):
-            for j in range(3):
-                table[i][j][(i + j) % 3] = 1
-        for i in range(3):
-            table[i][3][3] = 1
-            table[3][i][3] = 1
-        table[3][3][0] = table[3][3][1] = table[3][3][2] = 1
-        ring = FusionRing(
+    if name == "ty_z3":
+        # Tambara-Yamagami for Z/3: g^3 = 1, gX = X = Xg, X^2 = 1 + g + g2
+        return FusionRing(
             name="ty_z3",
             basis=("1", "g", "g2", "X"),
             unit=0,
             dual=(0, 2, 1, 3),
-            table=tuple(tuple(tuple(cell) for cell in row) for row in table),
+            table=tuple(tuple((((i + j) % 3, 1),) if max(i, j) < 3 else ((3, 1),) if min(i, j) < 3
+                              else ((0, 1), (1, 1), (2, 1)) for j in range(4)) for i in range(4)),
         )
-    elif name.startswith("pointed:"):
-        m = int(name[8:])
+    if name.startswith("pointed:"):
+        # the group ring Z[Z/m]
+        m = _parameter(name)
         if m < 1:
             raise FusionRingError("pointed:m requires m >= 1")
         _check_rank(name, m)
-        table = [[[0] * m for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                table[i][j][(i + j) % m] = 1
-        ring = FusionRing(
+        cells = [((k, 1),) for k in range(m)]
+        return FusionRing(
             name=name,
             basis=tuple(f"g{i}" for i in range(m)),
             unit=0,
             dual=tuple((-i) % m for i in range(m)),
-            table=tuple(tuple(tuple(cell) for cell in row) for row in table),
+            table=tuple(tuple(cells[(i + j) % m] for j in range(m)) for i in range(m)),
         )
-    else:
-        raise FusionRingError(f"unknown built-in ring {name!r}")
-    # construction formulas are exercised by the validator at every rank the
-    # examples use; the associativity sweep is skipped for big ranks (0.07 s
-    # on slq:17, 1.3 s on slq:33, 30 s on pointed:100)
-    if ring.rank <= 16:
-        ring.validate()
-    return ring
+    raise FusionRingError(f"unknown built-in ring {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +357,11 @@ def _perron_vector(ring: FusionRing) -> Tuple[float, ...]:
     sum_{i,j} N_ij^k d_j = sum_i d_{i*} d_k = FPdim(R) d_k.  The matrix has
     no zero entry, since b_k b_j* b_j contains b_k, so the iteration
     converges to d from any positive vector, with no shift."""
-    # rows[k][j] = sum_i N_ij^k
-    columns = [list(map(sum, zip(*(row[j] for row in ring.table)))) for j in range(ring.rank)]
-    rows = list(zip(*columns))
+    rows = [[0] * ring.rank for _ in range(ring.rank)]  # rows[k][j] = sum_i N_ij^k
+    for row in ring.table:
+        for j, cell in enumerate(row):
+            for k, n in cell:
+                rows[k][j] += n
     vec, step = [1.0] * ring.rank, math.inf
     for _ in range(_POWER_MAX_ITER):
         nxt = [sum(map(float.__mul__, vec, row)) for row in rows]

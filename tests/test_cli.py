@@ -280,6 +280,14 @@ def test_continuant_walks_only_non_zero_entries(capsys):
     assert took < 10, took
 
 
+def test_qnum_rejects_a_negative_upto(capsys):
+    # it used to print an empty table and exit 0
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "qnum", "--upto", "-1", "--format", fmt)
+        assert code == 1 and out == "", fmt
+        assert "upto must be a natural number" in err, fmt
+
+
 def test_homology_rejects_negative_n_under_both_models(capsys):
     for model in ("sl2", "2tl"):
         code, _, err = run(capsys, "homology", "--n", "-1", "--model", model)

@@ -24,7 +24,9 @@ ALL_BUILTINS = (
 
 
 def test_builtins_validate():
-    for name in ALL_BUILTINS:
+    # builtin_ring does not validate its tables, so the suite does: every
+    # built-in of rank at most 16, and one larger rank per family
+    for name in _small_builtins() + ["pointed:100", "slq:33", "verp:31"]:
         builtin_ring(name).validate()
 
 
@@ -40,6 +42,11 @@ def test_builtin_shapes():
 def test_builtin_rejects_bad_names():
     for name in ("slq:2", "verp:4", "pointed:0", "nope"):
         with pytest.raises(FusionRingError):
+            builtin_ring(name)
+    # a parameter that is not an integer is named, not reported as int()'s
+    # "invalid literal"
+    for name in ("verp:", "slq:x", "pointed:2.5"):
+        with pytest.raises(FusionRingError, match=f"built-in ring '{re.escape(name)}' needs an integer"):
             builtin_ring(name)
 
 
@@ -404,8 +411,9 @@ def _loaded_documents():
 
 def test_fpdims_match_the_power_iteration_reference():
     for ring in [builtin_ring(name) for name in _small_builtins()] + _loaded_documents():
+        N = ring.to_json_dict()["N"]
         for i in range(ring.rank):
-            matrix = [[ring.table[i][j][k] for j in range(ring.rank)] for k in range(ring.rank)]
+            matrix = [[N[i][j][k] for j in range(ring.rank)] for k in range(ring.rank)]
             assert abs(fpdim(ring, i) - _power_iteration_reference(matrix)) < 1e-9, (ring.name, i)
 
 
@@ -422,11 +430,11 @@ def test_fpdims_match_the_closed_form_at_every_rank():
 
 def test_fpdims_are_a_character():
     for ring in [builtin_ring(name) for name in _small_builtins()] + _loaded_documents():
-        d = ring.fpdims
+        d, N = ring.fpdims, ring.to_json_dict()["N"]
         assert d[ring.unit] == 1.0
         for i in range(ring.rank):
             for j in range(ring.rank):
-                product = sum(n * dk for n, dk in zip(ring.table[i][j], d))
+                product = sum(n * dk for n, dk in zip(N[i][j], d))
                 assert abs(d[i] * d[j] - product) < 1e-9, (ring.name, i, j)
 
 

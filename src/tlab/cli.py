@@ -44,9 +44,10 @@ class InputLimitError(ValueError):
 # 116-120 MB with --format json) and 18 s at 20 (179-190 MB, the text
 # printed one degree at a time; 22-23 s and 255 MB with --format json),
 # either variant; the limit also keeps peak memory under 480 MB, and the peak
-# about doubles with each n.  `homology` over ratfun:Q took 0.7 s at n = 10, 2.6 s at 11,
-# 10 s at 12, 34 s at 13 (160 MB) and over 75 s at 14; `--model 2tl` builds
-# no JW_n and takes 0.02 s at 13.  `jw` over the
+# about doubles with each n.  `homology` over ratfun:Q took 0.7 s at n =
+# 10, 2.1-2.4 s at 11, 5.7-8.4 s at 12, 21-29 s at 13 (148 MB) and, through
+# the Python API, 82 s at 14 (385 MB); `--model 2tl` builds no JW_n and
+# takes 0.02 s at 13.  `jw` over the
 # default ratfun:ratfun:Q, from the integer table over Z[z], took 0.2-0.3 s
 # at n = 8, 0.9-1.0 s at 9, 4.0-4.4 s at 10 (59 MB) and 15-22 s at 11
 # (197 MB; 16-20 s and 227 MB with --format json); over `--ring Fp:101 --d1

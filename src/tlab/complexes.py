@@ -233,9 +233,6 @@ class FormalComplex:
             if k - 1 in self.diffs and not (self.diffs[k - 1] * d_k).is_zero()
         ]
 
-    def check_d_squared(self) -> bool:
-        return not self.d_squared_failures()
-
     def dual(self) -> "FormalComplex":
         """Termwise dual with reversed degrees; no extra signs are needed."""
         terms = {-i: obj.dual() for i, obj in self.terms.items()}

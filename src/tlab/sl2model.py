@@ -12,11 +12,12 @@ arc's two endpoints left to right,
 Both loop orientations then evaluate to q + q^-1, the snake identities
 hold, and the assignment is a monoidal functor on the nose: composition
 goes to matrix product (including all loop scalars) and juxtaposition to
-the Kronecker product.  Homology of realized complexes is computed by
-exact sparse Gaussian elimination, so ranks remain meaningful at roots of
-unity.  Every diagram preserves sl2 weight, so a realized differential is
-block-diagonal up to a permutation, and elimination, which only touches
-rows with a non-zero in the pivot column, never fills outside a block.
+the Kronecker product, so d^2 = 0 on a formal complex holds in every
+realization.  Homology of realized complexes is computed by exact sparse
+Gaussian elimination, so ranks remain meaningful at roots of unity.  Every
+diagram preserves sl2 weight, so a realized differential is block-diagonal
+up to a permutation, and elimination, which only touches rows with a
+non-zero in the pivot column, never fills outside a block.
 """
 
 from __future__ import annotations
@@ -197,13 +198,15 @@ class HomologyReport:
 
 
 def homology(complex_: FormalComplex, params: FiberParams) -> HomologyReport:
-    """Exact homology of a realized complex of formal word sums."""
+    """Exact homology of a realized complex of formal word sums.  The formal
+    complex must square to zero, which is checked after realizing, so that
+    an unbalanced triple is reported first; the realized one then does too.
+    (In a continuant complex d d closes no loop and cancels over Z.)"""
     dims = {i: _offsets(obj)[-1] for i, obj in complex_.terms.items()}
     matrices = {i: _realize_formal(d, params) for i, d in complex_.diffs.items()}
-    for i, mat in matrices.items():
-        upper = matrices.get(i + 1)
-        if upper is not None and not (mat * upper).is_zero():
-            raise ModelError(f"realized differentials do not square to zero at degree {i + 1}")
+    failures = complex_.d_squared_failures()
+    if failures:
+        raise ModelError(f"differentials do not square to zero at degree {failures[0]}")
     ranks = {i: mat.rank() for i, mat in matrices.items()}
     degrees = {}
     euler_terms = 0

@@ -699,49 +699,44 @@ def _synthetic(p: List[RingValue], z0: RingValue) -> Tuple[List[RingValue], Ring
     return partial[-2::-1], partial[-1]
 
 
-def _at_point(triple: Triple, c_n: tuple, n: int):
-    """_jw_by_table's map for delta2 != 0: (P_D, w) to delta2^-w Q_D(z0) /
-    c(z0), for z0 = delta1 * delta2, k the order of c_n at z0, c = c_n /
-    (z - z0)^k and Q_D = P_D / (z - z0)^k."""
+def _on_curve(triple: Triple, c_n: tuple, n: int):
+    """_jw_by_table's map off monic monomial loop values: (P_D, w) to the
+    value at the triple of mu^w P_D(z) / c_n(z) along a curve through it,
+    from the orders a, b and leading Taylor coefficients x, y of P_D and
+    c_n at z0.  For delta2 != 0 the curve is the point, mu = delta2^-1 and
+    the order a - b.  For delta2 = 0, z0 = 0 and mu = s^-1 on (delta1, s),
+    z = delta1 * s, or on (s, s), z = s^2, when delta1 = 0 too: with z =
+    base * s^step, the order is step * (a - b) - w.  A negative order is a
+    pole; order 0 gives x / y * base^(a - b) * mu^w, and any other 0."""
     ring = triple.ring
-    z0 = triple.delta1 * triple.delta2
-    k, (quotient, value) = 0, _synthetic([ring.from_int(x) for x in c_n], z0)
-    while not value:
-        k, (quotient, value) = k + 1, _synthetic(quotient, z0)
-    scale, lam = value.inverse(), triple.delta2.inverse()
+    if triple.delta2:
+        z0, step, base, shift, mu = triple.delta1 * triple.delta2, 1, ring.one, 0, triple.delta2.inverse()
+    else:
+        z0, shift, mu = ring.zero, 1, ring.one
+        step, base = (1, triple.delta1) if triple.delta1 else (2, ring.one)
 
-    def coefficient(p: tuple, w: int) -> RingValue:
+    def taylor(p: tuple, limit: int):  # (a, x); None if p vanishes, or a > limit at z0 != 0
+        if not z0:  # p's own coefficients: scan for the lowest
+            return next(((a, x) for a, x in enumerate(map(ring.from_int, p)) if x), None)
         q = [ring.from_int(x) for x in p]
-        for _ in range(k):
-            q, rest = _synthetic(q, z0)
-            if rest:
-                raise AssertionError(f"JW_{n} has a pole at the loop values")
-        return _synthetic(q, z0)[1] * scale * lam**w
+        for a in range(limit + 1):
+            q, x = _synthetic(q, z0)
+            if x:
+                return a, x
+        return None
 
-    return coefficient
-
-
-def _at_origin(triple: Triple, c_n: tuple, n: int):
-    """_jw_by_table's map for delta2 = 0: (P_D, w) to the value at s = 0 of
-    s^-w P_D(z) / c_n(z) on the curve (delta1, s), where z = delta1 * s, or
-    on (s, s), where z = s^2, when delta1 = 0 too."""
-    ring = triple.ring
-    step, base = (1, triple.delta1) if triple.delta1 else (2, ring.one)
-
-    def lowest(p: tuple):  # (a, p[a]) for the least a with p[a] != 0 in the field, or None
-        return next(((a, x) for a, x in enumerate(map(ring.from_int, p)) if x), None)
-
-    b, lead = lowest(c_n)
+    b, lead = taylor(c_n, len(c_n))
+    scale = lead.inverse()
 
     def coefficient(p: tuple, w: int) -> RingValue:
-        low = lowest(p)
+        low = taylor(p, b)  # b + 1 divisions decide the order at the point
         if low is None:
             return ring.zero
         a, x = low
-        order = step * (a - b) - w
+        order = step * (a - b) - shift * w
         if order < 0:
             raise AssertionError(f"JW_{n} has a pole at the loop values")
-        return x / lead * base ** (a - b) if order == 0 else ring.zero
+        return x * scale * base ** (a - b) * mu**w if order == 0 else ring.zero
 
     return coefficient
 
@@ -749,9 +744,9 @@ def _at_origin(triple: Triple, c_n: tuple, n: int):
 def _jw_by_table(triple: Triple, n: int) -> TLMorphism:
     """JW_n from the integer table (P_n, c_n) of _jw_table: the coefficient
     of a diagram D is the value at the triple of lam^w P_D(z) / c_n(z), for
-    lam = delta2^-1 and w = rescale_weight(D).  A pole raises: JW_n does
-    not exist there, and jw calls this only where the binomial criterion
-    says that it does.
+    lam = delta2^-1 and w = rescale_weight(D), by _spread or _on_curve.  A
+    pole raises: JW_n does not exist there, and jw calls this only where
+    the binomial criterion says that it does.
 
     Proof.  Let A x = b be _check_jw's conditions (right kills, identity
     coefficient 1) over the N diagrams; A's entries are 0, 1, delta1 and
@@ -765,14 +760,14 @@ def _jw_by_table(triple: Triple, n: int) -> TLMorphism:
       identity and scaling each e_i by a unit, so it carries JW_n, if any,
       with coefficients scaled by lam^w.  Let R be F[z] localised at z0.
       If every P_D / c_n lies in R, evaluation at z0, a ring map R -> F,
-      sends the generic solution to one at (z0, 1), which _at_point
-      computes.  If JW_n exists at (z0, 1), some N rows of A form M(z)
-      with det M(z0) != 0, and by Cramer's rule the generic solution
-      adj(M) b_M / det M lies in R.  So there is a pole exactly when JW_n
-      does not exist.
+      sends the generic solution to one at (z0, 1), which _on_curve
+      computes at the point.  If JW_n exists at (z0, 1), some N rows of A
+      form M(z) with det M(z0) != 0, and by Cramer's rule the generic
+      solution adj(M) b_M / det M lies in R.  So there is a pole exactly
+      when JW_n does not exist.
     - delta2 = 0: the same over F[s] localised at s = 0, on the curve
       (delta1, s), rescaled by s^-1 so that z = delta1 * s, or on (s, s),
-      z = s^2, when delta1 = 0 too; _at_origin reads each coefficient's
+      z = s^2, when delta1 = 0 too; _on_curve reads each coefficient's
       order and value at s = 0 from the lowest terms.
     - Monic monomial loop values over Q(x1..xk) (_monomial_loops): z -> z0
       is injective on Z[z], and _spread's payload is canonical with no
@@ -797,7 +792,7 @@ def _jw_by_table(triple: Triple, n: int) -> TLMorphism:
             return RingValue(ring, _spread(p, c_n, z0, tuple(-w * b for b in e2), ring.depth))
 
     else:
-        coefficient = (_at_point if triple.delta2 else _at_origin)(triple, c_n, n)
+        coefficient = _on_curve(triple, c_n, n)
     # many diagrams share (P_D, w(D)), and so their coefficient
     mapped: Dict[Tuple[tuple, int], RingValue] = {}
     terms = {}
@@ -831,11 +826,11 @@ def jw(triple: Triple, n: int):
     (t, u), where every [k] is invertible.  _jw_by_recursion builds JW_n
     where [2], ..., [n] are invertible over a field that is not a
     rational-function field; _jw_by_table, the integer table mapped to the
-    triple, everywhere else: where the recursion is blocked (Lucas cases,
-    roots of unity) or would take a gcd in nearly every operation.  The
-    table does not pay where the recursion runs: over Fp:101 at (3, 5),
-    n = 7, it took 23-31 ms with its certificate and a Horner map 7-13 ms,
-    against 17-23 ms for the recursion and _check_jw.
+    triple by _spread or _on_curve, everywhere else: where the recursion is
+    blocked (Lucas cases, roots of unity) or would take a gcd in nearly
+    every operation.  The table does not pay where the recursion runs: over
+    Fp:101 at (3, 5), n = 7, it took 23-31 ms with its certificate and a
+    Horner map 7-13 ms, against 17-23 ms for the recursion and _check_jw.
     """
     if n < 1:
         raise ValueError("n must be positive")

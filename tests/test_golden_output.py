@@ -123,6 +123,9 @@ JW_DIGESTS = (
     ("jw --ring Fp:2 --d1 1 --d2 0 --n 7 --format json", "73532f2759ee4bd8a939a556fb31f1582a53e10ab8033563762ae3669f4733d7"),
     ("jw --ring Fp:2 --d1 0 --d2 1 --n 7", "aa06d579dd370bd8010bbf4391e8b4a265aecd82e10539e0fbef28b78d1faa5e"),
     ("jw --ring ratfun:Fp:101 --d1 t+t^-1 --d2 2*t --n 7", "0567033d8d4682aa0ba835f7b64a396426d2dd783719e39d77de8eb93c26e2e2"),
+    ("jw --ring ratfun:Q --d1 t --d2 0 --n 7", "bb1298e4b93493116a41323d814b77acad5bee1a1f522dfafee1e1dc9dd7aad5"),
+    ("jw --ring ratfun:Q --d1 2 --d2 1/2 --n 8", "c0f2901a721170fa1b9ce70e6ecf3c9282e9c2955f0ecf93b23b5e2c51e1ff0b"),
+    ("jw --ring Q --d1 0 --d2 0 --n 9", "9243ebf04a5cce3ab14bf10c0039848b0c2ba38924d8491989ce597cda2ef854"),
 )
 
 

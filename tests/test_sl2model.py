@@ -8,7 +8,7 @@ from test_formal_properties import formal_morphisms, formal_objects
 from tlab.complexes import FormalComplex, FormalMorphism, FormalObject, build_continuant
 from tlab.contpoly import kappa
 from tlab.linalg import ExactMatrix
-from tlab.rings import Triple, construct_ring
+from tlab.rings import Triple, _zmonomial, _zneg, construct_ring
 from tlab.sl2model import (
     FiberParams,
     ModelError,
@@ -226,6 +226,35 @@ def test_functoriality_random_pairs():
         assert realize_morphism(tensor(f, h), params) == realize_morphism(f, params).kron(
             realize_morphism(h, params)
         )
+
+
+CONTINUANT_FIBERS = {"cyclo:8": "q", "cyclo:10": "q", "cyclo:12": "q", "ratfun:Q": "t", "Fp:7": "3"}
+
+
+def _signed_monomial(value) -> bool:
+    """Whether a value of Q(t) is +-t^a."""
+    num, den = value.payload
+    return _zmonomial(den, 1) is not None and any(_zmonomial(p, 1) is not None for p in (num, _zneg(num, 1)))
+
+
+@pytest.mark.parametrize("variant", ["lower", "upper"])
+@pytest.mark.parametrize("spec, q", CONTINUANT_FIBERS.items())
+def test_realization_is_a_functor_on_continuant_differentials(spec, q, variant):
+    # homology checks d^2 = 0 on the formal complex only; realizing d d is
+    # the product of the realized differentials, maps between different words
+    ring = construct_ring(spec)
+    params = FiberParams(ring, ring.parse(q))
+    T = params.balanced_triple()
+    for n in range(10):
+        diffs = build_continuant(n, variant, T).complex.diffs
+        realized = {k: _realize_formal(d, params) for k, d in diffs.items()}
+        for k in diffs:
+            if k - 1 in diffs:
+                square = _realize_formal(diffs[k - 1] * diffs[k], params)
+                assert square == realized[k - 1] * realized[k], (n, k)
+                assert square.is_zero(), (n, k)
+        if spec == "ratfun:Q":  # every realized cell is a single +-t^a
+            assert all(_signed_monomial(v) for m in realized.values() for row in m.entries for v in row.values()), n
 
 
 def test_homology_concentration_generic(generic_params):

@@ -51,7 +51,7 @@ class InputLimitError(ValueError):
 # default ratfun:ratfun:Q, from the integer table over Z[z], took 0.2-0.3 s
 # at n = 8, 0.9-1.0 s at 9, 4.0-4.4 s at 10 (59 MB) and 15-22 s at 11
 # (197 MB; 16-20 s and 227 MB with --format json); over `--ring Fp:101 --d1
-# 3 --d2 5` it takes 0.3-0.5 s at 9, 1.5-1.8 s at 10 (36 MB) and 12 s at 11
+# 3 --d2 5` it takes 0.3 s at 9, 1.1-1.3 s at 10 (35 MB) and 4.7-6.0 s at 11
 # (81 MB); blocked, at cyclo:12 (q+q^-1, q+q^-1), 9-11 s (121 MB).  Other
 # loop values over a rational-function field take a gcd per coefficient:
 # MAX_JW_RATFUN_N over Q, two less per further variable, and

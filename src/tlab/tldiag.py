@@ -298,29 +298,40 @@ def _compose_matchings(top: PlanarMatching, bot: PlanarMatching):
     return PlanarMatching._of(bot.source, top.target, tuple(inv)), tuple(loop_letters)
 
 
-def _generator_surgery(m: PlanarMatching, i: int):
-    """m * e_i by surgery on m's involution; returns (product, letter at the
-    leftmost middle point of the loop it closes, or None when it closes none).
+def _surgery(triple: Triple, terms: Dict[Tuple[int, ...], RingValue], source: Word, i: int):
+    """terms * e_i on bare involutions out of source, zero coefficients kept.
 
-    Why this equals composing with e_i: e_i joins positions j = len(source)
-    - 1 - i and j + 1 of m's source (points p and q of m's circle) by one arc
-    on either side of that word, and runs every other position straight
-    through.  Straight strands are identity strands, so every other arc of m
-    survives as it is, and e_i's far arc becomes the product's arc p-q.  Its
-    near arc meets m at p and q: the strand reaching p from a = inv[p]
-    crosses it and leaves q for b = inv[q], so a and b become one arc.  When
-    inv[p] == q that strand is m's own arc p-q, which the near arc closes
-    into a loop whose leftmost middle point is position j; the far arc puts
-    the arc p-q back, so the diagram is m again."""
-    j = len(m.source) - 1 - i
-    p, q = j, j + 1
-    inv = m.inv
-    if inv[p] == q:
-        return m, m.source[j]
-    a, b = inv[p], inv[q]
-    joined = list(inv)
-    joined[a], joined[b], joined[p], joined[q] = b, a, q, p
-    return PlanarMatching._of(m.source, m.target, tuple(joined)), None
+    Why this equals composing with e_i: e_i joins positions p = len(source)
+    - 1 - i and q = p + 1 of the source (points p and q of the circle) by
+    one arc on either side of that word, and runs every other position
+    straight through.  Straight strands are identity strands, so every other
+    arc of inv survives as it is, and e_i's far arc becomes the product's
+    arc p-q.  Its near arc meets inv at p and q: the strand reaching p from
+    a = inv[p] crosses it and leaves q for b = inv[q], so a and b become one
+    arc.  When inv[p] == q that strand is inv's own arc p-q, which the near
+    arc closes into a loop whose leftmost middle point is position p; the
+    far arc puts the arc p-q back, so the diagram is inv again."""
+    p = len(source) - 1 - i
+    q = p + 1
+    delta = triple.delta1 if source[p] == DOWN else triple.delta2
+    # every closed loop has the same letter, so c * delta is keyed by c alone
+    looped: Dict[RingValue, RingValue] = {}
+    out: Dict[Tuple[int, ...], RingValue] = {}
+    for inv, c in terms.items():
+        a = inv[p]
+        if a == q:
+            value = looped.get(c)
+            if value is None:
+                value = looped[c] = c * delta
+            c = value
+        else:
+            b = inv[q]
+            joined = list(inv)
+            joined[a], joined[b], joined[p], joined[q] = b, a, q, p
+            inv = tuple(joined)
+        old = out.get(inv)
+        out[inv] = c if old is None else old + c
+    return out
 
 
 def _tensor_matchings(f: PlanarMatching, g: PlanarMatching, source: Word, target: Word):
@@ -502,20 +513,14 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
 
 
 def _times_generator(triple: Triple, terms: Dict[PlanarMatching, RingValue], i: int):
-    """terms * e_i by _generator_surgery on each term, with no zero coefficient."""
-    # every closed loop has the same letter, so c * delta is keyed by c alone
-    looped: Dict[RingValue, RingValue] = {}
-    out: Dict[PlanarMatching, RingValue] = {}
-    for m, c in terms.items():
-        product, letter = _generator_surgery(m, i)
-        if letter is not None:
-            value = looped.get(c)
-            if value is None:
-                value = looped[c] = c * (triple.delta1 if letter == DOWN else triple.delta2)
-            c = value
-        old = out.get(product)
-        out[product] = c if old is None else old + c
-    return {m: c for m, c in out.items() if c}
+    """terms * e_i, terms between one pair of words, by _surgery, with no
+    zero coefficient; _store checks each distinct product once."""
+    if not terms:
+        return {}
+    source, target = next((m.source, m.target) for m in terms)
+    out = _surgery(triple, {m.inv: c for m, c in terms.items()}, source, i)
+    products = [(PlanarMatching._of(source, target, inv), c) for inv, c in out.items()]
+    return {m: c for m, c in products if c}
 
 
 def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
@@ -602,24 +607,28 @@ def _clasp(triple: Triple, n: int) -> Tuple[Dict[PlanarMatching, RingValue], Rin
       P_k = [k] X + sum_{j=1}^{k-1} (-1)^{k-j} [j] X g_{k-1} ... g_j,
     which divides by nothing; P_n / c_n is JW_n when c_n is invertible."""
     ring = triple.ring
-    terms = {PlanarMatching.identity(Word.alt(1)): ring.one}
+    # the terms of each level, keyed by inv: alt(k) is the only word
+    checked = {PlanarMatching.identity(Word.alt(1)): ring.one}
+    terms = {m.inv: c for m, c in checked.items()}
     c_n = ring.one
     for k in range(2, n + 1):
         level = Word.alt(k)
-        pad = PlanarMatching.identity(Word.single(level[0]))
-        term = {_tensor_matchings(pad, m, level, level): c for m, c in terms.items()}
+        # X = 1 (x) P_{k-1}: the new leftmost strand joins points 0 and 2k - 1
+        term = {(2 * k - 1,) + tuple(c + 1 for c in inv) + (0,): c for inv, c in terms.items()}
         qk = qnum(triple, k)[0]
         c_n = c_n * qk
-        terms = {m: qk * c for m, c in term.items()}
+        terms = {inv: qk * c for inv, c in term.items()}
         for j in range(k - 1, 0, -1):
-            term = _times_generator(triple, term, j)
+            term = _surgery(triple, term, level, j)
             qj = qnum(triple, j)[0] * (-1) ** (k - j)
-            for m, c in term.items():
+            for inv, c in term.items():
                 c = qj * c
-                old = terms.get(m)
-                terms[m] = c if old is None else old + c
-        terms = {m: c for m, c in terms.items() if c}
-    return terms, c_n
+                old = terms.get(inv)
+                terms[inv] = c if old is None else old + c
+        # _store checks every matching the level made, zero coefficients included
+        checked = {PlanarMatching._of(level, level, inv): c for inv, c in terms.items()}
+        terms = {m.inv: c for m, c in checked.items() if c}
+    return {m: c for m, c in checked.items() if c}, c_n
 
 
 def _jw_by_recursion(triple: Triple, n: int) -> TLMorphism:
@@ -829,8 +838,8 @@ def jw(triple: Triple, n: int):
     triple by _spread or _on_curve, everywhere else: where the recursion is
     blocked (Lucas cases, roots of unity) or would take a gcd in nearly
     every operation.  The table does not pay where the recursion runs: over
-    Fp:101 at (3, 5), n = 7, it took 23-31 ms with its certificate and a
-    Horner map 7-13 ms, against 17-23 ms for the recursion and _check_jw.
+    Fp:101 at (3, 5), n = 7, it took 17-31 ms with its certificate and a
+    Horner map 4-7 ms, against 11-18 ms for the recursion and _check_jw.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -82,9 +82,7 @@ def _jw_by_solve(triple: Triple, n: int) -> Optional[TLMorphism]:
     for i in range(1, n):
         equations: Dict[PlanarMatching, Dict[int, RingValue]] = {}
         for j, m in enumerate(basis):
-            res, letter = tldiag._generator_surgery(m, i)
-            coeff = ring.one if letter is None else (triple.delta1 if letter == tldiag.DOWN else triple.delta2)
-            if coeff:
+            for res, coeff in tldiag._times_generator(triple, {m: ring.one}, i).items():
                 equations.setdefault(res, {})[j] = coeff
         for row in equations.values():
             kills.setdefault(tuple(row.items()), row)

@@ -13,9 +13,11 @@ from tlab.tldiag import (
     PlanarMatching,
     TLMorphism,
     Word,
+    _INTEGRAL,
     _clasp,
     _jw_by_recursion,
     _recursion_legal,
+    _times_generator,
     compose,
     enumerate_basis,
     hazi_witness,
@@ -303,6 +305,31 @@ def test_clasp_is_the_sandwich_recursion_times_the_quantum_numbers():
             c_n = c_n * qnum(triple, n)[0]  # [1] = 1
             terms, c = _clasp(triple, n)
             assert c == c_n and terms == reference.scale(c_n).terms, (spec, d1, d2, n)
+
+
+def test_every_matching_the_clasp_and_its_certificate_return_was_checked(monkeypatch):
+    # _clasp and _times_generator run on bare involutions; each matching they
+    # hand back must still have been built through PlanarMatching._store
+    store, checked = PlanarMatching._store, []
+
+    def recording_store(matching, source, target, inv):
+        store(matching, source, target, inv)
+        checked.append(matching)  # kept alive, so the ids below stay unique
+
+    monkeypatch.setattr(PlanarMatching, "_store", recording_store)
+    one = _INTEGRAL.ring.one
+    for n in range(1, 9):
+        word = Word.alt(n)
+        basis = enumerate_basis(word, word)
+        checked.clear()
+        terms, _ = _clasp(_INTEGRAL, n)
+        assert set(terms) == set(basis)  # over Z[z] no coefficient of P_n vanishes
+        assert {id(m) for m in terms} <= {id(m) for m in checked}, n
+        for i in range(1, n):
+            checked.clear()
+            assert not _times_generator(_INTEGRAL, terms, i), (n, i)
+            products = _times_generator(_INTEGRAL, dict.fromkeys(basis, one), i)
+            assert products and {id(m) for m in products} <= {id(m) for m in checked}, (n, i)
 
 
 def test_jw_recursion_guard(f2_zero):

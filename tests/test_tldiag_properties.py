@@ -4,7 +4,7 @@ Words are arbitrary, of length at most 6, and coefficients live in the
 generic tower Q(t)(u), where the two loop values differ, so every closed
 loop's chirality shows in the result.  Products with a generator are also
 checked over F_2 with both loop values 0, where a closed loop kills its
-term.
+term, over F_101 at (3, 5) and at the balanced triple of Q(zeta_10).
 
 Endpoint pairs, the sl2 matrix entries and the rescaling weight are read
 off the boundary involution; the references below compute them from
@@ -35,6 +35,9 @@ from tlab.tldiag import (
 TOWER = generic_tower()
 F2 = construct_ring("Fp:2")
 F2_ZERO = Triple(F2, F2.zero, F2.zero)  # every closed loop kills its term
+FP101 = Triple.parse("Fp:101", "3", "5")
+ZETA10 = construct_ring("cyclo:10")
+ZETA10_BALANCED = Triple.balanced(ZETA10, ZETA10.generators()["q"])
 SETTINGS = settings(max_examples=80, deadline=None)
 
 
@@ -181,9 +184,10 @@ def test_dual_is_contravariant(fg):
 
 
 @SETTINGS
-@given(st.data(), st.sampled_from([TOWER, F2_ZERO]), st.integers(2, 6))
+@given(st.data(), st.sampled_from([TOWER, F2_ZERO, FP101, ZETA10_BALANCED]), st.integers(2, 6))
 def test_generator_surgery_is_composition_with_the_generator(data, triple, n):
-    """f * e_i, for f out of alt(n), against compose."""
+    """f * e_i, for f out of alt(n), against compose, over the tower, F_2 at
+    (0, 0), and a prime and a cyclotomic field the recursion runs over."""
     word = Word.alt(n)
     f = data.draw(morphisms(word, data.draw(words(n % 2)), triple))
     for i in range(1, n):

@@ -44,10 +44,18 @@ class InputLimitError(ValueError):
 # 116-120 MB with --format json) and 18 s at 20 (179-190 MB, the text
 # printed one degree at a time; 22-23 s and 255 MB with --format json),
 # either variant; the limit also keeps peak memory under 480 MB, and the peak
-# about doubles with each n.  `homology` over ratfun:Q took 0.7 s at n =
-# 10, 2.1-2.4 s at 11, 5.7-8.4 s at 12, 21-29 s at 13 (148 MB) and, through
-# the Python API, 82 s at 14 (385 MB); `--model 2tl` builds no JW_n and
-# takes 0.02 s at 13.  `jw` over the
+# about doubles with each n.  `homology` over ratfun:Q, its ranks certified
+# mod p, took 0.2 s at n = 11, 0.7 s at 12, 1.9-2.3 s at 13 (64 MB),
+# 6.2-6.7 s at 14 (135 MB) and 17-19 s at 15 (376 MB), either variant, text
+# or JSON; at 15 over cyclo:10 at q, Q at q = 10^999, ratfun:ratfun:Q at
+# t*u and Fp:1000003 at 12345 it took 17-19 s and 374-382 MB.  n = 16 was
+# not run: the peak more than doubles with each n.  Where q has no
+# reduction mod p (ratfun:Fp:*, ratfun:cyclo:*, or a denominator that p
+# divides) the ranks come from elimination over the field, as before the
+# certificate: MAX_HOMOLOGY_EXACT_N, where ratfun:cyclo:5 at t took 39 s
+# at 12 (73 MB), ratfun:Fp:5 17 s at 12 and 59 s at 13, and Q at q = p
+# 15 s at 13 and 60 s at 14 (335 MB); deeper towers were not measured.
+# `--model 2tl` builds no JW_n and takes 0.02 s at 15.  `jw` over the
 # default ratfun:ratfun:Q, from the integer table over Z[z], took 0.2-0.3 s
 # at n = 8, 0.9-1.0 s at 9, 4.0-4.4 s at 10 (59 MB) and 15-22 s at 11
 # (197 MB; 16-20 s and 227 MB with --format json); over `--ring Fp:101 --d1
@@ -67,7 +75,8 @@ class InputLimitError(ValueError):
 # of FPdim above 2 grow exponentially, so memory grows as the square of
 # --max-n, and over slq:111 it went from 49 MB at 64 to 220 MB at 256.
 MAX_CONTINUANT_N = 20
-MAX_HOMOLOGY_N = 13
+MAX_HOMOLOGY_N = 15
+MAX_HOMOLOGY_EXACT_N = 12
 MAX_JW_N = 11
 MAX_JW_RATFUN_N = 11
 MAX_JW_FIELD_RATFUN_N = (9, 5)
@@ -196,6 +205,9 @@ def cmd_homology(args) -> int:
     except (RingSpecError, ElementParseError) as exc:
         raise UsageError(str(exc)) from None
     params = sl2model.FiberParams(ring, q)
+    if args.model == "sl2" and args.n > MAX_HOMOLOGY_EXACT_N and sl2model._reduction(params) is None:
+        raise InputLimitError(f"homology --n {args.n} is beyond the limit of {MAX_HOMOLOGY_EXACT_N} over "
+                              f"{args.ring} at this q, which has no reduction mod p")
     triple = params.balanced_triple()
     if args.model == "2tl":
         verdict = tldiag._binomial_verdict(triple, args.n)

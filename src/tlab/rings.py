@@ -287,6 +287,14 @@ class Ring:
         predicted size is over the limit."""
         return False
 
+    def reduction(self):
+        """(p, psi): a fixed prime p and a map psi from payloads to residues
+        mod p, or None where this kind of ring has none.  psi gives None on
+        an element whose denominator vanishes mod p; on the others, a
+        subring, it is a ring map onto F_p.  Nothing is cached: each call
+        finds p (and a root of unity mod p) afresh."""
+        return None
+
     # -- convenience -------------------------------------------------------
 
     @property
@@ -359,6 +367,16 @@ class Rationals(Ring):
     def _to_str(self, a):
         return str(a)
 
+    def reduction(self):
+        p = _reduction_prime(1)
+
+        def psi(a):
+            if a.denominator % p == 0:
+                return None
+            return a.numerator * pow(a.denominator, -1, p) % p
+
+        return p, psi
+
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # below this bound (Sorenson and Webster 2015); no larger modulus is accepted.
@@ -387,6 +405,19 @@ def _is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+# Reductions modulo a prime (Ring.reduction) use the first suitable prime
+# above this start, so that residues and their products stay machine-sized.
+_REDUCTION_START = 1 << 30
+
+
+def _reduction_prime(m: int) -> int:
+    """The first prime p = 1 (mod m) above _REDUCTION_START."""
+    p = (_REDUCTION_START // m + 1) * m + 1
+    while not _is_prime(p):
+        p += m
+    return p
 
 
 class PrimeField(Ring):
@@ -430,6 +461,10 @@ class PrimeField(Ring):
 
     def _to_str(self, a):
         return str(a)
+
+    def reduction(self):
+        """The identity of F_p."""
+        return self.p, lambda a: a
 
 
 # -- dense polynomials over a field --------------------------------------
@@ -507,23 +542,52 @@ def _pinvmod(a, m, zero):
     return tuple(c * inv for c in s1)
 
 
+def _prime_factors(m: int) -> list:
+    """The distinct primes dividing m > 0, by trial division."""
+    primes, r = [], 2
+    while r * r <= m:
+        if m % r == 0:
+            primes.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    return primes + [m] if m > 1 else primes
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
-    """Phi_m in ints: x^m - 1 divided exactly by Phi_d for each proper divisor d."""
+    """Phi_m in ints, as the product of (x^d - 1)^mu(m/d) over the divisors d
+    of m.  Every factor with mu = 1 is multiplied in before any with mu = -1
+    is divided out, so each division is exact; multiplying or dividing by
+    x^d - 1 is one pass over the coefficients."""
     if m < 1:
         raise RingSpecError("cyclotomic modulus must be >= 1")
-    phi = (-1,) + (0,) * (m - 1) + (1,)
-    for d in range(1, m):
-        if m % d == 0:
-            phi = _zdiv(phi, cyclotomic_polynomial(d), 1)
-    return phi
+    primes = _prime_factors(m)
+    # the divisors m / r1...rk over subsets of the primes, by the parity of k
+    factors = ([], [])
+    for mask in range(1 << len(primes)):
+        chosen = [r for i, r in enumerate(primes) if mask >> i & 1]
+        factors[len(chosen) % 2].append(m // math.prod(chosen))
+    phi = [1]
+    for d in factors[0]:  # times x^d - 1
+        product = [-c for c in phi] + [0] * d
+        for i, c in enumerate(phi):
+            product[i + d] += c
+        phi = product
+    for d in factors[1]:  # exactly divided by x^d - 1: q_i = q_(i-d) - p_i
+        quotient = []
+        for i in range(len(phi) - d):
+            quotient.append((quotient[i - d] if i >= d else 0) - phi[i])
+        phi = quotient
+    return tuple(phi)
 
 
-# Largest m in cyclo:<m>.  Building Phi_m divides x^m - 1 by every Phi_d, so
-# its cost grows with the number of divisors as well as with m: `qnum --upto
-# 2` with both loop values q+q^-1 took 16 s at m = 20160, 31 s at 25200,
-# 49 s at 27720 (20 MB), 37 s at 29400 and 82 s at 30030 (CPython 3.11, one
-# core of an Intel Xeon virtual machine).
+# Largest m in cyclo:<m>, set when building Phi_m divided x^m - 1 by every
+# Phi_d: `qnum --upto 2` with both loop values q+q^-1 then took 49-58 s at
+# m = 27720 (20 MB) and 82 s at 30030 (CPython 3.11, one core of an Intel
+# Xeon virtual machine).  From the product of (x^d - 1)^mu(m/d) the same
+# request takes 0.15 s at 20160 and 1.0 s at 27720; the limit has not been
+# re-derived since.
 MAX_CYCLO_M = 27720
 
 
@@ -593,6 +657,32 @@ class CyclotomicField(Ring):
 
     def _to_str(self, a):
         return _poly_text([str(Fraction(c, a[1])) for c in a[0]], "q")
+
+    def reduction(self):
+        """q goes to a = x^((p-1)/m) of order exactly m, for the least x = 2,
+        3, ... that gives one, with p = 1 (mod m).  a is then a root of
+        Phi_m mod p, so psi is well defined on Z[q] localised at the
+        integers prime to p, whatever representative a payload holds."""
+        m = self.m
+        p = _reduction_prime(m)
+        primes = _prime_factors(m)
+        x = 2
+        while True:
+            a = pow(x, (p - 1) // m, p)
+            if all(pow(a, m // r, p) != 1 for r in primes):
+                break
+            x += 1
+
+        def psi(payload):
+            num, den = payload
+            if den % p == 0:
+                return None
+            value = 0
+            for c in reversed(num):
+                value = (value * a + c) % p
+            return value * pow(den, -1, p) % p
+
+        return p, psi
 
     @property
     def gen(self) -> RingValue:
@@ -821,6 +911,8 @@ def _zgcd(a, b, k: int):
 
 
 _GEN_NAMES = "tuvw"
+# IntFractionField.reduction sends the generator of depth k to this plus k
+_RATFUN_POINT = 65_536
 
 
 class FractionField(Ring):
@@ -1046,6 +1138,27 @@ class IntFractionField(FractionField):
     def gen(self) -> RingValue:
         k = self.depth
         return RingValue(self, ((_zconst(0, k - 1), _zconst(1, k - 1)), self._unit))
+
+    def reduction(self):
+        """The generator of depth k (t = 1, u = 2, ...) goes to the residue
+        _RATFUN_POINT + k, and integers as over Q."""
+        p, depth = _reduction_prime(1), self.depth
+
+        def value(a, k):  # a in Z[x1..xk], by Horner in the outermost variable
+            if k == 0:
+                return a
+            out, x = 0, _RATFUN_POINT + k
+            for c in reversed(a):
+                out = (out * x + value(c, k - 1)) % p
+            return out
+
+        def psi(payload):
+            den = value(payload[1], depth) % p
+            if not den:
+                return None
+            return value(payload[0], depth) * pow(den, -1, p) % p
+
+        return p, psi
 
     def _constant(self, a):
         # a base payload is already a coprime pair with positive leading integer

@@ -13,22 +13,28 @@ Both loop orientations then evaluate to q + q^-1, the snake identities
 hold, and the assignment is a monoidal functor on the nose: composition
 goes to matrix product (including all loop scalars) and juxtaposition to
 the Kronecker product, so d^2 = 0 on a formal complex holds in every
-realization.  Homology of realized complexes is computed by exact sparse
-Gaussian elimination, so ranks remain meaningful at roots of unity.  Every
-diagram preserves sl2 weight, so a realized differential is block-diagonal
-up to a permutation, and elimination, which only touches rows with a
-non-zero in the pivot column, never fills outside a block.
+realization.  Homology of realized complexes is exact, so ranks remain
+meaningful at roots of unity.  Each differential is realized straight into
+F_p, through a ring map fixed for each kind of field (``Ring.reduction``),
+and its ranks over F_p, which can only be smaller, are accepted where an
+Euler-characteristic argument shows that they are the ranks over the
+field (see ``homology``).  Otherwise, and over fields with no such map, the
+differentials are realized over the field and exact sparse Gaussian
+elimination decides.  Every diagram preserves sl2 weight, so a realized
+differential is block-diagonal up to a permutation, and elimination, which
+only touches rows with a non-zero in the pivot column, never fills outside
+a block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .complexes import FormalComplex, FormalMorphism, FormalObject
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, rank_mod_p
 from .rings import Ring, RingValue, Triple
 from .tldiag import PlanarMatching, TLMorphism, Word
 
@@ -39,20 +45,30 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class FiberParams:
-    """An exact field together with an invertible scalar q."""
+    """An exact field together with an invertible scalar q, whose inverse is
+    taken once, here."""
 
     ring: Ring
     q: RingValue
+    q_inverse: RingValue = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q.ring != self.ring:
             raise ModelError("q must belong to the given field")
-        if self.q.inverse() is None:
+        inverse = self.q.inverse()
+        if inverse is None:
             raise ModelError("q must be invertible")
+        object.__setattr__(self, "q_inverse", inverse)
 
     @cached_property
     def delta(self) -> RingValue:
-        return self.q + self.q.inverse()
+        return self.q + self.q_inverse
+
+    def q_power(self, exponent: int) -> RingValue:
+        """q^exponent, a negative one as a power of the stored inverse; q and
+        q^-1 themselves are returned as they are, whatever their size."""
+        base = self.q if exponent >= 0 else self.q_inverse
+        return base if abs(exponent) == 1 else base ** abs(exponent)
 
     def balanced_triple(self) -> Triple:
         """The triple with both loop values q + q^-1."""
@@ -114,7 +130,7 @@ def realized_trace(f: TLMorphism, params: FiberParams) -> RingValue:
         diagonal = params.ring.zero
         for row, col, exponent in _matching_entries(matching):
             if row == col:
-                diagonal = diagonal + params.q**exponent
+                diagonal = diagonal + params.q_power(exponent)
         total = total + coeff * diagonal
     return total
 
@@ -124,15 +140,15 @@ def _offsets(obj) -> List[int]:
     return list(accumulate((word_dimension(w) for w in obj.summands), initial=0))
 
 
-def _realize_formal(morphism: FormalMorphism, params: FiberParams) -> ExactMatrix:
-    """The matrix of a formal morphism, each entry's diagrams written
-    straight into that entry's block."""
+def _cells(morphism: FormalMorphism, params: FiberParams, scale) -> Optional[List[dict]]:
+    """The rows {column: value} of a formal morphism's matrix, each entry's
+    diagrams written straight into that entry's block.  scale(coeff, e) is
+    coeff * q^e in the target, or None where the target has no value for
+    it, and then the result is None too."""
     balanced = params.balanced_triple()
     _check_balanced(morphism.triple, balanced)
     rows, cols = _offsets(morphism.target), _offsets(morphism.source)
-    out = ExactMatrix.zeros(params.ring, rows[-1], cols[-1])
-    qpow = {0: params.ring.one, 1: params.q, -1: params.q.inverse()}
-    entries = out.entries
+    entries = [{} for _ in range(rows[-1])]
     for (i, j), entry in morphism.blocks.items():
         _check_balanced(entry.triple, balanced)
         top, left = rows[i], cols[j]
@@ -141,16 +157,81 @@ def _realize_formal(morphism: FormalMorphism, params: FiberParams) -> ExactMatri
             for row, col, exponent in _matching_entries(matching):
                 value = scaled.get(exponent)
                 if value is None:
-                    if exponent not in qpow:
-                        qpow[exponent] = params.q**exponent
-                    value = scaled[exponent] = coeff * qpow[exponent]
+                    value = scaled[exponent] = scale(coeff, exponent)
+                    if value is None:
+                        return None
                 target, key = entries[top + row], left + col
                 old = target.pop(key, None)
                 if old is not None:
                     value = old + value
                 if value:  # a sum that cancels stays out of the row
                     target[key] = value
+    return entries
+
+
+def _realize_formal(morphism: FormalMorphism, params: FiberParams) -> ExactMatrix:
+    """The matrix of a formal morphism over the model's field."""
+    powers = {}
+
+    def scale(coeff, exponent):
+        power = powers.get(exponent)
+        if power is None:
+            power = powers[exponent] = params.q_power(exponent)
+        return coeff * power
+
+    out = ExactMatrix.zeros(params.ring, _offsets(morphism.target)[-1], _offsets(morphism.source)[-1])
+    out.entries = _cells(morphism, params, scale)
     return out
+
+
+def _reduction(params: FiberParams):
+    """(p, psi, psi(q), psi(q^-1)) for the field's reduction psi, or None
+    where the field has none or psi is not defined on q or q^-1."""
+    reduction = params.ring.reduction()
+    if reduction is None:
+        return None
+    p, psi = reduction
+    q, q_inverse = psi(params.q.payload), psi(params.q_inverse.payload)
+    if q is None or q_inverse is None:
+        return None
+    return p, psi, q, q_inverse
+
+
+def _modular_ranks(complex_: FormalComplex, params: FiberParams):
+    """(certificate, {degree: rank mod p}): each differential realized
+    straight into F_p by the field's reduction psi, and its rank taken
+    before the next is realized; None where _reduction is, or psi is not
+    defined on a coefficient."""
+    reduction = _reduction(params)
+    if reduction is None:
+        return None
+    p, psi, q, q_inverse = reduction
+    images, powers = {}, {}
+
+    def scale(coeff, exponent):
+        c = images.get(coeff)
+        if c is None:
+            c = images[coeff] = psi(coeff.payload)
+            if c is None:
+                return None
+        power = powers.get(exponent)
+        if power is None:
+            power = powers[exponent] = pow(q if exponent >= 0 else q_inverse, abs(exponent), p)
+        return c * power
+
+    ranks = {}
+    for i, d in complex_.diffs.items():
+        rows = _cells(d, params, scale)
+        if rows is None:
+            return None
+        ranks[i] = rank_mod_p(rows, _offsets(d.source)[-1], p)
+    return "Fp" if params.ring.kind == "Fp" else f"modular p={p}, a={q}", ranks
+
+
+def _exact_ranks(complex_: FormalComplex, params: FiberParams) -> Dict[int, int]:
+    """Each differential's rank by elimination over the field, taken before
+    the next is realized."""
+    return {i: _realize_formal(d, params).rank() for i, d in complex_.diffs.items()}
 
 
 @dataclass(frozen=True)
@@ -169,6 +250,9 @@ class HomologyReport:
     degrees: Dict[int, DegreeHomology]
     euler_terms: int
     euler_homology: int
+    # how the ranks were found: "modular p=..., a=...", "Fp" or "exact" (see
+    # homology); not part of the text or JSON report
+    certificate: str = field(default="exact", compare=False)
 
     def concentrated_in(self) -> List[int]:
         return sorted(i for i, d in self.degrees.items() if d.homology)
@@ -198,16 +282,46 @@ class HomologyReport:
 
 
 def homology(complex_: FormalComplex, params: FiberParams) -> HomologyReport:
-    """Exact homology of a realized complex of formal word sums.  The formal
-    complex must square to zero, which is checked after realizing, so that
-    an unbalanced triple is reported first; the realized one then does too.
-    (In a continuant complex d d closes no loop and cancels over Z.)"""
+    """Exact homology of a realized complex of formal word sums.
+
+    The ranks come from a reduction psi of the field K onto F_p
+    (``Ring.reduction``) where it certifies them, and otherwise from exact
+    elimination over K:
+
+    * over F_p itself psi is the identity, and its ranks are exact
+      (certificate "Fp");
+    * otherwise each realized cell is a sum of formal coefficients times
+      powers of q and q^-1.  Where psi is defined on all of these, it is a
+      ring map on a subring holding every differential, and a minor of
+      psi(d_i) is psi of that minor of d_i; so rank_p(d_i) <= rank_K(d_i),
+      and dim H_i over F_p >= dim H_i over K in every degree i.  Both sides
+      have the Euler characteristic sum (-1)^i dim C_i.  If the F_p
+      homology is non-zero in at most one degree j, the K homology is zero
+      outside j, and equal to it at j by the Euler characteristic.  Then
+      rank_i + rank_(i+1) = dim C_i - dim H_i agrees on both sides in every
+      degree, and the lowest degree has outgoing rank 0 on both sides, so
+      by induction upwards every rank agrees: the report is the same
+      (certificate "modular p=..., a=...", with a = psi(q));
+    * in every other case, and for rings with no reduction, the ranks come
+      from elimination over K (certificate "exact").
+
+    The formal complex must square to zero, which is checked after
+    realizing (and ranking) it, so that an unbalanced triple is reported
+    first; the realized one then does too.  (In a continuant complex d d
+    closes no loop and cancels over Z.)"""
     dims = {i: _offsets(obj)[-1] for i, obj in complex_.terms.items()}
-    matrices = {i: _realize_formal(d, params) for i, d in complex_.diffs.items()}
+    modular = _modular_ranks(complex_, params)
+    exact = None if modular else _exact_ranks(complex_, params)
     failures = complex_.d_squared_failures()
     if failures:
         raise ModelError(f"differentials do not square to zero at degree {failures[0]}")
-    ranks = {i: mat.rank() for i, mat in matrices.items()}
+    if modular is not None:
+        certificate, ranks = modular
+        nonzero = [i for i, dim in dims.items() if dim - ranks.get(i, 0) - ranks.get(i + 1, 0)]
+        if certificate != "Fp" and len(nonzero) > 1:
+            exact = _exact_ranks(complex_, params)
+    if exact is not None:
+        certificate, ranks = "exact", exact
     degrees = {}
     euler_terms = 0
     euler_homology = 0
@@ -220,4 +334,4 @@ def homology(complex_: FormalComplex, params: FiberParams) -> HomologyReport:
         sign = 1 if i % 2 == 0 else -1
         euler_terms += sign * dim
         euler_homology += sign * h
-    return HomologyReport(degrees, euler_terms, euler_homology)
+    return HomologyReport(degrees, euler_terms, euler_homology, certificate)

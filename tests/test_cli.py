@@ -310,6 +310,24 @@ def test_n_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys):
         assert took < 0.5, (argv, took)
 
 
+def test_homology_without_a_reduction_mod_p_has_a_lower_ceiling(capsys):
+    # there the ranks come from elimination over the field, as before the
+    # modular certificate: ratfun:cyclo:5 took 39 s at n = 12
+    from tlab.cli import MAX_HOMOLOGY_EXACT_N, MAX_HOMOLOGY_N
+    from tlab.rings import construct_ring
+
+    assert MAX_HOMOLOGY_EXACT_N < MAX_HOMOLOGY_N
+    p, _ = construct_ring("Q").reduction()
+    n = str(MAX_HOMOLOGY_EXACT_N + 1)
+    for ring, q in (("ratfun:Fp:5", "t"), ("ratfun:cyclo:5", "t"), ("Q", str(p)), ("Q", f"1/{p}")):
+        (code, _, err), took = _timed(capsys, "homology", "--n", n, "--ring", ring, "--q", q)
+        assert code == 1, (ring, q)
+        assert f"beyond the limit of {MAX_HOMOLOGY_EXACT_N} over {ring}" in err
+        assert took < 0.5, (ring, q, took)
+    code, _, _ = run(capsys, "homology", "--n", n, "--ring", "ratfun:Fp:5", "--q", "t", "--model", "2tl")
+    assert code == 0
+
+
 def test_jw_over_rational_functions_has_a_lower_ceiling(capsys, monkeypatch):
     from tlab import tldiag
     from tlab.cli import MAX_JW_FIELD_RATFUN_N, MAX_JW_N, MAX_JW_RATFUN_N
@@ -409,6 +427,16 @@ def test_raised_jw_ceilings_are_reached_in_seconds(capsys, monkeypatch):
     )
     assert code == 0 and took < 1, took
     assert json.loads(out)["jw_exists"] is True
+
+
+def test_homology_at_a_huge_rational_q_is_certified_in_seconds(capsys):
+    # q = 10^999 has 3,320 bits; reduced mod p the ranks cost what they cost
+    # at q = 2, where elimination over Q took 5-6 s on its huge entries
+    (code, out, _), took = _timed(capsys, "homology", "--n", "11", "--ring", "Q", "--q", "10^999", "--format", "json")
+    assert code == 0 and took < 3, took
+    degrees = json.loads(out)["degrees"]
+    assert degrees["0"]["homology"] == 12
+    assert all(d["homology"] == 0 for i, d in degrees.items() if i != "0")
 
 
 # rings with their generators, and malformed specifications

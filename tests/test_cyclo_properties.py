@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlab.rings import construct_ring, cyclotomic_polynomial, parse_element
+from tlab.rings import MAX_CYCLO_M, _is_prime, construct_ring, cyclotomic_polynomial, parse_element
 
 CYCLO = ["cyclo:1", "cyclo:2", "cyclo:5", "cyclo:8", "cyclo:10", "cyclo:12", "cyclo:105"]
 SPECS = CYCLO + ["Fp:2", "Fp:7", "Fp:101"]
@@ -137,6 +137,28 @@ def test_text_round_trip(spec):
     check()
 
 
+@pytest.mark.parametrize("spec", SPECS + ["Q"])
+def test_reduction_is_a_ring_map_where_defined(spec):
+    ring = construct_ring(spec)
+    p, psi = ring.reduction()
+
+    @settings_for(ring)
+    @given(values(ring), values(ring))
+    def check(a, b):
+        x, y = psi(a.payload), psi(b.payload)
+        if x is None or y is None:
+            return
+        assert psi((a + b).payload) == (x + y) % p
+        assert psi((a * b).payload) == x * y % p
+        assert psi((-a).payload) == -x % p
+        if a:
+            inverse = psi(a.inverse().payload)
+            assert inverse is None or inverse * x % p == 1
+
+    check()
+    assert psi(ring.one.payload) == 1 and psi(ring.zero.payload) == 0
+
+
 # -- sympy as an independent oracle -----------------------------------------
 
 try:
@@ -181,3 +203,18 @@ def test_products_and_inverses_match_sympy(spec):
             assert sympy.expand(to_sympy(a.inverse()) - sympy.invert(sympy.expand(A), phi, X)) == 0
 
     check()
+
+
+@pytest.mark.parametrize("m", list(range(1, 201)) + [5040, MAX_CYCLO_M])
+def test_the_cyclotomic_reduction_factors_through_z_zeta(m):
+    # q goes to a root a of Phi_m mod a prime p = 1 (mod m), the condition
+    # for psi to be a ring map on Z[zeta_m] localised at the integers prime to p
+    ring = construct_ring(f"cyclo:{m}")
+    p, psi = ring.reduction()
+    a = psi(ring.generators()["q"].payload)
+    assert (sympy.isprime if sympy else _is_prime)(p), m
+    assert (p - 1) % m == 0 and p > 1 << 30, m
+    value = 0
+    for c in reversed(cyclotomic_polynomial(m)):
+        value = (value * a + c) % p
+    assert value == 0, m

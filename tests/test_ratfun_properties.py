@@ -98,6 +98,29 @@ def test_canonical_form_is_unique(depth):
     check()
 
 
+@pytest.mark.parametrize("depth", [1, 2])
+def test_reduction_is_a_ring_map_where_defined(depth):
+    ring = RINGS[depth]
+    p, psi = ring.reduction()
+
+    @SETTINGS
+    @given(values(depth), values(depth))
+    def check(a, b):
+        x, y = psi(a.payload), psi(b.payload)
+        if x is None or y is None:
+            return
+        assert psi((a + b).payload) == (x + y) % p
+        assert psi((a * b).payload) == x * y % p
+        if a:
+            inverse = psi(a.inverse().payload)
+            assert inverse is None or inverse * x % p == 1
+
+    check()
+    t = ring.generators()["t"]
+    assert psi((t - psi(t.payload)).payload) == 0
+    assert psi((1 / (t - psi(t.payload))).payload) is None
+
+
 # -- sympy as an independent oracle -----------------------------------------
 
 try:

@@ -329,3 +329,122 @@ def test_corrupted_differential_fails_the_square_zero_check(zeta10_params):
     bad = FormalComplex(T, good.terms, diffs)
     with pytest.raises(ModelError, match=f"do not square to zero at degree {top}"):
         homology(bad, zeta10_params)
+
+
+# fibers of the modular certificate's oracle: the field, q, and the
+# certificate homology must report there
+ORACLE_FIBERS = [
+    ("ratfun:Q", "t", "modular"), ("ratfun:Q", "t+1", "modular"),
+    ("cyclo:8", "q", "modular"), ("cyclo:10", "q", "modular"), ("cyclo:12", "q", "modular"),
+    ("Q", "2", "modular"), ("Q", "-1", "modular"),
+    ("Fp:2", "1", "Fp"), ("Fp:3", "2", "Fp"), ("Fp:5", "2", "Fp"), ("Fp:7", "3", "Fp"),
+]
+
+
+def _exact_ranks(complex_, params):
+    """The reference: every rank by elimination over the field itself."""
+    return {i: _realize_formal(d, params).rank() for i, d in complex_.diffs.items()}
+
+
+def _assert_report_has_ranks(report, ranks):
+    for i, d in report.degrees.items():
+        assert d.rank_out == ranks.get(i, 0), i
+        assert d.image_in == ranks.get(i + 1, 0), i
+        assert d.homology == d.dimension - d.rank_out - d.image_in, i
+
+
+@pytest.mark.parametrize("variant", ["lower", "upper"])
+@pytest.mark.parametrize("spec, q, certificate", ORACLE_FIBERS)
+def test_certified_ranks_are_the_ranks_over_the_field(spec, q, certificate, variant):
+    ring = construct_ring(spec)
+    params = FiberParams(ring, ring.parse(q))
+    for n in range(10):
+        complex_ = build_continuant(n, variant, params.balanced_triple()).complex
+        report = homology(complex_, params)
+        _assert_report_has_ranks(report, _exact_ranks(complex_, params))
+        assert report.certificate.split(" ")[0] == certificate, n
+
+
+def test_modular_certificate_names_the_prime_and_the_image_of_q():
+    ring = construct_ring("cyclo:10")
+    params = FiberParams(ring, ring.generators()["q"])
+    report = homology(build_continuant(4, "lower", params.balanced_triple()).complex, params)
+    p, psi = ring.reduction()
+    assert report.certificate == f"modular p={p}, a={psi(params.q.payload)}"
+    assert p % 10 == 1 and pow(psi(params.q.payload), 10, p) == 1
+
+
+def test_a_dropped_modular_rank_falls_back_to_elimination(monkeypatch):
+    from tlab import sl2model
+
+    ring = construct_ring("ratfun:Q")
+    params = FiberParams(ring, ring.generators()["t"])
+    complex_ = build_continuant(6, "lower", params.balanced_triple()).complex
+    certified = homology(complex_, params)
+    assert certified.certificate.startswith("modular")
+    kernel, calls = sl2model.rank_mod_p, []
+
+    def one_rank_short(rows, ncols, p):
+        calls.append(ncols)
+        rank = kernel(rows, ncols, p)
+        return rank - 1 if len(calls) == 1 and rank else rank
+
+    monkeypatch.setattr(sl2model, "rank_mod_p", one_rank_short)
+    fallback = homology(complex_, params)
+    assert calls and fallback.certificate == "exact"
+    assert fallback == certified and str(fallback) == str(certified)
+    assert fallback.to_json_dict() == certified.to_json_dict()
+
+
+def test_q_divisible_by_the_prime_falls_back_to_elimination():
+    Q = construct_ring("Q")
+    p, _ = Q.reduction()
+    for q in (Q.from_int(p), Q.from_int(3 * p), Q.one / p):  # psi(q^-1) or psi(q) undefined
+        params = FiberParams(Q, q)
+        for n in range(6):
+            complex_ = build_continuant(n, "lower", params.balanced_triple()).complex
+            report = homology(complex_, params)
+            assert report.certificate == "exact", (q, n)
+            _assert_report_has_ranks(report, _exact_ranks(complex_, params))
+
+
+def test_rings_without_a_reduction_eliminate_over_the_field():
+    for spec, q in (("ratfun:Fp:5", "t"), ("ratfun:cyclo:5", "t")):
+        ring = construct_ring(spec)
+        params = FiberParams(ring, ring.parse(q))
+        complex_ = build_continuant(3, "lower", params.balanced_triple()).complex
+        report = homology(complex_, params)
+        assert ring.reduction() is None and report.certificate == "exact"
+        _assert_report_has_ranks(report, _exact_ranks(complex_, params))
+
+
+@pytest.mark.parametrize("spec, q", [("ratfun:Q", "t"), ("cyclo:10", "q"), ("Q", "2"), ("Fp:7", "3")])
+def test_an_unbalanced_complex_still_raises_before_any_rank(spec, q, monkeypatch):
+    from tlab import sl2model
+
+    ring = construct_ring(spec)
+    params = FiberParams(ring, ring.parse(q))
+    other = FiberParams(ring, ring.from_int(2) * params.q).balanced_triple()
+    monkeypatch.setattr(sl2model, "rank_mod_p", None)  # never reached
+    with pytest.raises(ModelError, match="balanced"):
+        homology(build_continuant(4, "lower", other).complex, params)
+
+
+def test_q_is_inverted_once_per_homology_request(monkeypatch, capsys):
+    from tlab import rings
+    from tlab.cli import main
+
+    ring = construct_ring("cyclo:10")
+    q = ring.parse("q^3+2*q-5+q^7/3")
+    invert, inverted = rings.CyclotomicField._invert, []
+
+    def counted(self, a):
+        inverted.append(a)
+        return invert(self, a)
+
+    monkeypatch.setattr(rings.CyclotomicField, "_invert", counted)
+    for n in (2, 5):
+        inverted.clear()
+        assert main(["homology", "--n", str(n), "--ring", "cyclo:10", "--q", "q^3+2*q-5+q^7/3"]) == 0
+        assert inverted.count(q.payload) == 1, n
+    capsys.readouterr()

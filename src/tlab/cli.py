@@ -40,10 +40,10 @@ class InputLimitError(ValueError):
 # Largest --n (--upto for `qnum`, --max-n for `bound` and `classify`): the
 # largest value that finished within 60 s without error (CPython 3.11, one
 # core of an Intel Xeon virtual machine), with the default rings unless said
-# otherwise.  `continuant` took 7-8 s at n = 19 (134-140 MB; 10-11 s and
-# 116-120 MB with --format json) and 18 s at 20 (179-190 MB, the text
-# printed one degree at a time; 22-23 s and 255 MB with --format json),
-# either variant; the limit also keeps peak memory under 480 MB, and the peak
+# otherwise.  `continuant`, lower variant, took 8-9.5 s at n = 20 (183 MB,
+# the text printed one degree at a time) and 21-28 s with --format json
+# (254 MB); at 21 the text took 20 s (359 MB), --format json 66 s and 568 MB,
+# over the time and memory rules: the dense JSON rows set the peak, which
 # about doubles with each n.  `homology` over ratfun:Q, its ranks certified
 # mod p, took 0.2 s at n = 11, 0.7 s at 12, 1.9-2.3 s at 13 (64 MB),
 # 6.2-6.7 s at 14 (135 MB) and 17-19 s at 15 (376 MB), either variant, text

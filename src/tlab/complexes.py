@@ -29,7 +29,8 @@ from .tldiag import (
     PlanarMatching,
     TLMorphism,
     Word,
-    compose,
+    _add_products,
+    _checked,
     flip_letter,
     tensor,
 )
@@ -143,18 +144,27 @@ class FormalMorphism:
         return FormalMorphism._from_blocks(self.triple, self.source, self.target, blocks)
 
     def __mul__(self, other: "FormalMorphism") -> "FormalMorphism":
-        """Matrix product self * other (other applied first)."""
+        """Matrix product self * other (other applied first).
+
+        Each output cell sums its products over every k on bare involutions
+        (tldiag._add_products); then _store checks each distinct composite
+        of the cell once, zero sums included, and the cell is one TLMorphism."""
         if other.target != self.source:
             raise ComplexError("matrix shapes do not compose")
-        right: Dict[int, List[Tuple[int, TLMorphism]]] = {}
+        rows, right = {}, {}  # i -> [(k, entry)] and k -> [(j, entry)]
+        for (i, k), e in self.blocks.items():
+            rows.setdefault(i, []).append((k, e))
         for (k, j), e in other.blocks.items():
             right.setdefault(k, []).append((j, e))
-        blocks: Dict[Tuple[int, int], TLMorphism] = {}
-        for (i, k), left in self.blocks.items():
-            for j, e in right.get(k, ()):
-                product = compose(left, e)
-                acc = blocks.get((i, j))
-                blocks[i, j] = product if acc is None else acc + product
+        scaled, blocks = {}, {}  # scaled: the coefficient memo of the whole product
+        for i, row in rows.items():  # one row's sums are held at a time
+            cells: Dict[int, dict] = {}
+            for k, left in row:
+                for j, e in right.get(k, ()):
+                    _add_products(left, e, cells.setdefault(j, {}), scaled)
+            for j, terms in cells.items():
+                source, target = other.source.summands[j], self.target.summands[i]
+                blocks[i, j] = TLMorphism(self.triple, source, target, _checked(source, target, terms))
         return FormalMorphism._from_blocks(self.triple, other.source, self.target, blocks)
 
     def tensor_letter(self, letter: str) -> "FormalMorphism":
@@ -257,13 +267,14 @@ class FormalComplex:
 
     def to_json_dict(self) -> dict:
         out = {"degrees": {}}
+        rendered = {}  # each distinct coefficient is rendered once per complex
         for i in sorted(self.terms, reverse=True):
             entry = {"summands": [str(w) for w in self.terms[i].summands]}
             if self.labels is not None and i in self.labels:
                 entry["labels"] = [list(lab) for lab in self.labels[i]]
             d = self.diffs.get(i)
             if d is not None:
-                entry["differential"] = d._cells(str, "0")
+                entry["differential"] = d._cells(lambda e: e._format(rendered), "0")
             out["degrees"][str(i)] = entry
         return out
 
@@ -380,11 +391,15 @@ class ContinuantBuild:
 def _cap(long: Word, short: Word, j: int, cup: bool) -> PlanarMatching:
     """Identity strands with one cap from positions j, j+1 of the long word
     (the source); with cup set, the long word is the target and the arc is
-    a cup."""
-    near, far = ("t", "b") if cup else ("b", "t")
-    pairs = [((near, j), (near, j + 1))]
-    pairs.extend(((near, s), (far, s if s < j else s - 2)) for s in range(len(long)) if s not in (j, j + 1))
-    return PlanarMatching(short, long, pairs) if cup else PlanarMatching(long, short, pairs)
+    a cup.  The cap's circle has long position s at point s and short t at
+    n - 1 - t; the cup's point c is the cap's point n - 1 - c."""
+    n = len(long.letters) + len(short.letters)
+    inv = [n - 1 - (s if s < j else s - 2) for s in range(len(long.letters))]
+    inv[j], inv[j + 1] = j + 1, j
+    inv.extend(t if t < j else t + 2 for t in range(len(short.letters) - 1, -1, -1))
+    if cup:
+        return PlanarMatching._of(short, long, tuple(n - 1 - d for d in reversed(inv)))
+    return PlanarMatching._of(long, short, tuple(inv))
 
 
 def build_continuant(

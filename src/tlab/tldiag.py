@@ -152,8 +152,8 @@ class PlanarMatching:
     def _store(self, source: Word, target: Word, inv: Tuple[int, ...]):
         """Check that inv is a fixed-point-free involution of the circle whose
         pairs obey the letter rules and do not cross, then store it."""
-        nb, n = len(source), len(inv)
-        if n != nb + len(target):
+        nb, n = len(source.letters), len(inv)
+        if n != nb + len(target.letters):
             raise DiagramError("matching does not cover both words")
         letters = source.letters + target.letters[::-1]
         stack = []
@@ -250,15 +250,12 @@ def enumerate_basis(source: Word, target: Word) -> List[PlanarMatching]:
     return sorted(matchings, key=_order_key)
 
 
-def _compose_matchings(top: PlanarMatching, bot: PlanarMatching):
-    """Stack bot below top; returns (composite, letters at the leftmost
-    middle point of each closed loop).
-
-    Middle position j is point nb + m - 1 - j of bot's circle and point j of
-    top's, and a point q >= m of top's circle is point nb + q - m of the
-    composite's (nb = len(bot.source), m = len(bot.target))."""
-    binv, tinv = bot.inv, top.inv
-    nb, m = len(bot.source), len(bot.target)
+def _stack(tinv: Tuple[int, ...], binv: Tuple[int, ...], middle: Tuple[str, ...], nb: int):
+    """binv stacked below tinv on the middle word: (composite, a, b), with a
+    closed loops of leftmost middle letter v (delta1) and b of ^ (delta2).
+    Middle position j is point nb + m - 1 - j of binv's circle and point j of
+    tinv's; a point q >= m of tinv's is point nb + q - m of the composite's."""
+    m = len(middle)
     mid = nb + m - 1
     size = nb + len(tinv) - m
     seen = [False] * m
@@ -266,7 +263,7 @@ def _compose_matchings(top: PlanarMatching, bot: PlanarMatching):
     for p in range(size):
         if inv[p] >= 0:
             continue
-        up = p >= nb  # the next arc is one of top's
+        up = p >= nb  # the next arc is one of tinv's
         c = p - nb + m if up else p
         while True:
             d = (tinv if up else binv)[c]
@@ -283,19 +280,46 @@ def _compose_matchings(top: PlanarMatching, bot: PlanarMatching):
         inv[p], inv[end] = end, p
 
     # the first unseen middle point of a loop is its leftmost one
-    middle = bot.target.letters
-    loop_letters = []
+    loops = [0, 0]  # v, ^
     for j in range(m):
         if seen[j]:
             continue
-        loop_letters.append(middle[j])
+        loops[middle[j] == UP] += 1
         k = j
         while not seen[k]:
             seen[k] = True
             k = tinv[k]
             seen[k] = True
             k = mid - binv[mid - k]
-    return PlanarMatching._of(bot.source, top.target, tuple(inv)), tuple(loop_letters)
+    return tuple(inv), loops[0], loops[1]
+
+
+def _add_products(f: "TLMorphism", g: "TLMorphism", out: Dict[Tuple[int, ...], RingValue], scaled: Dict) -> None:
+    """Add f * g to out, {composite involution: coefficient}, zero sums kept.
+    c_f * c_g * delta1^a * delta2^b is computed once per distinct (c_f, c_g,
+    a, b) and kept in scaled, which products over one triple may share."""
+    if f.triple != g.triple:
+        raise DiagramError("cannot compose morphisms over different triples")
+    if f.source != g.target:
+        raise DiagramError(f"boundary mismatch: {g.target} then {f.source}")
+    nb, middle = len(g.source.letters), g.target.letters
+    for mf, cf in f.terms.items():
+        for mg, cg in g.terms.items():
+            inv, a, b = _stack(mf.inv, mg.inv, middle, nb)
+            value = scaled.get((cf, cg, a, b))
+            if value is None:
+                value = cf * cg
+                for delta in (f.triple.delta1,) * a + (f.triple.delta2,) * b:
+                    value = value * delta
+                scaled[cf, cg, a, b] = value
+            old = out.get(inv)
+            out[inv] = value if old is None else old + value
+
+
+def _checked(source: Word, target: Word, terms: Dict[Tuple[int, ...], RingValue]) -> Dict[PlanarMatching, RingValue]:
+    """{matching: c} from {involution: c}: _store checks each involution once, then zeros go."""
+    matchings = [(PlanarMatching._of(source, target, inv), c) for inv, c in terms.items()]
+    return {m: c for m, c in matchings if c}
 
 
 def _surgery(triple: Triple, terms: Dict[Tuple[int, ...], RingValue], source: Word, i: int):
@@ -474,10 +498,12 @@ class TLMorphism:
         )
 
     def __str__(self):
+        return self._format({})
+
+    def _format(self, rendered: Dict[RingValue, str]) -> str:
+        """__str__, each coefficient rendered once into rendered, which printers may share."""
         if not self.terms:
             return "0"
-        # many diagrams share a coefficient, so each value is rendered once
-        rendered: Dict[RingValue, str] = {}
         parts = []
         for m in sorted(self.terms, key=_order_key):
             value = self.terms[m]
@@ -494,22 +520,13 @@ class TLMorphism:
 
 
 def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
-    """f after g: stack g below f, evaluating loops by the chirality rule."""
-    if f.triple != g.triple:
-        raise DiagramError("cannot compose morphisms over different triples")
-    if f.source != g.target:
-        raise DiagramError(f"boundary mismatch: {g.target} then {f.source}")
-    triple = f.triple
-    terms: Dict[PlanarMatching, RingValue] = {}
-    for mf, cf in f.terms.items():
-        for mg, cg in g.terms.items():
-            composite, loop_letters = _compose_matchings(mf, mg)
-            value = cf * cg
-            for letter in loop_letters:
-                value = value * (triple.delta1 if letter == DOWN else triple.delta2)
-            old = terms.get(composite)
-            terms[composite] = value if old is None else old + value
-    return TLMorphism(triple, g.source, f.target, terms)
+    """f after g: stack g below f, evaluating loops by the chirality rule.
+
+    All pairs of diagrams accumulate on bare involutions (_add_products);
+    then _store checks each distinct composite once, whatever its sum."""
+    terms: Dict[Tuple[int, ...], RingValue] = {}
+    _add_products(f, g, terms, {})
+    return TLMorphism(f.triple, g.source, f.target, _checked(g.source, f.target, terms))
 
 
 def _times_generator(triple: Triple, terms: Dict[PlanarMatching, RingValue], i: int):
@@ -518,9 +535,7 @@ def _times_generator(triple: Triple, terms: Dict[PlanarMatching, RingValue], i: 
     if not terms:
         return {}
     source, target = next((m.source, m.target) for m in terms)
-    out = _surgery(triple, {m.inv: c for m, c in terms.items()}, source, i)
-    products = [(PlanarMatching._of(source, target, inv), c) for inv, c in out.items()]
-    return {m: c for m, c in products if c}
+    return _checked(source, target, _surgery(triple, {m.inv: c for m, c in terms.items()}, source, i))
 
 
 def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
@@ -626,9 +641,9 @@ def _clasp(triple: Triple, n: int) -> Tuple[Dict[PlanarMatching, RingValue], Rin
                 old = terms.get(inv)
                 terms[inv] = c if old is None else old + c
         # _store checks every matching the level made, zero coefficients included
-        checked = {PlanarMatching._of(level, level, inv): c for inv, c in terms.items()}
-        terms = {m.inv: c for m, c in checked.items() if c}
-    return {m: c for m, c in checked.items() if c}, c_n
+        checked = _checked(level, level, terms)
+        terms = {m.inv: c for m, c in checked.items()}
+    return checked, c_n
 
 
 def _jw_by_recursion(triple: Triple, n: int) -> TLMorphism:

@@ -18,7 +18,7 @@ from tlab.complexes import (
 )
 from tlab.contpoly import IntPolynomial, kappa, mu
 from tlab.rings import Triple, construct_ring
-from tlab.tldiag import DOWN, UP, TLMorphism, Word, compose, flip_letter, jw, tensor
+from tlab.tldiag import DOWN, UP, PlanarMatching, TLMorphism, Word, compose, flip_letter, jw, tensor
 
 
 def unit_complex(triple):
@@ -151,6 +151,34 @@ def test_validate_flags_corrupted_sign(tower):
     report = validate(corrupted)
     assert not report.ok
     assert any("d^2" in issue for issue in report.issues)
+
+
+def _moved_cap(m):
+    """The cap (or cup) of m moved to the neighbouring pair of its long word,
+    with identity strands elsewhere."""
+    (side, j), _ = next((a, b) for a, b in m.pairs if a[0] == b[0])
+    long_word, other = (m.source, "t") if side == "b" else (m.target, "b")
+    j = j + 1 if j + 2 < len(long_word) else j - 1
+    pairs = [((side, j), (side, j + 1))]
+    pairs.extend(((side, s), (other, s if s < j else s - 2)) for s in range(len(long_word)) if s not in (j, j + 1))
+    return PlanarMatching(m.source, m.target, pairs)
+
+
+def test_validate_flags_a_cap_on_the_neighbouring_pair(tower):
+    # the sign is kept, so only the matching of the entry is wrong
+    for variant, degree in (("lower", 0), ("upper", 1)):
+        for n in range(4, 9):
+            c = build_continuant(n, variant, tower).complex
+            d = c.differential(degree)
+            (m, sign), = d.blocks[0, 0].terms.items()
+            moved = _moved_cap(m)
+            assert moved != m
+            blocks = dict(d.blocks)
+            blocks[0, 0] = TLMorphism.from_matching(tower, moved, sign)
+            diffs = dict(c.diffs)
+            diffs[degree] = FormalMorphism._from_blocks(tower, d.source, d.target, blocks)
+            report = validate(FormalComplex(tower, dict(c.terms), diffs, c.labels))
+            assert any(issue.startswith("d^2 != 0") for issue in report.issues), (variant, n)
 
 
 def test_validate_reports_a_corrupted_upper_summand(tower):
@@ -382,8 +410,8 @@ def test_the_build_composes_nothing(tower, monkeypatch):
         raise AssertionError("the build called a product, a tensor or a cone")
 
     with monkeypatch.context() as patched:
-        for module, name in ((complexes, "compose"), (complexes, "tensor"), (complexes, "cone"),
-                             (tldiag, "compose"), (tldiag, "tensor")):
+        for module, name in ((complexes, "_add_products"), (complexes, "tensor"), (complexes, "cone"),
+                             (tldiag, "compose"), (tldiag, "_add_products"), (tldiag, "tensor")):
             patched.setattr(module, name, refuse)
         patched.setattr(FormalMorphism, "__mul__", refuse)
         builds = [

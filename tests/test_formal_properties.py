@@ -2,15 +2,18 @@
 
 A formal morphism stores only its non-zero entries; the references below
 recompute each operation entry by entry from the dense ``entries`` view,
-zeros included.  Matrices are small, between sums of up to three words of
-length at most three, over the tower Q(t)(u) and over F_5."""
+zeros included, and each product pair by pair (``reference_compose``).
+Matrices are small, between sums of up to three words of length at most
+three, over the tower Q(t)(u) and over F_5."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlab.complexes import FormalMorphism, FormalObject, build_continuant
 from tlab.rings import Triple, construct_ring, generic_tower
-from tlab.tldiag import DOWN, UP, TLMorphism, Word, compose, enumerate_basis, tensor
+from tlab.tldiag import DOWN, UP, TLMorphism, Word, enumerate_basis, tensor
+
+from test_compose_reference import counted_stores, distinct_cells, reference_compose
 
 TOWER = generic_tower()
 F5 = construct_ring("Fp:5")
@@ -94,7 +97,7 @@ def _dense_product(A, C):
         for j, ws in enumerate(C.source.summands):
             acc = TLMorphism.zero(A.triple, ws, wt)
             for k in range(len(A.source)):
-                acc = acc + compose(left[i][k], right[k][j])
+                acc = acc + reference_compose(left[i][k], right[k][j])
             row.append(acc)
         rows.append(row)
     return FormalMorphism(A.triple, C.source, A.target, rows)
@@ -125,6 +128,16 @@ def test_operations_match_the_dense_reference(case, letter):
     assert total + (-B) == A
     for M in (A, B, C, total, product, dual, whiskered, -A):
         assert _stores_no_zero(M)
+
+
+@SETTINGS
+@given(cases())
+def test_products_check_each_distinct_composite_once_per_cell(case):
+    _, A, _, C = case
+    expected = distinct_cells(A, C)
+    with counted_stores() as calls:
+        A * C
+    assert len(calls) == len(expected) and set(calls) == {inv for _, _, inv in expected}
 
 
 @SETTINGS

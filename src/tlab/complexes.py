@@ -19,9 +19,10 @@ lexicographic order per degree, which fixes all matrices deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
+from ._plain import Frozen, Plain
 from .contpoly import IntPolynomial
 from .rings import Triple
 from .tldiag import (
@@ -40,11 +41,13 @@ class ComplexError(ValueError):
     """Ill-formed complex, morphism matrix, or chain map."""
 
 
-@dataclass(frozen=True)
-class FormalObject:
+class FormalObject(Frozen):
     """A formal direct sum of words, in a fixed order."""
 
-    summands: Tuple[Word, ...]
+    _fields = ("summands",)
+
+    def __init__(self, summands: Tuple[Word, ...]):
+        self._set(summands=summands)
 
     @staticmethod
     def unit() -> "FormalObject":
@@ -279,13 +282,13 @@ class FormalComplex:
         return out
 
 
-@dataclass
-class ChainMap:
+class ChainMap(Plain):
     """A degreewise morphism commuting with the differentials."""
 
-    source: FormalComplex
-    target: FormalComplex
-    parts: Dict[int, FormalMorphism] = field(default_factory=dict)
+    _fields = ("source", "target", "parts")
+
+    def __init__(self, source: FormalComplex, target: FormalComplex, parts: Optional[Dict[int, FormalMorphism]] = None):
+        self.source, self.target, self.parts = source, target, {} if parts is None else parts
 
     def verify(self) -> bool:
         S, T = self.source, self.target
@@ -361,31 +364,27 @@ def _label_word(base: str, n: int, label: Tuple[int, ...]) -> Word:
 
 def twinned_subsets(n: int, k: int) -> List[Tuple[int, ...]]:
     """All subsets of {0..n-1} that are unions of k disjoint adjacent pairs,
-    lexicographically ordered."""
-    out: List[Tuple[int, ...]] = []
+    lexicographically ordered.
 
-    def place(start: int, remaining: int, acc: Tuple[int, ...]):
-        if remaining == 0:
-            out.append(acc)
-            return
-        for i in range(start, n - 1):
-            place(i + 2, remaining - 1, acc + (i, i + 1))
-    place(0, k, ())
-    return sorted(out)
+    The pairs' left ends i_0 < ... < i_{k-1}, at least 2 apart and at most
+    n - 2, are i_j = c_j + j for c an increasing k-tuple of the n - k slots,
+    a bijection that keeps lexicographic order."""
+    if k < 0:
+        return []
+    return [tuple(p for j, c in enumerate(cs) for p in (c + j, c + j + 1)) for cs in combinations(range(n - k), k)]
 
 
-@dataclass
-class ContinuantBuild:
+class ContinuantBuild(Plain):
     """The continuant complex E_n of a letter, with how it was asked for.
 
     ``complex`` is written from the closed form of the iterated cone: no
     chain map and no lower level is built on the way.
     """
 
-    complex: FormalComplex
-    n: int
-    variant: str
-    letter: str
+    _fields = ("complex", "n", "variant", "letter")
+
+    def __init__(self, complex: FormalComplex, n: int, variant: str, letter: str):
+        self.complex, self.n, self.variant, self.letter = complex, n, variant, letter
 
 
 def _cap(long: Word, short: Word, j: int, cup: bool) -> PlanarMatching:
@@ -481,13 +480,14 @@ def build_continuant(
 # K-theory class and validation
 
 
-@dataclass(frozen=True)
-class K0Class:
+class K0Class(Frozen):
     """Signed monomial count of a complex: each summand word contributes
     x^(number of ^) * y^(number of v) with sign (-1)^degree."""
 
-    xy: IntPolynomial
-    x: IntPolynomial
+    _fields = ("xy", "x")
+
+    def __init__(self, xy: IntPolynomial, x: IntPolynomial):
+        self._set(xy=xy, x=x)
 
 
 def k0_class(complex_: FormalComplex) -> K0Class:
@@ -501,11 +501,11 @@ def k0_class(complex_: FormalComplex) -> K0Class:
     return K0Class(total, total.substitute_y_with_x())
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    issues: List[str]
-    census: Dict[int, Tuple[int, int]]  # degree -> (found, expected)
+class ValidationReport(Plain):
+    _fields = ("ok", "issues", "census")
+
+    def __init__(self, ok: bool, issues: List[str], census: Dict[int, Tuple[int, int]]):
+        self.ok, self.issues, self.census = ok, issues, census  # census: degree -> (found, expected)
 
     def __str__(self):
         head = "pass" if self.ok else "fail"

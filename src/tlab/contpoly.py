@@ -15,10 +15,10 @@ in rings where the literal quotient of quantum numbers is illegal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
 
+from ._plain import Frozen
 from .rings import RingValue, Triple
 
 
@@ -261,13 +261,13 @@ def qbinom_literal(triple: Triple, n: int, i: int):
     return numerator * inv
 
 
-@dataclass(frozen=True)
-class QuantumTable:
+class QuantumTable(Frozen):
     """Quantum numbers [0..n] and [[0..n]] of a triple, for display."""
 
-    triple: Triple
-    qnums: tuple
-    qqnums: tuple
+    _fields = ("triple", "qnums", "qqnums")
+
+    def __init__(self, triple: Triple, qnums: tuple, qqnums: tuple):
+        self._set(triple=triple, qnums=qnums, qqnums=qqnums)
 
     @staticmethod
     def build(triple: Triple, n: int) -> "QuantumTable":

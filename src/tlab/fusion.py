@@ -19,8 +19,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+from ._plain import Frozen
 
 K0Vector = Tuple[int, ...]
 Cell = Tuple[Tuple[int, int], ...]  # the non-zero (k, N_ij^k) of b_i b_j, k ascending
@@ -30,19 +31,19 @@ class FusionRingError(ValueError):
     """Schema or axiom violation in fusion-ring data."""
 
 
-@dataclass(frozen=True)
-class FusionRing:
+class FusionRing(Frozen):
     """A based ring with non-negative structure constants, stored sparsely:
     table[i][j] is the cell of b_i b_j, so products and the associativity
     sweep visit no zero constant.  `validate` checks the axioms on documents
     as they are loaded; the built-in tables are correct by construction."""
 
-    name: str
-    basis: Tuple[str, ...]
-    unit: int
-    dual: Tuple[int, ...]
-    table: Tuple[Tuple[Cell, ...], ...]
-    aliases: Dict[str, str] = field(default_factory=dict, compare=False)
+    _fields = ("name", "basis", "unit", "dual", "table", "aliases")
+    _uncompared = ("aliases",)
+
+    def __init__(self, name: str, basis: Tuple[str, ...], unit: int, dual: Tuple[int, ...],
+                 table: Tuple[Tuple[Cell, ...], ...], aliases: Optional[Dict[str, str]] = None):
+        self._set(name=name, basis=basis, unit=unit, dual=dual, table=table,
+                  aliases={} if aliases is None else aliases)
 
     @property
     def rank(self) -> int:
@@ -404,11 +405,12 @@ def continuant_sequence(ring: FusionRing, x: Sequence[int], max_m: int) -> List[
     return seq
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # "strictly_bounded" | "unbounded" | "inconclusive"
-    n: Optional[int] = None
-    reason: str = ""
+class Verdict(Frozen):
+    _fields = ("kind", "n", "reason")
+
+    def __init__(self, kind: str, n: Optional[int] = None, reason: str = ""):
+        # kind is "strictly_bounded", "unbounded" or "inconclusive"
+        self._set(kind=kind, n=n, reason=reason)
 
     def __str__(self):
         if self.kind == "strictly_bounded":
@@ -418,19 +420,18 @@ class Verdict:
         return f"inconclusive up to {self.n} ({self.reason})"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Frozen):
     """Classifier output for one class, with certificate data."""
 
-    ring_name: str
-    object_label: str
-    object_class: K0Vector
-    fpdim: float
-    verdict: Verdict
-    sequence: Tuple[K0Vector, ...]
-    zero_indices: Tuple[int, ...]
-    invertibility_certificate: Optional[dict]
-    conjecture_relevant: bool
+    _fields = ("ring_name", "object_label", "object_class", "fpdim", "verdict", "sequence",
+               "zero_indices", "invertibility_certificate", "conjecture_relevant")
+
+    def __init__(self, ring_name: str, object_label: str, object_class: K0Vector, fpdim: float,
+                 verdict: Verdict, sequence: Tuple[K0Vector, ...], zero_indices: Tuple[int, ...],
+                 invertibility_certificate: Optional[dict], conjecture_relevant: bool):
+        self._set(ring_name=ring_name, object_label=object_label, object_class=object_class, fpdim=fpdim,
+                  verdict=verdict, sequence=sequence, zero_indices=zero_indices,
+                  invertibility_certificate=invertibility_certificate, conjecture_relevant=conjecture_relevant)
 
     def to_json_dict(self) -> dict:
         return {

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
+
+from ._plain import Frozen
 
 
 class RingError(ValueError):
@@ -1359,17 +1360,24 @@ def parse_element(ring: Ring, text: str) -> RingValue:
 # triples
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(Frozen):
     """A coefficient ring together with the two loop parameters."""
 
-    ring: Ring
-    delta1: RingValue
-    delta2: RingValue
+    _fields = ("ring", "delta1", "delta2")
 
-    def __post_init__(self):
-        if self.delta1.ring != self.ring or self.delta2.ring != self.ring:
+    def __init__(self, ring: Ring, delta1: RingValue, delta2: RingValue):
+        if delta1.ring != ring or delta2.ring != ring:
             raise RingError("loop parameters must belong to the triple's ring")
+        self._set(ring=ring, delta1=delta1, delta2=delta2)
+
+    # a cache key and compared by every product: no generic field loop here
+    def __eq__(self, other):
+        if other.__class__ is not Triple:
+            return NotImplemented
+        return (self.ring, self.delta1, self.delta2) == (other.ring, other.delta1, other.delta2)
+
+    def __hash__(self):
+        return hash((self.ring, self.delta1, self.delta2))
 
     def swap(self) -> "Triple":
         """The mirror triple with the two loop parameters exchanged."""

@@ -28,11 +28,11 @@ a block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Dict, List, Optional
 
+from ._plain import Frozen
 from .complexes import FormalComplex, FormalMorphism, FormalObject
 from .linalg import ExactMatrix, rank_mod_p
 from .rings import Ring, RingValue, Triple
@@ -43,22 +43,19 @@ class ModelError(ValueError):
     """Realization preconditions violated."""
 
 
-@dataclass(frozen=True)
-class FiberParams:
+class FiberParams(Frozen):
     """An exact field together with an invertible scalar q, whose inverse is
-    taken once, here."""
+    taken once, here; q_inverse is neither shown nor compared."""
 
-    ring: Ring
-    q: RingValue
-    q_inverse: RingValue = field(init=False, repr=False, compare=False)
+    _fields = ("ring", "q")
 
-    def __post_init__(self):
-        if self.q.ring != self.ring:
+    def __init__(self, ring: Ring, q: RingValue):
+        if q.ring != ring:
             raise ModelError("q must belong to the given field")
-        inverse = self.q.inverse()
+        inverse = q.inverse()
         if inverse is None:
             raise ModelError("q must be invertible")
-        object.__setattr__(self, "q_inverse", inverse)
+        self._set(ring=ring, q=q, q_inverse=inverse)
 
     @cached_property
     def delta(self) -> RingValue:
@@ -234,25 +231,26 @@ def _exact_ranks(complex_: FormalComplex, params: FiberParams) -> Dict[int, int]
     return {i: _realize_formal(d, params).rank() for i, d in complex_.diffs.items()}
 
 
-@dataclass(frozen=True)
-class DegreeHomology:
-    dimension: int
-    rank_out: int  # rank of the differential leaving this degree
-    kernel: int
-    image_in: int  # rank of the differential arriving from one degree up
-    homology: int
+class DegreeHomology(Frozen):
+    """rank_out is the rank of the differential leaving this degree, image_in of the one arriving."""
+
+    _fields = ("dimension", "rank_out", "kernel", "image_in", "homology")
+
+    def __init__(self, dimension: int, rank_out: int, kernel: int, image_in: int, homology: int):
+        self._set(dimension=dimension, rank_out=rank_out, kernel=kernel, image_in=image_in, homology=homology)
 
 
-@dataclass(frozen=True)
-class HomologyReport:
-    """Exact per-degree homology of a realized complex."""
+class HomologyReport(Frozen):
+    """Exact per-degree homology of a realized complex.  certificate says how
+    the ranks were found: "modular p=..., a=...", "Fp" or "exact" (see
+    homology); it is not part of equality or of the text or JSON report."""
 
-    degrees: Dict[int, DegreeHomology]
-    euler_terms: int
-    euler_homology: int
-    # how the ranks were found: "modular p=..., a=...", "Fp" or "exact" (see
-    # homology); not part of the text or JSON report
-    certificate: str = field(default="exact", compare=False)
+    _fields = ("degrees", "euler_terms", "euler_homology", "certificate")
+    _uncompared = ("certificate",)
+
+    def __init__(self, degrees: Dict[int, DegreeHomology], euler_terms: int, euler_homology: int,
+                 certificate: str = "exact"):
+        self._set(degrees=degrees, euler_terms=euler_terms, euler_homology=euler_homology, certificate=certificate)
 
     def concentrated_in(self) -> List[int]:
         return sorted(i for i, d in self.degrees.items() if d.homology)

@@ -35,9 +35,9 @@ pairs are only the constructor's input and the ``pairs`` view.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ._plain import Frozen
 from .contpoly import qbinom_exponents, qnum
 from .rings import IntFractionField, RingValue, Triple, _zdiv, _zfrom_terms, _zgcd, _zlead, _zmonomial, _zneg
 
@@ -59,16 +59,23 @@ class DiagramError(ValueError):
     """Ill-formed matching or incompatible composition."""
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """A finite word in the letters ^ and v, stored left to right."""
 
-    letters: Tuple[str, ...]
+    _fields = ("letters",)
 
-    def __post_init__(self):
-        for l in self.letters:
+    def __init__(self, letters: Tuple[str, ...]):
+        for l in letters:
             if l not in (UP, DOWN):
                 raise DiagramError(f"bad letter {l!r}")
+        self._set(letters=letters)
+
+    # every composition compares words: no generic field loop here
+    def __eq__(self, other):
+        return self.letters == other.letters if other.__class__ is Word else NotImplemented
+
+    def __hash__(self):
+        return hash(self.letters)
 
     @staticmethod
     def of(text: str) -> "Word":
@@ -199,9 +206,13 @@ class PlanarMatching:
         return PlanarMatching._of(self.target.dual(), self.source.dual(), inv)
 
     def __str__(self):
+        return self._text(_order_key(self))
+
+    def _text(self, key: Tuple[int, ...]) -> str:
+        """__str__ from the matching's _order_key, which a caller may have at hand."""
         nb = len(self.source)
         ends = [f"b:{r}" if r < nb else f"t:{r - nb}" for r in range(len(self.inv))]
-        body = ", ".join(f"({ends[r]}, {ends[s]})" for r, s in enumerate(_order_key(self)) if r < s)
+        body = ", ".join(f"({ends[r]}, {ends[s]})" for r, s in enumerate(key) if r < s)
         return f"[{body}]"
 
     __repr__ = __str__
@@ -505,7 +516,7 @@ class TLMorphism:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=_order_key):
+        for key, m in sorted(((_order_key(m), m) for m in self.terms), key=lambda km: km[0]):
             value = self.terms[m]
             c = rendered.get(value)
             if c is None:
@@ -513,7 +524,7 @@ class TLMorphism:
                 if not _NUMBER.fullmatch(c) and not _NAME.fullmatch(c):
                     c = f"({c})"
                 rendered[value] = c
-            parts.append(f"{c} * {m}")
+            parts.append(f"{c} * {m._text(key)}")
         return " + ".join(parts)
 
     __repr__ = __str__
@@ -557,14 +568,14 @@ def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
 # Jones-Wenzl idempotents
 
 
-@dataclass(frozen=True)
-class NotExists:
+class NotExists(Frozen):
     """Verdict: the requested idempotent does not exist, with evidence: the
     first i with (n over i) not invertible, and a reason."""
 
-    n: int
-    reason: str
-    witness: int
+    _fields = ("n", "reason", "witness")
+
+    def __init__(self, n: int, reason: str, witness: int):
+        self._set(n=n, reason=reason, witness=witness)
 
     def __str__(self):
         return f"JW_{self.n} does not exist ({self.reason})"
@@ -931,15 +942,16 @@ def is_negligible(f: TLMorphism) -> bool:
 # rotatability
 
 
-@dataclass(frozen=True)
-class RotatabilityReport:
-    """Verdict on rotatability of the pair of idempotents at level n."""
+class RotatabilityReport(Frozen):
+    """Verdict on rotatability of the pair of idempotents at level n;
+    status is "rotatable", "not_rotatable" or "no_jw"."""
 
-    status: str  # "rotatable" | "not_rotatable" | "no_jw"
-    n: int
-    detail: str
-    binomials_vanish: Optional[bool] = None
-    cyclotomic_vanish: Optional[bool] = None
+    _fields = ("status", "n", "detail", "binomials_vanish", "cyclotomic_vanish")
+
+    def __init__(self, status: str, n: int, detail: str, binomials_vanish: Optional[bool] = None,
+                 cyclotomic_vanish: Optional[bool] = None):
+        self._set(status=status, n=n, detail=detail, binomials_vanish=binomials_vanish,
+                  cyclotomic_vanish=cyclotomic_vanish)
 
 
 def rotatability(triple: Triple, n: int) -> RotatabilityReport:

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import pytest
@@ -219,6 +220,38 @@ def test_twinned_census_against_brute_force(tower):
         build = build_continuant(n, "lower", tower)
         for i, labels in build.complex.labels.items():
             assert len(labels) == len(twinned_subsets(n, -i)), (n, i)
+
+
+def recursive_twinned(n, k):
+    """The recursive placement twinned_subsets used before it ran over
+    itertools.combinations: pair after pair, left ends ascending."""
+    out = []
+
+    def place(start, remaining, acc):
+        if remaining == 0:
+            out.append(acc)
+            return
+        for i in range(start, n - 1):
+            place(i + 2, remaining - 1, acc + (i, i + 1))
+    place(0, k, ())
+    return sorted(out)
+
+
+def test_twinned_subsets_match_the_recursive_placement():
+    for n in range(0, 13):
+        for k in range(-1, n + 2):
+            assert twinned_subsets(n, k) == recursive_twinned(n, k), (n, k)
+
+
+def test_twinned_subsets_leave_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        for n, k in ((12, 3), (12, 6), (5, 0), (3, 2)):
+            twinned_subsets(n, k)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_k0_classes(tower):

@@ -1,8 +1,11 @@
-"""The runtime imports nothing outside the Python standard library, and
-keeps no check in an `assert` statement, which `python -O` strips."""
+"""The runtime imports nothing outside the Python standard library, keeps no
+check in an `assert` statement, which `python -O` strips, and loads no
+`dataclasses` at start-up."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tlab"
@@ -38,3 +41,15 @@ def test_runtime_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_start_up_loads_no_code_introspection_modules():
+    """Importing the package and the CLI loads neither ``dataclasses`` nor
+    the modules it pulls in, which cost more start-up time than a small job;
+    the runtime's value classes are written by hand instead."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import tlab, tlab.cli, sys; print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

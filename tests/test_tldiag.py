@@ -114,6 +114,35 @@ def test_basis_deterministic_order():
     assert a == sorted(a, key=lambda m: m.pairs)
 
 
+def test_printing_computes_each_order_key_once_per_term(monkeypatch):
+    """A morphism sorts its terms by _order_key and prints each matching
+    from the same key, so printing costs one key per term."""
+    import tlab.tldiag as tldiag
+    from tlab.complexes import build_continuant
+
+    tower = generic_tower()
+    morphisms = [jw(tower, 4), TLMorphism.identity(tower, Word.alt(3)), TLMorphism.zero(tower, Word.alt(2), Word.alt(2))]
+    complex_ = build_continuant(8, triple=tower).complex
+    entries = [e for d in complex_.diffs.values() for e in d.blocks.values()]
+    expected = [str(m) for m in morphisms]
+    calls = []
+    original = tldiag._order_key
+
+    def counted(matching):
+        calls.append(matching)
+        return original(matching)
+
+    monkeypatch.setattr(tldiag, "_order_key", counted)
+    assert [str(m) for m in morphisms] == expected
+    assert len(calls) == sum(len(m.terms) for m in morphisms) == 14 + 1
+    del calls[:]
+    complex_.to_json_dict()
+    assert len(calls) == sum(len(e.terms) for e in entries) > 0
+    single = enumerate_basis(Word.alt(4), Word.alt(4))[1]
+    del calls[:]
+    assert str(single) == single._text(original(single)) and len(calls) == 1
+
+
 # -- composition and tensor ---------------------------------------------------
 
 

@@ -52,9 +52,10 @@ class InputLimitError(ValueError):
 # not run: the peak more than doubles with each n.  Where q has no
 # reduction mod p (ratfun:Fp:*, ratfun:cyclo:*, or a denominator that p
 # divides) the ranks come from elimination over the field, as before the
-# certificate: MAX_HOMOLOGY_EXACT_N, where ratfun:cyclo:5 at t took 39 s
-# at 12 (73 MB), ratfun:Fp:5 17 s at 12 and 59 s at 13, and Q at q = p
-# 15 s at 13 and 60 s at 14 (335 MB); deeper towers were not measured.
+# certificate: MAX_HOMOLOGY_EXACT_N, since ratfun:cyclo:5 at t took 54 s
+# at 13 (98 MB), too close to 60 s, and 16 s at 12 (47 MB); ratfun:Fp:5
+# took 5.4 s at 12 and 19 s at 13 (84 MB), and Q at q = p 5.9 s at 13 and
+# 20 s at 14 (165 MB); deeper towers were not measured.
 # `--model 2tl` builds no JW_n and takes 0.02 s at 15.  `jw` over the
 # default ratfun:ratfun:Q, from the integer table over Z[z], took 0.2-0.3 s
 # at n = 8, 0.9-1.0 s at 9, 4.0-4.4 s at 10 (59 MB) and 15-22 s at 11
@@ -62,8 +63,9 @@ class InputLimitError(ValueError):
 # 3 --d2 5` it takes 0.3 s at 9, 1.1-1.3 s at 10 (35 MB) and 4.7-6.0 s at 11
 # (81 MB); blocked, at cyclo:12 (q+q^-1, q+q^-1), 9-11 s (121 MB).  Other
 # loop values over a rational-function field take a gcd per coefficient:
-# MAX_JW_RATFUN_N over Q, two less per further variable, and
-# MAX_JW_FIELD_RATFUN_N over F_p or Q(zeta_m), over one variable and more.
+# MAX_JW_RATFUN_N over Q, two less per further variable down to 1 (JW_1 is
+# the identity), and MAX_JW_FIELD_RATFUN_N over F_p or Q(zeta_m), over one
+# variable and more.
 # ratfun:Q with (t+t^-1, 2t) took 19 s at 11, ratfun:Fp:101 50 s (150 MB),
 # ratfun:cyclo:5 with (t+q, t) 62 s at 10; over Q(t)(u) with (t+u, u+1)
 # 83 s at 10, over F_101(t)(u) 71 s at 8, over Q(zeta_5)(t)(u) with
@@ -138,7 +140,7 @@ def cmd_jw(args) -> int:
     triple = _triple_from_args(args)
     ring = triple.ring
     if isinstance(ring, FractionField) and not tldiag._monomial_loops(triple):
-        limit = MAX_JW_RATFUN_N + 2 - 2 * ring.depth
+        limit = max(1, MAX_JW_RATFUN_N + 2 - 2 * ring.depth)
         if not isinstance(ring, IntFractionField):
             limit = min(limit, MAX_JW_FIELD_RATFUN_N[ring.depth > 1])
         if args.n > limit:
@@ -205,7 +207,7 @@ def cmd_homology(args) -> int:
     except (RingSpecError, ElementParseError) as exc:
         raise UsageError(str(exc)) from None
     params = sl2model.FiberParams(ring, q)
-    if args.model == "sl2" and args.n > MAX_HOMOLOGY_EXACT_N and sl2model._reduction(params) is None:
+    if args.model == "sl2" and args.n > MAX_HOMOLOGY_EXACT_N and sl2model._modular_pass(params) is None:
         raise InputLimitError(f"homology --n {args.n} is beyond the limit of {MAX_HOMOLOGY_EXACT_N} over "
                               f"{args.ring} at this q, which has no reduction mod p")
     triple = params.balanced_triple()

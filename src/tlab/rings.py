@@ -1192,30 +1192,45 @@ def _poly_text(coeff_strs, var: str) -> str:
 # construction and parsing
 
 
+# Deepest tower of ``ratfun:`` levels in a ring spec.  Printing a value
+# recurses about four frames a level, so at 200 levels `qnum --d1 t --d2 u`
+# ran out of CPython's default recursion limit of 1000; at 100 it took 1.3 s
+# and `jw --n 3` 0.5 s.
+MAX_RATFUN_DEPTH = 100
+
+
 def construct_ring(spec: str) -> Ring:
     """Build a ring from a specification string.
 
-    Grammar: ``Q`` | ``Fp:<p>`` | ``cyclo:<m>`` | ``ratfun:<base-spec>``.
+    Grammar: ``Q`` | ``Fp:<p>`` | ``cyclo:<m>`` | ``ratfun:<base-spec>``,
+    with at most MAX_RATFUN_DEPTH ``ratfun:`` levels.
     """
-    spec = spec.strip()
+    spec, depth = spec.strip(), 0
+    while spec.startswith("ratfun:"):
+        spec, depth = spec[7:].strip(), depth + 1
+    if depth > MAX_RATFUN_DEPTH:
+        raise RingLimitError(f"ring spec nests {depth} ratfun: levels, beyond the limit of "
+                             f"{MAX_RATFUN_DEPTH}")
     if spec == "Q":
-        return Rationals()
-    if spec.startswith("Fp:"):
+        ring = Rationals()
+    elif spec.startswith("Fp:"):
         body = spec[3:]
         if not re.fullmatch(r"[0-9]+", body):
             raise RingSpecError(f"bad prime field spec {spec!r}")
-        return PrimeField(int(body))
-    if spec.startswith("cyclo:"):
+        ring = PrimeField(int(body))
+    elif spec.startswith("cyclo:"):
         body = spec[6:]
         if not re.fullmatch(r"[0-9]+", body):
             raise RingSpecError(f"bad cyclotomic spec {spec!r}")
         m = int(body)
         if m == 0:
             raise RingSpecError("cyclotomic modulus must be positive")
-        return CyclotomicField(m)
-    if spec.startswith("ratfun:"):
-        return FractionField(construct_ring(spec[7:]))
-    raise RingSpecError(f"unknown ring spec {spec!r}")
+        ring = CyclotomicField(m)
+    else:
+        raise RingSpecError(f"unknown ring spec {spec!r}")
+    for _ in range(depth):
+        ring = FractionField(ring)
+    return ring
 
 
 def invert(x: RingValue) -> Optional[RingValue]:

@@ -18,12 +18,11 @@ meaningful at roots of unity.  Each differential is realized straight into
 F_p, through a ring map fixed for each kind of field (``Ring.reduction``),
 and its ranks over F_p, which can only be smaller, are accepted where an
 Euler-characteristic argument shows that they are the ranks over the
-field (see ``homology``).  Otherwise, and over fields with no such map, the
-differentials are realized over the field and exact sparse Gaussian
-elimination decides.  Every diagram preserves sl2 weight, so a realized
-differential is block-diagonal up to a permutation, and elimination, which
-only touches rows with a non-zero in the pivot column, never fills outside
-a block.
+field (see ``homology``).  Otherwise, and over fields with no such map,
+they are realized over the field and ranked by the same sparse sweep.
+Every diagram preserves sl2 weight, so a realized differential is
+block-diagonal up to a permutation, and elimination, which only touches
+rows with a non-zero in the pivot column, never fills outside a block.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Dict, List, Optional
 
 from ._plain import Frozen
 from .complexes import FormalComplex, FormalMorphism, FormalObject
-from .linalg import ExactMatrix, rank_mod_p
+from .linalg import ExactMatrix, FieldModulus, rank_mod_p
 from .rings import Ring, RingValue, Triple
 from .tldiag import PlanarMatching, TLMorphism, Word
 
@@ -166,24 +165,35 @@ def _cells(morphism: FormalMorphism, params: FiberParams, scale) -> Optional[Lis
     return entries
 
 
-def _realize_formal(morphism: FormalMorphism, params: FiberParams) -> ExactMatrix:
-    """The matrix of a formal morphism over the model's field."""
-    powers = {}
+def _scale(power, image=lambda coeff: coeff):
+    """scale(coeff, e) = image(coeff) * power(e), each image and power
+    computed once; None where image gives None."""
+    images, powers = {}, {}
 
     def scale(coeff, exponent):
-        power = powers.get(exponent)
-        if power is None:
-            power = powers[exponent] = params.q_power(exponent)
-        return coeff * power
+        c = images.get(coeff)
+        if c is None:
+            c = images[coeff] = image(coeff)
+            if c is None:
+                return None
+        q = powers.get(exponent)
+        if q is None:
+            q = powers[exponent] = power(exponent)
+        return c * q
 
+    return scale
+
+
+def _realize_formal(morphism: FormalMorphism, params: FiberParams) -> ExactMatrix:
+    """The matrix of a formal morphism over the model's field."""
     out = ExactMatrix.zeros(params.ring, _offsets(morphism.target)[-1], _offsets(morphism.source)[-1])
-    out.entries = _cells(morphism, params, scale)
+    out.entries = _cells(morphism, params, _scale(params.q_power))
     return out
 
 
-def _reduction(params: FiberParams):
-    """(p, psi, psi(q), psi(q^-1)) for the field's reduction psi, or None
-    where the field has none or psi is not defined on q or q^-1."""
+def _modular_pass(params: FiberParams):
+    """(certificate, scale, p) of the pass into F_p by the reduction psi of
+    the field; None where it has none or psi is not defined on q or q^-1."""
     reduction = params.ring.reduction()
     if reduction is None:
         return None
@@ -191,44 +201,20 @@ def _reduction(params: FiberParams):
     q, q_inverse = psi(params.q.payload), psi(params.q_inverse.payload)
     if q is None or q_inverse is None:
         return None
-    return p, psi, q, q_inverse
+    scale = _scale(lambda e: pow(q if e >= 0 else q_inverse, abs(e), p), lambda coeff: psi(coeff.payload))
+    return "Fp" if params.ring.kind == "Fp" else f"modular p={p}, a={q}", scale, p
 
 
-def _modular_ranks(complex_: FormalComplex, params: FiberParams):
-    """(certificate, {degree: rank mod p}): each differential realized
-    straight into F_p by the field's reduction psi, and its rank taken
-    before the next is realized; None where _reduction is, or psi is not
-    defined on a coefficient."""
-    reduction = _reduction(params)
-    if reduction is None:
-        return None
-    p, psi, q, q_inverse = reduction
-    images, powers = {}, {}
-
-    def scale(coeff, exponent):
-        c = images.get(coeff)
-        if c is None:
-            c = images[coeff] = psi(coeff.payload)
-            if c is None:
-                return None
-        power = powers.get(exponent)
-        if power is None:
-            power = powers[exponent] = pow(q if exponent >= 0 else q_inverse, abs(exponent), p)
-        return c * power
-
+def _ranks(complex_: FormalComplex, params: FiberParams, certificate: str, scale, modulus):
+    """(certificate, {degree: rank}): each differential's rows built by
+    _cells and ranked mod modulus before the next; None where scale is."""
     ranks = {}
     for i, d in complex_.diffs.items():
         rows = _cells(d, params, scale)
         if rows is None:
             return None
-        ranks[i] = rank_mod_p(rows, _offsets(d.source)[-1], p)
-    return "Fp" if params.ring.kind == "Fp" else f"modular p={p}, a={q}", ranks
-
-
-def _exact_ranks(complex_: FormalComplex, params: FiberParams) -> Dict[int, int]:
-    """Each differential's rank by elimination over the field, taken before
-    the next is realized."""
-    return {i: _realize_formal(d, params).rank() for i, d in complex_.diffs.items()}
+        ranks[i] = rank_mod_p(rows, _offsets(d.source)[-1], modulus)
+    return certificate, ranks
 
 
 class DegreeHomology(Frozen):
@@ -308,18 +294,15 @@ def homology(complex_: FormalComplex, params: FiberParams) -> HomologyReport:
     first; the realized one then does too.  (In a continuant complex d d
     closes no loop and cancels over Z.)"""
     dims = {i: _offsets(obj)[-1] for i, obj in complex_.terms.items()}
-    modular = _modular_ranks(complex_, params)
-    exact = None if modular else _exact_ranks(complex_, params)
+    exact = ("exact", _scale(params.q_power), FieldModulus(params.ring))
+    modular = _modular_pass(params)
+    certificate, ranks = (modular and _ranks(complex_, params, *modular)) or _ranks(complex_, params, *exact)
     failures = complex_.d_squared_failures()
     if failures:
         raise ModelError(f"differentials do not square to zero at degree {failures[0]}")
-    if modular is not None:
-        certificate, ranks = modular
-        nonzero = [i for i, dim in dims.items() if dim - ranks.get(i, 0) - ranks.get(i + 1, 0)]
-        if certificate != "Fp" and len(nonzero) > 1:
-            exact = _exact_ranks(complex_, params)
-    if exact is not None:
-        certificate, ranks = "exact", exact
+    nonzero = [i for i, dim in dims.items() if dim - ranks.get(i, 0) - ranks.get(i + 1, 0)]
+    if certificate not in ("Fp", "exact") and len(nonzero) > 1:
+        certificate, ranks = _ranks(complex_, params, *exact)
     degrees = {}
     euler_terms = 0
     euler_homology = 0

@@ -356,6 +356,32 @@ def test_jw_over_rational_functions_has_a_lower_ceiling(capsys, monkeypatch):
         assert code == 0 and f"does not exist (Hazi: binom({MAX_JW_N},1)=0)" in out, argv
 
 
+def test_deeply_nested_ring_specs_exit_one_with_one_line(capsys):
+    from tlab.rings import MAX_RATFUN_DEPTH
+
+    # 200 levels once ran out of stack printing a value, 2000 while parsing
+    for depth in (2000, MAX_RATFUN_DEPTH + 1):
+        for argv in (("qnum", "--upto", "2"), ("jw", "--n", "2")):
+            (code, out, err), took = _timed(capsys, *argv, "--ring", "ratfun:" * depth + "Q", "--d1", "t", "--d2", "u")
+            assert code == 1 and not out, (depth, argv)
+            assert err.count("\n") == 1 and err.startswith("error:"), err
+            assert f"nests {depth} ratfun: levels, beyond the limit of {MAX_RATFUN_DEPTH}" in err
+            assert took < 0.5, (depth, argv, took)
+    for argv in (("qnum", "--upto", "2"), ("jw", "--n", "2")):
+        code, out, _ = run(capsys, *argv, "--ring", "ratfun:" * MAX_RATFUN_DEPTH + "Q", "--d1", "t", "--d2", "u")
+        assert code == 0 and out, argv
+
+
+def test_jw_ceiling_over_deep_towers_is_one(capsys):
+    # two less per variable over Q would go below 1 from seven variables on
+    for depth in (7, 50):
+        ring = "ratfun:" * depth + "Q"
+        code, _, err = run(capsys, "jw", "--ring", ring, "--d1", "t+u", "--d2", "u", "--n", "2")
+        assert code == 1 and f"jw --n 2 is beyond the limit of 1 over {ring} with these loop values" in err
+        code, out, _ = run(capsys, "jw", "--ring", ring, "--d1", "t+u", "--d2", "u", "--n", "1")
+        assert code == 0 and out
+
+
 def test_size_ceilings_exit_one_fast_and_admit_the_benchmark_jobs(capsys, tmp_path):
     from tlab.cli import MAX_FUSION_N, MAX_JW_N, MAX_QNUM_UPTO, MAX_ROTATABLE_N
     from tlab.fusion import MAX_BUILTIN_RANK, MAX_DOCUMENT_BYTES, MAX_DOCUMENT_RANK, builtin_ring

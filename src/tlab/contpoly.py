@@ -14,7 +14,6 @@ in rings where the literal quotient of quantum numbers is illegal.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Dict, Tuple
 
@@ -183,14 +182,6 @@ def kappa(n: int) -> IntPolynomial:
     return current
 
 
-def kappa_closed_form(n: int) -> IntPolynomial:
-    """The alternating binomial expansion of kappa_n (independent oracle)."""
-    out: Dict[Tuple[int, int], int] = {}
-    for i in range(n // 2 + 1):
-        out[(n - 2 * i, 0)] = (-1) ** i * math.comb(n - i, i)
-    return IntPolynomial(out)
-
-
 @lru_cache(maxsize=None)
 def mu(n: int) -> IntPolynomial:
     """Two-variable continuant mu_n; the recurrence multiplier alternates
@@ -242,23 +233,6 @@ def qbinom(triple: Triple, n: int, i: int) -> RingValue:
         if e:
             result = result * qnum(triple, d)[1]
     return result
-
-
-def qbinom_literal(triple: Triple, n: int, i: int):
-    """The division-based quantum binomial, or None when a denominator is
-    not invertible.  Cross-check oracle for :func:`qbinom`."""
-    if not 1 <= i <= n:
-        raise ValueError(f"binomial index {i} out of range 1..{n}")
-    numerator = triple.ring.one
-    for k in range(n - i + 1, n + 1):
-        numerator = numerator * qnum(triple, k)[0]
-    denominator = triple.ring.one
-    for k in range(1, i + 1):
-        denominator = denominator * qnum(triple, k)[0]
-    inv = denominator.inverse()
-    if inv is None:
-        return None
-    return numerator * inv
 
 
 class QuantumTable(Frozen):

@@ -1,11 +1,11 @@
-"""Exact sparse matrices over any of the coefficient fields.
+"""Exact sparse matrices over any of the coefficient fields, and their ranks.
 
 Each row is a dict from column index to a non-zero entry; a zero that
-appears by cancellation is dropped, so only non-zeros are ever stored,
-multiplied or eliminated.  Every rank runs one pivot sweep through
-``rank_mod_p``, which eliminates a matrix with more rows than columns as
-its transpose: on ints mod a prime, the kernel of the modular rank
-certificate in ``sl2model.homology``, and on exact field values
+appears by cancellation is dropped, so only non-zeros are ever stored or
+eliminated.  The module only ranks: ``_sweep``, the one pivot sweep, has
+one caller, ``rank_mod_p``, which eliminates a matrix with more rows than
+columns as its transpose.  It ranks ints mod a prime, the kernel of the
+modular rank certificate in ``sl2model.homology``, and exact field values
 (``ExactMatrix.rank``), with no floating point, so ranks remain
 meaningful at root-of-unity degenerations.
 """
@@ -42,47 +42,11 @@ class ExactMatrix:
         zero, cols = self.ring.zero, range(self.ncols)
         return [[row.get(j, zero) for j in cols] for row in self.entries]
 
-    # -- constructors ----------------------------------------------------
-
     @staticmethod
     def zeros(ring: Ring, nrows: int, ncols: int) -> "ExactMatrix":
         out = ExactMatrix.__new__(ExactMatrix)
         out.ring, out.nrows, out.ncols = ring, nrows, ncols
         out.entries = [{} for _ in range(nrows)]
-        return out
-
-    @staticmethod
-    def identity(ring: Ring, n: int) -> "ExactMatrix":
-        out = ExactMatrix.zeros(ring, n, n)
-        for i in range(n):
-            out.entries[i][i] = ring.one
-        return out
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        out = ExactMatrix.zeros(self.ring, self.nrows, other.ncols)
-        right = other.entries
-        for row, acc in zip(self.entries, out.entries):
-            for k, a in row.items():
-                for j, b in right[k].items():
-                    old = acc.get(j)
-                    acc[j] = a * b if old is None else old + a * b
-            for j in [j for j, e in acc.items() if not e]:
-                del acc[j]
-        return out
-
-    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Kronecker product, left factor most significant."""
-        out = ExactMatrix.zeros(self.ring, self.nrows * other.nrows, self.ncols * other.ncols)
-        for i, row in enumerate(self.entries):
-            for k, inner in enumerate(other.entries):
-                target = out.entries[i * other.nrows + k]
-                for j, a in row.items():
-                    for l, b in inner.items():
-                        target[j * other.ncols + l] = a * b
         return out
 
     def is_zero(self) -> bool:
@@ -97,12 +61,6 @@ class ExactMatrix:
             and self.ncols == other.ncols
             and self.entries == other.entries
         )
-
-    # -- elimination -------------------------------------------------------
-
-    def _eliminate(self) -> tuple:
-        """``_sweep`` on a copy of the rows, untransposed."""
-        return _sweep([dict(row) for row in self.entries], self.ncols, FieldModulus(self.ring))
 
     def rank(self) -> int:
         return rank_mod_p(self.entries, self.ncols, FieldModulus(self.ring))

@@ -926,6 +926,16 @@ class FractionField(Ring):
     positive.  Over any other base, payloads are (numerator, denominator)
     pairs of base-value coefficient tuples, gcd-reduced with monic
     denominator.  Either way, equal values have equal payloads.
+
+    The two cores keep their own sums and products, each the faster on its
+    payloads.  This generic core multiplies out each sum and product and
+    takes one gcd of the result.  Henrici's method, the integer core's,
+    takes two Euclidean gcds over the base field instead, of smaller
+    operands, and is slower here.  In single runs from a cold process, with
+    unchanged output, ``homology --n 10 --ring ratfun:Fp:5 --q t`` took
+    1.23-1.26 s with it against 0.47-0.83 s, and ``homology --n 9 --ring
+    ratfun:cyclo:5 --q t`` 1.14-1.29 s against 0.34-0.59 s (CPython 3.11,
+    one core of an Intel Xeon virtual machine).
     """
 
     kind = "ratfun"
@@ -1058,7 +1068,13 @@ class IntFractionField(FractionField):
     with D's leading integer positive; see :class:`FractionField`.
 
     Sums and products follow Henrici: they take gcds of the operands'
-    parts, which are smaller than the gcd of the unreduced result."""
+    parts, which are smaller than the gcd of the unreduced result.  The
+    generic core's way, one gcd of the multiplied-out result, is slower
+    here.  In single runs from a cold process, with unchanged output,
+    ``qnum --ring ratfun:ratfun:Q --d1 t+u^-1 --d2 u+t^-1 --upto 30`` took
+    0.66-0.70 s with it against 0.32-0.35 s, and ``jw --ring ratfun:Q --d1
+    t+t^-1 --d2 2*t --n 10`` 2.48-2.59 s against 2.29-2.50 s (CPython
+    3.11, one core of an Intel Xeon virtual machine)."""
 
     def __init__(self, base: Ring):
         super().__init__(base)

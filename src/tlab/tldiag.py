@@ -28,8 +28,9 @@ Composition, a product with one generator (surgery on two points),
 duality (a rotation of the circle by nt points), juxtaposition (one circle
 inserted into the other), basis enumeration, sorting, printing, rescaling
 and the sl2 realization are integer arithmetic on these tuples, and every
-matching they build passes the same check as one given by endpoint pairs.  Nothing else is stored: endpoint
-pairs are only the constructor's input and the ``pairs`` view.
+matching they build passes the same check as one given by endpoint pairs.
+Nothing else is stored: endpoint pairs are only the constructor's input
+and the ``pairs`` view.
 """
 
 from __future__ import annotations
@@ -847,7 +848,9 @@ def _jw_by_table(triple: Triple, n: int) -> TLMorphism:
 
 
 def _recursion_legal(triple: Triple, n: int) -> bool:
-    return all(qnum(triple, k)[0].inverse() is not None for k in range(2, n + 1))
+    """Whether [2], ..., [n] are invertible: every coefficient ring is a
+    field, so whether each is non-zero, which takes no inverse."""
+    return all(qnum(triple, k)[0] for k in range(2, n + 1))
 
 
 _JW_CACHE: Dict[Tuple[Triple, int], object] = {}
@@ -863,10 +866,12 @@ def jw(triple: Triple, n: int):
     rational-function field; _jw_by_table, the integer table mapped to the
     triple by _spread or _on_curve, everywhere else: where the recursion is
     blocked (Lucas cases, roots of unity) or would take a gcd in nearly
-    every operation.  The table does not pay where the recursion runs: over
-    Fp:101 at (3, 5), best to median of 5 in one process, the table with
-    _check_jw took 15-23 ms at n = 7 and 264-278 ms at n = 9, against
-    9-11 ms and 144-157 ms for the recursion and _check_jw.
+    every operation.  The table does not pay where the recursion runs: best
+    of 7 in one process, the JW cache cleared, the recursion and _check_jw
+    took 8.7 ms against 14.5 ms for _jw_by_table over Fp:101 at (3, 5),
+    n = 7, and 141 ms against 241 ms at n = 9; 17.2 ms against 22.8 ms over
+    Q at (3, 5), n = 7; and 21.7 ms against 27.4 ms over cyclo:12 at
+    (q + q^-1, q^2 + q^-2), n = 7.
     """
     if n < 1:
         raise ValueError("n must be positive")

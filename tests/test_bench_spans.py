@@ -15,6 +15,10 @@ SPANS_PY = pathlib.Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 # strategies that an earlier integer table replaced; their metrics read 0
 DELETED = {
     ("linalg", "ExactMatrix.solve"),
+    # the matrix product and the division-based binomial, moved to the tests:
+    # no runtime path called either, and the contpoly span keeps its others
+    ("linalg", "ExactMatrix.__mul__"),
+    ("contpoly", "qbinom_literal"),
     ("tldiag", "_jw_by_solve"),
     ("tldiag", "_jw_by_integer_lift"),
     ("tldiag", "_jw_by_specialization"),

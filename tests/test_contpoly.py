@@ -6,12 +6,10 @@ from tlab.contpoly import (
     IntPolynomial,
     QuantumTable,
     kappa,
-    kappa_closed_form,
     mu,
     nu,
     qbinom,
     qbinom_exponents,
-    qbinom_literal,
     qnum,
 )
 from tlab.rings import Triple, construct_ring, generic_tower, parse_element
@@ -19,6 +17,31 @@ from tlab.rings import Triple, construct_ring, generic_tower, parse_element
 X = IntPolynomial.x()
 Y = IntPolynomial.y()
 ONE = IntPolynomial.const(1)
+
+
+def kappa_closed_form(n: int) -> IntPolynomial:
+    """The alternating binomial expansion of kappa_n (independent oracle)."""
+    out = {}
+    for i in range(n // 2 + 1):
+        out[(n - 2 * i, 0)] = (-1) ** i * math.comb(n - i, i)
+    return IntPolynomial(out)
+
+
+def qbinom_literal(triple: Triple, n: int, i: int):
+    """The division-based quantum binomial, or None when a denominator is
+    not invertible.  Cross-check oracle for :func:`qbinom`."""
+    if not 1 <= i <= n:
+        raise ValueError(f"binomial index {i} out of range 1..{n}")
+    numerator = triple.ring.one
+    for k in range(n - i + 1, n + 1):
+        numerator = numerator * qnum(triple, k)[0]
+    denominator = triple.ring.one
+    for k in range(1, i + 1):
+        denominator = denominator * qnum(triple, k)[0]
+    inv = denominator.inverse()
+    if inv is None:
+        return None
+    return numerator * inv
 
 
 def test_kappa_base_cases_and_display():

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tlab import tldiag
+from tlab import linalg, tldiag
 from tlab.contpoly import qbinom, qnum
-from tlab.linalg import ExactMatrix
+from tlab.linalg import ExactMatrix, FieldModulus
 from tlab.rings import RingValue, Triple
 from tlab.tldiag import (
     NotExists,
@@ -47,12 +47,11 @@ SOLVE_TRIPLES = [
 def solve(matrix: ExactMatrix, rhs: List[RingValue]) -> Optional[List[RingValue]]:
     """One solution of A x = rhs with every free variable zero, or None when
     the system is inconsistent: the augmented matrix [A | rhs] through
-    ExactMatrix._eliminate, then back substitution.  A pivot in the last
+    linalg._sweep, untransposed, then back substitution.  A pivot in the last
     column is a row 0 = non-zero."""
     n = matrix.ncols
-    augmented = ExactMatrix.zeros(matrix.ring, matrix.nrows, n + 1)
-    augmented.entries = [{**row, n: e} if e else dict(row) for row, e in zip(matrix.entries, rhs)]
-    pivots, rows = augmented._eliminate()
+    augmented = [{**row, n: e} if e else dict(row) for row, e in zip(matrix.entries, rhs)]
+    pivots, rows = linalg._sweep(augmented, n + 1, FieldModulus(matrix.ring))
     if pivots and pivots[-1][0] == n:
         return None
     solution = [matrix.ring.zero] * n

@@ -1,5 +1,6 @@
 """The sparse exact kernel against sympy: rank, and the test-side solve on
-its elimination, over Q and GF(p).
+its elimination, over Q and GF(p), with solutions checked by the test-side
+product.
 
 sympy is a test-only oracle; these tests are skipped where it is missing.
 """
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
+from matrix_reference import matmul
 from test_jw_solve import solve
 from tlab.linalg import ExactMatrix
 from tlab.rings import construct_ring
@@ -74,7 +76,7 @@ def _check(kind, system):
     assert (x is None) == (augmented_rank > A.rank())
     if x is not None:
         X = ExactMatrix(ring, [[v] for v in x])
-        assert (A * X).rows == [[v] for v in b]
+        assert matmul(A, X).rows == [[v] for v in b]
 
 
 @settings(max_examples=150, deadline=None)
@@ -101,6 +103,6 @@ def test_cancellation_leaves_no_stored_zero():
     Q = construct_ring("Q")
     A = ExactMatrix(Q, [[Q.one, Q.one]])
     B = ExactMatrix(Q, [[Q.one], [-Q.one]])
-    product = A * B
+    product = matmul(A, B)
     assert product.is_zero() and product.entries == [{}]
     assert product.rows == [[Q.zero]]

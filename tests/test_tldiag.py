@@ -4,7 +4,7 @@ import pytest
 
 from test_jw_solve import _jw_by_solve
 from tlab.contpoly import qbinom, qnum
-from tlab.rings import Triple, construct_ring, generic_tower, parse_element
+from tlab.rings import RingValue, Triple, construct_ring, generic_tower, parse_element
 from tlab.tldiag import (
     DOWN,
     UP,
@@ -296,6 +296,27 @@ def test_blocked_jw_matches_the_reference_constructions():
         assert jw(triple, n) == _specialize_universal(triple, n), (spec, n)
     # binom(4, 2) = 6 vanishes mod 3, so there is nothing to construct
     assert isinstance(jw(_triple("Fp:3", "2", "2"), 4), NotExists)
+
+
+def test_recursion_legality_takes_no_inverse(monkeypatch):
+    # every coefficient ring is a field, so [k] is invertible when non-zero
+    cases = [
+        (("Fp:2", "0", "0"), 3), (("Fp:3", "2", "2"), 5), (("Fp:7", "3", "5"), 5),
+        (("Fp:101", "3", "5"), 9), (("Q", "1", "3"), 6), (("cyclo:6", "q+q^-1", "q+q^-1"), 5),
+        (("cyclo:12", "q", "q^-1"), 7), (("cyclo:12", "q+q^-1", "q^2+q^-2"), 7),
+        (("cyclo:10", "q+q^-1", "q+q^-1"), 4), (("ratfun:Q", "t", "t"), 6),
+    ]
+    triples = [(_triple(*spec), n) for spec, n in cases]
+
+    def no_inverse(self):
+        raise AssertionError("_recursion_legal took an inverse")
+
+    monkeypatch.setattr(RingValue, "inverse", no_inverse)
+    legal = [_recursion_legal(triple, n) for triple, n in triples]
+    monkeypatch.undo()
+    want = [all(qnum(triple, k)[0].inverse() is not None for k in range(2, n + 1)) for triple, n in triples]
+    assert legal == want
+    assert legal == [False, False, False, True, False, False, False, True, True, True]
 
 
 def _jw_by_sandwich(triple, n):

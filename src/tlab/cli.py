@@ -70,8 +70,12 @@ class InputLimitError(ValueError):
 # ratfun:cyclo:5 with (t+q, t) 62 s at 10; over Q(t)(u) with (t+u, u+1)
 # 83 s at 10, over F_101(t)(u) 71 s at 8, over Q(zeta_5)(t)(u) with
 # (t+u, u+q) 71 s at 6; over Q(t)(u)(v) with (t+u, v+1) over 90 s at 8.
-# `rotatable` took 43 s at n = 500 (178 MB) and 62 s at 550.  `qnum` 24 s
-# at 400, 59 s at 550 (160 MB) and over 75 s at 600.  `classify`
+# `rotatable` took 43 s at n = 500 (178 MB) and 62 s at 550, and `qnum`
+# 59 s at 550 (160 MB) and over 75 s at 600, when these limits were set.
+# With [n] and [[n]] evaluated as power sums in z = d1 d2, `rotatable`
+# takes 9.5 s at 400 and 20 s at 500 (166 MB), and `qnum` 13 s at 400 and
+# 34 s at 550 (147 MB); just before, on the same 2-core VM, 15.6 s, 29 s,
+# 17 s and 46 s (159 MB).  `classify`
 # at the built-in rank limit (fusion.MAX_BUILTIN_RANK) took 7-10 s at
 # --max-n 256 with --format json (verp:101, 182 MB); the classes of objects
 # of FPdim above 2 grow exponentially, so memory grows as the square of
@@ -124,11 +128,10 @@ def cmd_qnum(args) -> int:
     if args.upto < 0:
         raise ValueError("upto must be a natural number")
     triple = _triple_from_args(args)
-    table = contpoly.QuantumTable.build(triple, args.upto)
     lines = ["  n  [n]              [[n]]"]
     rows = []
-    for k, qn, qq in table.rows():
-        qn, qq = str(qn), str(qq)
+    for k in range(args.upto + 1):
+        qn, qq = map(str, contpoly.qnum(triple, k))
         lines.append(f"{k:3d}  {qn:<15}  {qq}")
         rows.append({"n": k, "qnum": qn, "qqnum": qq})
     _emit(args, "\n".join(lines), {"ring": args.ring, "rows": rows})
@@ -451,13 +454,13 @@ def _verify_items() -> List[Tuple[str, Callable[[], Tuple[bool, str]]]]:
         val = fusion.fpdim(fusion.builtin_ring("ising"), "sigma")
         return abs(val - math.sqrt(2)) < 1e-9, f"fpdim = {val:.9f}"
 
-    @add("FPdim table 2cos(pi/N) for N = 2..6")
+    @add("FPdim of L1 in slq:N is 2cos(pi/N) for N = 3..6")
     def _():
-        want = {2: 0.0, 3: 1.0, 4: math.sqrt(2), 5: (1 + math.sqrt(5)) / 2, 6: math.sqrt(3)}
-        for N, value in want.items():
-            if abs(2 * math.cos(math.pi / N) - value) > 1e-12:
-                return False, f"mismatch at N={N}"
-        return True, "0, 1, sqrt2, golden ratio, sqrt3"
+        for N in range(3, 7):
+            val = fusion.fpdim(fusion.builtin_ring(f"slq:{N}"), "L1")
+            if abs(val - 2 * math.cos(math.pi / N)) > 1e-9:
+                return False, f"fpdim {val:.12f} at N={N}"
+        return True, "1, sqrt2, golden ratio, sqrt3"
 
     @add("ising generator is strictly 4-bounded")
     def _():
@@ -488,16 +491,13 @@ def _verify_items() -> List[Tuple[str, Callable[[], Tuple[bool, str]]]]:
         got = [r.verdict.n for r in fusion.classify_all(fusion.builtin_ring("ising"))]
         return got == [3, 4, 3], f"{got}"
 
-    @add("sine ratios at a = 1 equal 2cos(pi/p^(n-i))")
+    @add("FPdim of L1 in verp:p is sin(2pi/p)/sin(pi/p) for p = 3, 5, 7")
     def _():
         for p in (3, 5, 7):
-            for n in (1, 2):
-                for i in range(0, n):
-                    m = p ** (n - i)
-                    lhs = math.sin(2 * math.pi / m) / math.sin(math.pi / m)
-                    if abs(lhs - 2 * math.cos(math.pi / m)) > 1e-12:
-                        return False, f"mismatch at p={p}, n={n}, i={i}"
-        return True, "the dimension formula collapses at a = 1"
+            val = fusion.fpdim(fusion.builtin_ring(f"verp:{p}"), "L1")
+            if abs(val - math.sin(2 * math.pi / p) / math.sin(math.pi / p)) > 1e-9:
+                return False, f"fpdim {val:.12f} at p={p}"
+        return True, "the dimension formula at a = 1 is 2cos(pi/p)"
 
     return items
 

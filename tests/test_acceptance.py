@@ -295,6 +295,41 @@ def test_acceptance_08_fpdim_law():
               "sine-ratio formula at 1e-12, >= 2 in legal ranges")
 
 
+def test_acceptance_08_fpdim_law_exactly():
+    """The FPdim of a strictly N-bounded basis object is the largest real
+    root r of kappa_{N-1}, decided in exact arithmetic with sympy (a
+    test-only oracle).  The FPdim is the largest real root R of chi, the
+    characteristic polynomial of left multiplication by the object, and
+    g = gcd(chi, kappa_{N-1}) is squarefree.  r is a root of g, so r <= R;
+    R, the one root of chi in its isolating interval, is a root of g, so
+    R <= r.  Hence chi has no real root above r."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    checked = 0
+    for name in ALL_BUILTINS:
+        ring = builtin_ring(name)
+        for rep in classify_all(ring):
+            if rep.verdict.kind != "strictly_bounded":
+                continue
+            obj = ring.basis_vector(rep.object_label)
+            columns = [ring.multiply(obj, ring.basis_vector(j)) for j in range(ring.rank)]
+            matrix = sympy.Matrix(ring.rank, ring.rank, lambda k, j: columns[j][k])
+            chi = sympy.Poly(matrix.charpoly(x).as_expr(), x)
+            k = sympy.Poly({(i,): c for (i, _), c in kappa(rep.verdict.n - 1).coeffs.items()}, x)
+            g = sympy.gcd(chi, k)
+            for poly in (k, chi):
+                (low, high), _ = poly.intervals()[-1]
+                # the isolating interval is [r, r] at a rational root, and
+                # otherwise open: its ends may be rational roots of poly
+                ends = {low, high} if low != high else set()
+                inside = g.count_roots(low, high) - sum(g.eval(e) == 0 for e in ends)
+                assert inside == 1, (name, rep.object_label, poly)
+            checked += 1
+    assert checked >= 20
+    report(8, f"FPdim law exact on {checked} bounded basis objects: the largest real root "
+              "of chi is the largest root of kappa_(N-1)")
+
+
 def test_acceptance_09_structural_sweeps():
     composites = 0
     for name in ALL_BUILTINS:

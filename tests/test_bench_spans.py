@@ -19,6 +19,8 @@ DELETED = {
     # no runtime path called either, and the contpoly span keeps its others
     ("linalg", "ExactMatrix.__mul__"),
     ("contpoly", "qbinom_literal"),
+    # the display wrapper of qnum: `tlab qnum` reads qnum row by row
+    ("contpoly", "QuantumTable.build"),
     ("tldiag", "_jw_by_solve"),
     ("tldiag", "_jw_by_integer_lift"),
     ("tldiag", "_jw_by_specialization"),

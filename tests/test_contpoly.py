@@ -4,7 +4,6 @@ import pytest
 
 from tlab.contpoly import (
     IntPolynomial,
-    QuantumTable,
     kappa,
     mu,
     nu,
@@ -63,10 +62,18 @@ def test_kappa_rejects_negative_index():
         kappa(-1)
 
 
+def test_mu_and_nu_reject_negative_index():
+    with pytest.raises(ValueError):
+        mu(-1)
+    with pytest.raises(ValueError):
+        nu(-1)
+
+
 def test_kappa_at_two():
-    # recurrence forces kappa_n(2) = n + 1
-    for n in range(12):
-        assert kappa(n).evaluate_float(2.0) == pytest.approx(n + 1)
+    # the recurrence forces kappa_n(2) = U_n(4) = n + 1; summed in integers,
+    # as a float sum would cancel coefficients of up to about 2^137 at n = 200
+    for n in range(201):
+        assert sum(c * 2**i for (i, _), c in kappa(n).coeffs.items()) == n + 1, n
 
 
 def test_mod_p_collapse():
@@ -117,12 +124,27 @@ def test_nu_divisor_factorization():
     assert nu(1) == X
     assert nu(2) == X * Y - ONE
     assert nu(3) == X * Y - IntPolynomial.const(2)
-    for m in range(1, 25):
+    for m in range(1, 121):
         product = ONE
         for i in range(1, m + 1):
             if m % i == 0:
                 product = product * nu(i - 1)
         assert product == mu(m - 1), m
+
+
+def test_mu_at_a_deep_index():
+    assert mu(1500).coeffs[(0, 0)] == 1  # mu_{4k}(0, 0) = 1
+
+
+def test_qnum_at_a_deep_index_matches_the_recurrence():
+    F7 = construct_ring("Fp:7")
+    d1, d2 = F7.from_int(3), F7.from_int(5)
+    triple = Triple(F7, d1, d2)
+    # [n+1] = d[n] - [n-1], the multiplier d1 after odd n and d2 after even n
+    prev, current = F7.zero, F7.one
+    for n in range(1, 1200):
+        prev, current = current, (d1 if n % 2 else d2) * current - prev
+    assert qnum(triple, 1200)[0] == current
 
 
 def test_qnum_examples(tower):
@@ -171,5 +193,4 @@ def test_qbinom_range_errors(tower):
 def test_quantum_table():
     Q = construct_ring("Q")
     triple = Triple(Q, Q.from_int(3), Q.from_int(3))
-    table = QuantumTable.build(triple, 4)
-    assert [str(v) for v in table.qnums] == ["0", "1", "3", "8", "21"]
+    assert [str(qnum(triple, k)[0]) for k in range(5)] == ["0", "1", "3", "8", "21"]

@@ -6,7 +6,7 @@ only, and refuses assignment where frozen."""
 import pytest
 
 from tlab.complexes import ChainMap, ContinuantBuild, FormalComplex, FormalObject, K0Class, ValidationReport
-from tlab.contpoly import IntPolynomial, QuantumTable
+from tlab.contpoly import IntPolynomial
 from tlab.fusion import BoundReport, FusionRing, Verdict
 from tlab.rings import Triple, construct_ring
 from tlab.sl2model import DegreeHomology, FiberParams, HomologyReport
@@ -34,7 +34,6 @@ CASES = [
     case(RotatabilityReport, ["rotatable", 3, "why"], {"binomials_vanish": None, "cyclotomic_vanish": None},
          differ=(1, 4)),
     case(Triple, [Q, TWO, THREE], differ=(2, TWO)),
-    case(QuantumTable, [TRIPLE, (Q.zero, Q.one), (Q.zero, Q.one)], differ=(1, (Q.one, Q.one))),
     case(FormalObject, [(Word.of("^v"), Word.empty())], differ=(0, (Word.empty(),))),
     case(ChainMap, [UNIT, OTHER], {"parts": {}}, differ=(1, UNIT), frozen=False),
     case(ContinuantBuild, [UNIT, 4, "lower", "^"], differ=(2, "upper"), frozen=False),

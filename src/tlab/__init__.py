@@ -3,14 +3,11 @@ a concrete two-dimensional fiber-functor model, and a fusion-ring
 boundedness classifier, with a command-line front end."""
 
 from .complexes import (
-    ChainMap,
     FormalComplex,
     FormalMorphism,
     FormalObject,
     build_continuant,
-    cone,
     k0_class,
-    shift,
     twinned_subsets,
     validate,
 )
@@ -32,16 +29,14 @@ from .fusion import (
     load_fusion_ring,
     minimal_bound,
 )
-from .linalg import ExactMatrix
 from .rings import (
     RingValue,
     Triple,
     construct_ring,
     generic_tower,
-    invert,
     parse_element,
 )
-from .sl2model import FiberParams, HomologyReport, homology, realize_morphism, realized_trace
+from .sl2model import FiberParams, HomologyReport, homology
 from .tldiag import (
     NotExists,
     PlanarMatching,
@@ -49,11 +44,8 @@ from .tldiag import (
     Word,
     compose,
     enumerate_basis,
-    is_negligible,
     jw,
-    markov_trace,
     partial_trace,
-    rescale_transport,
     rotatability,
     tensor,
 )
@@ -62,8 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "ChainMap",
-    "ExactMatrix",
     "FiberParams",
     "FormalComplex",
     "FormalMorphism",
@@ -81,20 +71,16 @@ __all__ = [
     "builtin_ring",
     "classify_all",
     "compose",
-    "cone",
     "construct_ring",
     "continuant_sequence",
     "enumerate_basis",
     "fpdim",
     "generic_tower",
     "homology",
-    "invert",
-    "is_negligible",
     "jw",
     "k0_class",
     "kappa",
     "load_fusion_ring",
-    "markov_trace",
     "minimal_bound",
     "mu",
     "nu",
@@ -102,11 +88,7 @@ __all__ = [
     "partial_trace",
     "qbinom",
     "qnum",
-    "realize_morphism",
-    "realized_trace",
-    "rescale_transport",
     "rotatability",
-    "shift",
     "tensor",
     "twinned_subsets",
     "validate",

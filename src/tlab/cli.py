@@ -227,7 +227,7 @@ def cmd_homology(args) -> int:
         # realization of TL(delta, delta), delta = q + q^-1: it is monoidal,
         # so a scalar realizes to itself, and every diagram keeps the number
         # k of ones in a string s of n bits; W_k is spanned by those strings.
-        # 1. markov_trace closes strand j by a cup and a cap with left ends on
+        # 1. The Markov trace closes strand j by a cup and a cap with left ends on
         #    f's side, weighing bit 0 by q * 1 and bit 1 by 1 * q^-1, so
         #    tr(f) = sum_s q^(#0(s) - #1(s)) rho(f)_ss = sum_k q^(n-2k) Tr(rho(f) | W_k).
         # 2. ker rho(e_i) is the kernel of its cap, x_..10.. = -q x_..01..;
@@ -296,10 +296,8 @@ def cmd_classify(args) -> int:
 
 
 def _verify_items() -> List[Tuple[str, Callable[[], Tuple[bool, str]]]]:
-    from fractions import Fraction
-
-    from .contpoly import IntPolynomial, kappa, mu, qbinom, qnum
-    from .tldiag import NotExists, TLMorphism, Word, compose, enumerate_basis, jw
+    from .contpoly import IntPolynomial, kappa, qbinom, qnum
+    from .tldiag import NotExists, TLMorphism, Word, enumerate_basis, jw
 
     items: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = []
 

@@ -1,72 +1,21 @@
-"""Exact sparse matrices over any of the coefficient fields, and their ranks.
+"""Ranks of exact sparse matrices, mod a prime or over a coefficient field.
 
-Each row is a dict from column index to a non-zero entry; a zero that
-appears by cancellation is dropped, so only non-zeros are ever stored or
-eliminated.  The module only ranks: ``_sweep``, the one pivot sweep, has
-one caller, ``rank_mod_p``, which eliminates a matrix with more rows than
-columns as its transpose.  It ranks ints mod a prime, the kernel of the
-modular rank certificate in ``sl2model.homology``, and exact field values
-(``ExactMatrix.rank``), with no floating point, so ranks remain
-meaningful at root-of-unity degenerations.
+A matrix is a list of rows, each a dict from column index to a non-zero
+entry; a zero that appears by cancellation is dropped, so only non-zeros
+are ever stored or eliminated.  The module only ranks: ``_sweep``, the one
+pivot sweep, has one caller, ``rank_mod_p``, which eliminates a matrix with
+more rows than columns as its transpose.  It ranks ints mod a prime, the
+kernel of the modular rank certificate in ``sl2model.homology``, and exact
+field values (with ``FieldModulus``, on the exact path of ``homology``),
+with no floating point, so ranks remain meaningful at root-of-unity
+degenerations.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from .rings import Ring, RingValue
-
-Row = Dict[int, RingValue]
-
-
-class ExactMatrix:
-    """A rows x cols matrix with entries in an exact field, stored as one
-    dict {column: non-zero entry} per row in ``entries``."""
-
-    __slots__ = ("ring", "nrows", "ncols", "entries")
-
-    def __init__(self, ring: Ring, rows: List[List[RingValue]]):
-        """The matrix with the given dense rows."""
-        self.ring = ring
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        self.entries: List[Row] = []
-        for r in rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix rows")
-            self.entries.append({j: e for j, e in enumerate(r) if e})
-
-    @property
-    def rows(self) -> List[List[RingValue]]:
-        """A dense copy of the rows; writing to it leaves the matrix alone."""
-        zero, cols = self.ring.zero, range(self.ncols)
-        return [[row.get(j, zero) for j in cols] for row in self.entries]
-
-    @staticmethod
-    def zeros(ring: Ring, nrows: int, ncols: int) -> "ExactMatrix":
-        out = ExactMatrix.__new__(ExactMatrix)
-        out.ring, out.nrows, out.ncols = ring, nrows, ncols
-        out.entries = [{} for _ in range(nrows)]
-        return out
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
-
-    def rank(self) -> int:
-        return rank_mod_p(self.entries, self.ncols, FieldModulus(self.ring))
-
-    def __repr__(self):
-        return f"ExactMatrix({self.nrows}x{self.ncols} over {self.ring})"
+from .rings import Ring
 
 
 class FieldModulus:

@@ -321,9 +321,6 @@ class Ring:
         """Named generators visible in this ring (including nested ones)."""
         return {}
 
-    def parse(self, text: str) -> RingValue:
-        return parse_element(self, text)
-
 
 class Rationals(Ring):
     kind = "Q"
@@ -1249,11 +1246,6 @@ def construct_ring(spec: str) -> Ring:
     return ring
 
 
-def invert(x: RingValue) -> Optional[RingValue]:
-    """Multiplicative inverse, or None when x is not invertible."""
-    return x.inverse()
-
-
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([a-z][0-9]*)|(\^|\+|\-|\*|/|\(|\)))")
 
 
@@ -1418,15 +1410,6 @@ class Triple(Frozen):
     def parse(ring_spec: str, d1: str, d2: str) -> "Triple":
         ring = construct_ring(ring_spec)
         return Triple(ring, parse_element(ring, d1), parse_element(ring, d2))
-
-    @staticmethod
-    def balanced(ring: Ring, q: RingValue) -> "Triple":
-        """The triple with both loop values q + q^-1."""
-        qinv = q.inverse()
-        if qinv is None:
-            raise RingError("q must be invertible")
-        delta = q + qinv
-        return Triple(ring, delta, delta)
 
     def __repr__(self):
         return f"Triple({self.ring!r}, {self.delta1}, {self.delta2})"

@@ -32,10 +32,10 @@ from itertools import accumulate
 from typing import Dict, List, Optional
 
 from ._plain import Frozen
-from .complexes import FormalComplex, FormalMorphism, FormalObject
-from .linalg import ExactMatrix, FieldModulus, rank_mod_p
+from .complexes import FormalComplex, FormalMorphism
+from .linalg import FieldModulus, rank_mod_p
 from .rings import Ring, RingValue, Triple
-from .tldiag import PlanarMatching, TLMorphism, Word
+from .tldiag import PlanarMatching, Word
 
 
 class ModelError(ValueError):
@@ -104,33 +104,6 @@ def _check_balanced(triple: Triple, balanced: Triple) -> None:
         raise ModelError("morphism triple must be balanced at q + q^-1 over the model field")
 
 
-def realize_morphism(f: TLMorphism, params: FiberParams) -> ExactMatrix:
-    """The matrix of a diagram morphism under the two-dimensional model.
-
-    Requires the morphism's triple to be balanced at q + q^-1 over the
-    model's field.
-    """
-    source, target = FormalObject.of(f.source), FormalObject.of(f.target)
-    return _realize_formal(FormalMorphism._from_blocks(f.triple, source, target, {(0, 0): f}), params)
-
-
-def realized_trace(f: TLMorphism, params: FiberParams) -> RingValue:
-    """Matrix trace of the realized endomorphism, computed without
-    assembling the matrix.  For a realized idempotent over a field of
-    characteristic zero this integer equals the rank of its image."""
-    if f.source != f.target:
-        raise ModelError("trace requires an endomorphism")
-    _check_balanced(f.triple, params.balanced_triple())
-    total = params.ring.zero
-    for matching, coeff in f.terms.items():
-        diagonal = params.ring.zero
-        for row, col, exponent in _matching_entries(matching):
-            if row == col:
-                diagonal = diagonal + params.q_power(exponent)
-        total = total + coeff * diagonal
-    return total
-
-
 def _offsets(obj) -> List[int]:
     """Where each summand's coordinates start, and the total dimension."""
     return list(accumulate((word_dimension(w) for w in obj.summands), initial=0))
@@ -182,13 +155,6 @@ def _scale(power, image=lambda coeff: coeff):
         return c * q
 
     return scale
-
-
-def _realize_formal(morphism: FormalMorphism, params: FiberParams) -> ExactMatrix:
-    """The matrix of a formal morphism over the model's field."""
-    out = ExactMatrix.zeros(params.ring, _offsets(morphism.target)[-1], _offsets(morphism.source)[-1])
-    out.entries = _cells(morphism, params, _scale(params.q_power))
-    return out
 
 
 def _modular_pass(params: FiberParams):

@@ -791,13 +791,14 @@ def _jw_by_table(triple: Triple, n: int) -> TLMorphism:
     - At (z, 1) over F(z), F the field, P_n / c_n solves them: the table's
       identities hold in Z[z], so in F[z], and c_n != 0 in F[z], since
       each [k](z, 1) is monic.
-    - delta2 != 0: rescale_transport by lam is an algebra isomorphism
-      TL(z0, 1) -> TL(delta1, delta2), z0 = delta1 * delta2, fixing the
-      identity and scaling each e_i by a unit, so it carries JW_n, if any,
-      with coefficients scaled by lam^w.  Let R be F[z] localised at z0.
-      If every P_D / c_n lies in R, evaluation at z0, a ring map R -> F,
-      sends the generic solution to one at (z0, 1), which _on_curve
-      computes at the point.  If JW_n exists at (z0, 1), some N rows of A
+    - delta2 != 0: scaling each diagram D by lam^w, w = rescale_weight(D),
+      is an algebra isomorphism TL(z0, 1) -> TL(delta1, delta2), z0 =
+      delta1 * delta2 (the rescaling transport of tests/trace_reference.py),
+      fixing the identity and scaling each e_i by a unit, so it carries
+      JW_n, if any, with coefficients scaled by lam^w.  Let R be F[z]
+      localised at z0.  If every P_D / c_n lies in R, evaluation at z0, a
+      ring map R -> F, sends the generic solution to one at (z0, 1), which
+      _on_curve computes at the point.  If JW_n exists at (z0, 1), some N rows of A
       form M(z) with det M(z0) != 0, and by Cramer's rule the generic
       solution adj(M) b_M / det M lies in R.  So there is a pole exactly
       when JW_n does not exist.
@@ -913,37 +914,6 @@ def partial_trace(f: TLMorphism) -> TLMorphism:
     return compose(top, compose(middle, bottom))
 
 
-def markov_trace(f: TLMorphism) -> RingValue:
-    """Close all strands around the right side with nested arcs and evaluate
-    the resulting loops."""
-    if f.source != f.target:
-        raise DiagramError("markov trace expects an endomorphism")
-    triple = f.triple
-    n = len(f.source)
-    if n == 0:
-        return f.coefficient(PlanarMatching(Word.empty(), Word.empty(), ()))
-    word = f.source
-    closed = word + word.dual()
-    cup = PlanarMatching(Word.empty(), closed, tuple((("t", i), ("t", 2 * n - 1 - i)) for i in range(n)))
-    cap = PlanarMatching(closed, Word.empty(), tuple((("b", i), ("b", 2 * n - 1 - i)) for i in range(n)))
-    widened = tensor(f, TLMorphism.identity(triple, word.dual()))
-    result = compose(
-        TLMorphism.from_matching(triple, cap),
-        compose(widened, TLMorphism.from_matching(triple, cup)),
-    )
-    return result.coefficient(PlanarMatching(Word.empty(), Word.empty(), ()))
-
-
-def is_negligible(f: TLMorphism) -> bool:
-    """True when every trace pairing against a basis diagram vanishes."""
-    if f.source != f.target:
-        raise DiagramError("negligibility is defined for endomorphisms")
-    for m in enumerate_basis(f.source, f.target):
-        if not markov_trace(compose(f, TLMorphism.from_matching(f.triple, m))).is_zero():
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # rotatability
 
@@ -1008,18 +978,3 @@ def rescale_weight(matching: PlanarMatching) -> int:
     letters = matching.source.letters + matching.target.letters[::-1]
     # the left end of a bottom arc (c, d) is point c, that of a top arc point d
     return sum(letters[c] == UP for c, d in arcs if d < nb) - sum(letters[d] == DOWN for c, d in arcs if c >= nb)
-
-
-def rescale_transport(f: TLMorphism, lam: RingValue) -> TLMorphism:
-    """Transport along the algebra isomorphism that rescales the two loop
-    values to (lam * d1, lam^-1 * d2); each diagram picks up the scalar
-    lam ** rescale_weight."""
-    lam_inv = lam.inverse()
-    if lam_inv is None:
-        raise DiagramError("rescaling requires an invertible scalar")
-    triple = f.triple
-    new_triple = Triple(triple.ring, lam * triple.delta1, lam_inv * triple.delta2)
-    terms = {}
-    for m, c in f.terms.items():
-        terms[m] = c * lam ** rescale_weight(m)
-    return TLMorphism(new_triple, f.source, f.target, terms)

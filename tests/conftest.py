@@ -2,6 +2,7 @@ import pytest
 
 from tlab import tldiag
 from tlab.rings import Triple, construct_ring, generic_tower
+from tlab.sl2model import FiberParams
 
 
 @pytest.fixture(autouse=True)
@@ -54,10 +55,10 @@ def f2_zero():
 @pytest.fixture(scope="session")
 def zeta10_balanced():
     ring = construct_ring("cyclo:10")
-    return Triple.balanced(ring, ring.generators()["q"])
+    return FiberParams(ring, ring.generators()["q"]).balanced_triple()
 
 
 @pytest.fixture(scope="session")
 def zeta12_balanced():
     ring = construct_ring("cyclo:12")
-    return Triple.balanced(ring, ring.generators()["q"])
+    return FiberParams(ring, ring.generators()["q"]).balanced_triple()

@@ -8,12 +8,13 @@ import math
 
 import pytest
 
+from matrix_reference import realize_morphism
+from trace_reference import is_negligible, markov_trace
 from tlab.complexes import build_continuant, k0_class, twinned_subsets, validate
 from tlab.contpoly import IntPolynomial, kappa, mu, qbinom, qnum
 from tlab.fusion import builtin_ring, classify_all, continuant_sequence, fpdim, minimal_bound
-from tlab.linalg import ExactMatrix
 from tlab.rings import Triple, construct_ring, generic_tower, parse_element
-from tlab.sl2model import FiberParams, homology, realize_morphism, realized_trace
+from tlab.sl2model import FiberParams, homology
 from tlab.tldiag import (
     DOWN,
     UP,
@@ -22,9 +23,7 @@ from tlab.tldiag import (
     Word,
     compose,
     hazi_witness,
-    is_negligible,
     jw,
-    markov_trace,
     partial_trace,
     rotatability,
 )
@@ -94,7 +93,7 @@ def _sweep_triples():
     triples.append((Triple(Q, Q.from_int(3), Q.from_int(3)), 6))
     for m in (8, 10, 12):
         ring = construct_ring(f"cyclo:{m}")
-        triples.append((Triple.balanced(ring, ring.generators()["q"]), 6))
+        triples.append((FiberParams(ring, ring.generators()["q"]).balanced_triple(), 6))
     Rt = construct_ring("ratfun:Q")
     t = Rt.generators()["t"]
     triples.append((Triple(Rt, t, t), 6))
@@ -140,7 +139,7 @@ def test_acceptance_04_trace_suite():
     t = Rt.generators()["t"]
     qt = Triple(Rt, t, t)
     c16 = construct_ring("cyclo:16")
-    zeta16 = Triple.balanced(c16, c16.generators()["q"])
+    zeta16 = FiberParams(c16, c16.generators()["q"]).balanced_triple()
     tower = generic_tower()
 
     # EW identity p_n(JW_n) = ([n+1]/[n]) JW_{n-1} wherever defined
@@ -166,7 +165,7 @@ def test_acceptance_04_trace_suite():
     domains = [tower, qt, zeta16, Triple(Q, Q.from_int(2), Q.from_int(3))]
     for m in (6, 10, 12):
         ring = construct_ring(f"cyclo:{m}")
-        domains.append(Triple.balanced(ring, ring.generators()["q"]))
+        domains.append(FiberParams(ring, ring.generators()["q"]).balanced_triple())
     agreements = 0
     for triple in domains:
         for n in range(2, 7):
@@ -181,7 +180,7 @@ def test_acceptance_04_trace_suite():
 def test_acceptance_05_continuant_complex_suite():
     tower = generic_tower()
     c10 = construct_ring("cyclo:10")
-    zeta10 = Triple.balanced(c10, c10.generators()["q"])
+    zeta10 = FiberParams(c10, c10.generators()["q"]).balanced_triple()
 
     shapes = {2: [1, 1], 3: [1, 2], 4: [1, 3, 1]}
     for n, counts in shapes.items():

@@ -21,6 +21,14 @@ DELETED = {
     ("contpoly", "qbinom_literal"),
     # the display wrapper of qnum: `tlab qnum` reads qnum row by row
     ("contpoly", "QuantumTable.build"),
+    # the Markov trace and negligibility, the iterated cone and the
+    # ExactMatrix realization, moved to the tests: no command reached them
+    ("tldiag", "markov_trace"),
+    ("tldiag", "is_negligible"),
+    ("complexes", "cone"),
+    ("sl2model", "realize_morphism"),
+    ("sl2model", "_realize_formal"),
+    ("linalg", "ExactMatrix.rank"),
     ("tldiag", "_jw_by_solve"),
     ("tldiag", "_jw_by_integer_lift"),
     ("tldiag", "_jw_by_specialization"),

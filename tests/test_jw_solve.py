@@ -14,9 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from matrix_reference import ExactMatrix
 from tlab import linalg, tldiag
 from tlab.contpoly import qbinom, qnum
-from tlab.linalg import ExactMatrix, FieldModulus
+from tlab.linalg import FieldModulus
 from tlab.rings import RingValue, Triple
 from tlab.tldiag import (
     NotExists,

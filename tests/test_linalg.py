@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
-from matrix_reference import matmul
+from matrix_reference import ExactMatrix, matmul
 from test_jw_solve import solve
-from tlab.linalg import ExactMatrix
 from tlab.rings import construct_ring
 
 P = 7

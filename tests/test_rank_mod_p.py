@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from tlab.linalg import ExactMatrix, rank_mod_p
+from matrix_reference import ExactMatrix
+from tlab.linalg import rank_mod_p
 from tlab.rings import construct_ring
 
 # 1073741827, the first prime above 2^30, is the reduction prime of Q and ratfun:Q

@@ -4,20 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrix_reference import identity, kron, matmul
+from matrix_reference import ExactMatrix, identity, kron, matmul, realize_formal, realize_morphism
 from test_formal_properties import formal_morphisms, formal_objects
+from trace_reference import is_negligible
 from tlab.complexes import FormalComplex, FormalMorphism, FormalObject, build_continuant
 from tlab.contpoly import kappa
-from tlab.linalg import ExactMatrix
-from tlab.rings import Triple, _zmonomial, _zneg, construct_ring
+from tlab.rings import Triple, _zmonomial, _zneg, construct_ring, parse_element
 from tlab.sl2model import (
     FiberParams,
     ModelError,
     _matching_entries,
-    _realize_formal,
     homology,
-    realize_morphism,
-    realized_trace,
     word_dimension,
 )
 from tlab.tldiag import (
@@ -26,7 +23,6 @@ from tlab.tldiag import (
     compose,
     enumerate_basis,
     flip_letter,
-    is_negligible,
     jw,
     tensor,
 )
@@ -101,7 +97,7 @@ def test_zero_morphism_over_another_triple_rejected(generic_params, tower):
         with pytest.raises(ModelError, match="balanced"):
             realize_morphism(TLMorphism.zero(triple, w, w), generic_params)
         with pytest.raises(ModelError, match="balanced"):
-            _realize_formal(FormalMorphism.zero(triple, FormalObject.of(w), FormalObject.of(w)), generic_params)
+            realize_formal(FormalMorphism.zero(triple, FormalObject.of(w), FormalObject.of(w)), generic_params)
 
 
 def test_each_entry_of_a_formal_morphism_is_checked(generic_params, tower):
@@ -110,7 +106,7 @@ def test_each_entry_of_a_formal_morphism_is_checked(generic_params, tower):
     ident = TLMorphism.identity(tower, Word.alt(1))
     mixed = FormalMorphism._from_blocks(balanced, w, w, {(0, 0): ident})
     with pytest.raises(ModelError, match="balanced"):
-        _realize_formal(mixed, generic_params)
+        realize_formal(mixed, generic_params)
 
 
 def _realize_entry(f, params):
@@ -179,7 +175,7 @@ def realization_cases(draw):
 @given(realization_cases())
 def test_one_pass_realization_is_the_per_entry_assembly(case):
     params, morphism = case
-    got, want = _realize_formal(morphism, params), _per_entry_assembly(morphism, params)
+    got, want = realize_formal(morphism, params), _per_entry_assembly(morphism, params)
     assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
     assert got.entries == want.entries
     # the same cells in the same order, and no zero stored by a cancellation
@@ -242,14 +238,14 @@ def test_realization_is_a_functor_on_continuant_differentials(spec, q, variant):
     # homology checks d^2 = 0 on the formal complex only; realizing d d is
     # the product of the realized differentials, maps between different words
     ring = construct_ring(spec)
-    params = FiberParams(ring, ring.parse(q))
+    params = FiberParams(ring, parse_element(ring, q))
     T = params.balanced_triple()
     for n in range(10):
         diffs = build_continuant(n, variant, T).complex.diffs
-        realized = {k: _realize_formal(d, params) for k, d in diffs.items()}
+        realized = {k: realize_formal(d, params) for k, d in diffs.items()}
         for k in diffs:
             if k - 1 in diffs:
-                square = _realize_formal(diffs[k - 1] * diffs[k], params)
+                square = realize_formal(diffs[k - 1] * diffs[k], params)
                 assert square == matmul(realized[k - 1], realized[k]), (n, k)
                 assert square.is_zero(), (n, k)
         if spec == "ratfun:Q":  # every realized cell is a single +-t^a
@@ -273,10 +269,11 @@ def test_jw_image_identification_generic(generic_params):
     T = generic_params.balanced_triple()
     ring = generic_params.ring
     for n in range(1, 7):
-        jw_n = jw(T, n)
-        assert realized_trace(jw_n, generic_params) == ring.from_int(n + 1), n
+        realized = realize_morphism(jw(T, n), generic_params)
+        trace = sum((row.get(i, ring.zero) for i, row in enumerate(realized.entries)), ring.zero)
+        assert trace == ring.from_int(n + 1), n
         if n <= 5:
-            assert realize_morphism(jw_n, generic_params).rank() == n + 1, n
+            assert realized.rank() == n + 1, n
 
 
 def test_zeta10_degeneration(zeta10_params):
@@ -342,7 +339,7 @@ ORACLE_FIBERS = [
 
 def _exact_ranks(complex_, params):
     """The reference: every rank by elimination over the field itself."""
-    return {i: _realize_formal(d, params).rank() for i, d in complex_.diffs.items()}
+    return {i: realize_formal(d, params).rank() for i, d in complex_.diffs.items()}
 
 
 def _assert_report_has_ranks(report, ranks):
@@ -356,7 +353,7 @@ def _assert_report_has_ranks(report, ranks):
 @pytest.mark.parametrize("spec, q, certificate", ORACLE_FIBERS)
 def test_certified_ranks_are_the_ranks_over_the_field(spec, q, certificate, variant):
     ring = construct_ring(spec)
-    params = FiberParams(ring, ring.parse(q))
+    params = FiberParams(ring, parse_element(ring, q))
     for n in range(10):
         complex_ = build_continuant(n, variant, params.balanced_triple()).complex
         report = homology(complex_, params)
@@ -410,7 +407,7 @@ def test_q_divisible_by_the_prime_falls_back_to_elimination():
 def test_rings_without_a_reduction_eliminate_over_the_field():
     for spec, q in (("ratfun:Fp:5", "t"), ("ratfun:cyclo:5", "t")):
         ring = construct_ring(spec)
-        params = FiberParams(ring, ring.parse(q))
+        params = FiberParams(ring, parse_element(ring, q))
         complex_ = build_continuant(3, "lower", params.balanced_triple()).complex
         report = homology(complex_, params)
         assert ring.reduction() is None and report.certificate == "exact"
@@ -422,7 +419,7 @@ def test_an_unbalanced_complex_still_raises_before_any_rank(spec, q, monkeypatch
     from tlab import sl2model
 
     ring = construct_ring(spec)
-    params = FiberParams(ring, ring.parse(q))
+    params = FiberParams(ring, parse_element(ring, q))
     other = FiberParams(ring, ring.from_int(2) * params.q).balanced_triple()
     monkeypatch.setattr(sl2model, "rank_mod_p", None)  # never reached
     with pytest.raises(ModelError, match="balanced"):
@@ -434,7 +431,7 @@ def test_q_is_inverted_once_per_homology_request(monkeypatch, capsys):
     from tlab.cli import main
 
     ring = construct_ring("cyclo:10")
-    q = ring.parse("q^3+2*q-5+q^7/3")
+    q = parse_element(ring, "q^3+2*q-5+q^7/3")
     invert, inverted = rings.CyclotomicField._invert, []
 
     def counted(self, a):

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from test_jw_solve import _jw_by_solve
+from trace_reference import is_negligible, markov_trace, rescale_transport
 from tlab.contpoly import qbinom, qnum
 from tlab.rings import RingValue, Triple, construct_ring, generic_tower, parse_element
+from tlab.sl2model import FiberParams
 from tlab.tldiag import (
     DOWN,
     UP,
@@ -21,11 +23,8 @@ from tlab.tldiag import (
     compose,
     enumerate_basis,
     hazi_witness,
-    is_negligible,
     jw,
-    markov_trace,
     partial_trace,
-    rescale_transport,
     rotatability,
     tensor,
 )
@@ -523,7 +522,7 @@ def test_markov_trace_of_jw(tower, qt_balanced):
 def test_negligibility(zeta10_balanced, qt_balanced):
     for N, spec in ((3, "cyclo:6"), (4, "cyclo:8"), (5, "cyclo:10"), (6, "cyclo:12")):
         ring = construct_ring(spec)
-        triple = Triple.balanced(ring, ring.generators()["q"])
+        triple = FiberParams(ring, ring.generators()["q"]).balanced_triple()
         jw_top = jw(triple, N - 1)
         assert isinstance(jw_top, TLMorphism), N
         assert is_negligible(jw_top), N
@@ -539,7 +538,7 @@ def test_rotatability_examples(tower, f2_zero, qt_balanced):
     assert rotatability(f2_zero, 5).status == "no_jw"
     for N in (4, 5, 6):
         ring = construct_ring(f"cyclo:{2 * N}")
-        triple = Triple.balanced(ring, ring.generators()["q"])
+        triple = FiberParams(ring, ring.generators()["q"]).balanced_triple()
         report = rotatability(triple, N - 1)
         assert report.status == "rotatable", N
         assert report.binomials_vanish and report.cyclotomic_vanish

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlab.rings import Triple, construct_ring, generic_tower
-from tlab.sl2model import _matching_entries
+from tlab.sl2model import FiberParams, _matching_entries
 from tlab.tldiag import (
     DOWN,
     UP,
@@ -37,7 +37,7 @@ F2 = construct_ring("Fp:2")
 F2_ZERO = Triple(F2, F2.zero, F2.zero)  # every closed loop kills its term
 FP101 = Triple.parse("Fp:101", "3", "5")
 ZETA10 = construct_ring("cyclo:10")
-ZETA10_BALANCED = Triple.balanced(ZETA10, ZETA10.generators()["q"])
+ZETA10_BALANCED = FiberParams(ZETA10, ZETA10.generators()["q"]).balanced_triple()
 SETTINGS = settings(max_examples=80, deadline=None)
 
 

@@ -2,18 +2,19 @@
 
 Four kinds of ring are supported, all fields with decidable equality:
 
-* ``Q``           -- the rationals (stdlib Fraction payloads),
+* ``Q``           -- the rationals,
 * ``Fp:<p>``      -- the prime field with p elements,
 * ``cyclo:<m>``   -- the cyclotomic field Q[q]/(Phi_m(q)),
 * ``ratfun:<r>``  -- the field of rational functions over any of the above
                      (nestable, so Q(t)(u) is ``ratfun:ratfun:Q``).
 
-Every element is kept in a canonical form (reduced fraction, residue in
-[0, p), integer polynomial of degree < deg Phi_m over a positive denominator
-coprime to its content; for rational functions over Q a coprime pair of
-integer polynomials, over other bases a gcd-reduced numerator/denominator
-with monic denominator), so payload equality is equality in the ring and
-``is_zero`` is trivial.  Values are immutable; all operations are pure.
+Every element is kept in a canonical form (residue in [0, p), integer
+polynomial of degree < deg Phi_m over a positive denominator coprime to its
+content; over Q and the rational functions over it a coprime pair of
+integers or integer polynomials, one arithmetic for the whole tower; over
+other bases a gcd-reduced numerator/denominator with monic denominator), so
+payload equality is equality in the ring and ``is_zero`` is trivial.
+Values are immutable; all operations are pure.
 
 Rational-function generators are named by nesting depth, innermost first:
 ``t``, ``u``, ``v``, ``w``.  The cyclotomic generator is always ``q``.
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -322,60 +322,6 @@ class Ring:
         return {}
 
 
-class Rationals(Ring):
-    kind = "Q"
-    max_exponent = MAX_EXPONENT
-    max_size = MAX_POWER_BITS
-
-    def _key(self):
-        return ("Q",)
-
-    def spec(self):
-        return "Q"
-
-    def _add(self, a, b):
-        return a + b
-
-    def _neg(self, a):
-        return -a
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _invert(self, a):
-        if a == 0:
-            return None
-        return 1 / a
-
-    def _is_zero(self, a):
-        return a == 0
-
-    def _from_int(self, n):
-        return Fraction(n)
-
-    def _canon(self, num: int, den: int):
-        return Fraction(num, den)
-
-    def size(self, a) -> int:
-        """Bit length of |numerator| * denominator; 0 for 1."""
-        if a == 1:
-            return 0
-        return (abs(a.numerator) * a.denominator).bit_length()
-
-    def _to_str(self, a):
-        return str(a)
-
-    def reduction(self):
-        p = _reduction_prime(1)
-
-        def psi(a):
-            if a.denominator % p == 0:
-                return None
-            return a.numerator * pow(a.denominator, -1, p) % p
-
-        return p, psi
-
-
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # below this bound (Sorenson and Webster 2015); no larger modulus is accepted.
 MAX_PRIME = 3_317_044_064_679_887_385_961_981
@@ -467,9 +413,9 @@ class PrimeField(Ring):
 
 # -- dense polynomials over a field --------------------------------------
 #
-# Coefficients are RingValues (fraction fields over Fp and cyclotomic
-# fields), or Fractions for the one cyclotomic inverse; tuples ascending in
-# degree, with no trailing zero coefficient.
+# Coefficients are RingValues (of Fp and cyclotomic fields under a fraction
+# field, of Q for the cyclotomic inverse); tuples ascending in degree, with
+# no trailing zero coefficient.
 
 
 def _trim(cs: list) -> tuple:
@@ -640,9 +586,10 @@ class CyclotomicField(Ring):
         if not a[0]:
             return None
         # Phi_m is irreducible: extended Euclid over Q, checked by one product
-        s = _pinvmod(tuple(Fraction(c, a[1]) for c in a[0]), tuple(map(Fraction, self.modulus)), 0)
-        e = math.lcm(*(c.denominator for c in s))
-        inv = (tuple(c.numerator * (e // c.denominator) for c in s), e)
+        coeffs = tuple(RingValue(_QQ, _QQ._canon(c, a[1])) for c in a[0])
+        s = [c.payload for c in _pinvmod(coeffs, tuple(map(_QQ.from_int, self.modulus)), _QQ.zero)]
+        e = math.lcm(*(d for _, d in s))
+        inv = (tuple(n * (e // d) for n, d in s), e)
         if self._mul(a, inv) != self.one.payload:
             raise ArithmeticError(f"inverse check failed in {self}")
         return inv
@@ -654,7 +601,7 @@ class CyclotomicField(Ring):
         return ((n,) if n else (), 1)
 
     def _to_str(self, a):
-        return _poly_text([str(Fraction(c, a[1])) for c in a[0]], "q")
+        return _poly_text([_QQ._to_str(_QQ._canon(c, a[1])) for c in a[0]], "q")
 
     def reduction(self):
         """q goes to a = x^((p-1)/m) of order exactly m, for the least x = 2,
@@ -690,7 +637,7 @@ class CyclotomicField(Ring):
         return {"q": self.gen}
 
 
-# -- Z[x1..xk]: the integer polynomial core behind fraction fields over Q ----
+# -- Z[x1..xk]: the integer polynomial core behind Q and Q(x1)...(xk) -------
 #
 # A polynomial in k variables is a tuple of polynomials in k - 1 variables,
 # ascending in the outermost variable, with no trailing zero coefficient; a
@@ -908,9 +855,141 @@ def _zgcd(a, b, k: int):
     return tuple(_zmul(content, c, k - 1) for c in b)
 
 
-_GEN_NAMES = "tuvw"
-# IntFractionField.reduction sends the generator of depth k to this plus k
+# IntFractions.reduction sends the generator of depth k to this plus k
 _RATFUN_POINT = 65_536
+
+
+class IntFractions(Ring):
+    """The integer tower Q(x1)...(xk), k = ``depth`` >= 0: a value is a
+    coprime pair (P, D) in Z[x1..xk] (integer content included) with D's
+    leading integer positive, and ``_unit`` is the polynomial 1.  Q is the
+    level k = 0, where P and D are ints with D > 0; :class:`IntFractionField`
+    is every level k >= 1.  This one arithmetic serves them all.
+
+    Sums and products follow Henrici: they take gcds of the operands'
+    parts, which are smaller than the gcd of the unreduced result.  The
+    generic core's way, one gcd of the multiplied-out result, is slower
+    here.  In single runs from a cold process, with unchanged output,
+    ``qnum --ring ratfun:ratfun:Q --d1 t+u^-1 --d2 u+t^-1 --upto 30`` took
+    0.66-0.70 s with it against 0.32-0.35 s, and ``jw --ring ratfun:Q --d1
+    t+t^-1 --d2 2*t --n 10`` 2.48-2.59 s against 2.29-2.50 s (CPython
+    3.11, one core of an Intel Xeon virtual machine)."""
+
+    def _canon(self, num, den):
+        k = self.depth
+        if not den:
+            raise ZeroDivisionError("zero denominator in rational function")
+        if not num:
+            return (num, self._unit)
+        g = _zgcd(num, den, k)
+        if g != self._unit:
+            num, den = _zdiv(num, g, k), _zdiv(den, g, k)
+        if _zlead(den, k) < 0:
+            num, den = _zneg(num, k), _zneg(den, k)
+        return (num, den)
+
+    def _add(self, a, b):
+        k, one = self.depth, self._unit
+        (n1, d1), (n2, d2) = a, b
+        if d1 == d2:
+            if d1 == one:
+                return (_zadd(n1, n2, k), one)
+            return self._canon(_zadd(n1, n2, k), d1)
+        g = _zgcd(d1, d2, k)
+        if g == one:
+            return (_zadd(_zmul(n1, d2, k), _zmul(n2, d1, k), k), _zmul(d1, d2, k))
+        e1, e2 = _zdiv(d1, g, k), _zdiv(d2, g, k)
+        num = _zadd(_zmul(n1, e2, k), _zmul(n2, e1, k), k)
+        if not num:
+            return (num, one)
+        h = _zgcd(num, g, k)
+        if h != one:
+            num, d2 = _zdiv(num, h, k), _zdiv(d2, h, k)
+        return (num, _zmul(e1, d2, k))
+
+    def _neg(self, a):
+        return (_zneg(a[0], self.depth), a[1])
+
+    def _mul(self, a, b):
+        k, one = self.depth, self._unit
+        (n1, d1), (n2, d2) = a, b
+        if not n1 or not n2:
+            return (_zconst(0, k), one)
+        if d1 == one and d2 == one:
+            return (_zmul(n1, n2, k), one)
+        g1, g2 = _zgcd(n1, d2, k), _zgcd(n2, d1, k)
+        if g1 != one:
+            n1, d2 = _zdiv(n1, g1, k), _zdiv(d2, g1, k)
+        if g2 != one:
+            n2, d1 = _zdiv(n2, g2, k), _zdiv(d1, g2, k)
+        return (_zmul(n1, n2, k), _zmul(d1, d2, k))
+
+    def _invert(self, a):
+        num, den = a
+        if not num:
+            return None
+        if _zlead(num, self.depth) < 0:
+            return (_zneg(den, self.depth), _zneg(num, self.depth))
+        return (den, num)
+
+    def _is_zero(self, a):
+        return not a[0]
+
+    def reduction(self):
+        """Integers go to their residues, and the generator of depth k (t = 1,
+        u = 2, ...) to the residue _RATFUN_POINT + k."""
+        p, depth = _reduction_prime(1), self.depth
+
+        def value(a, k):  # a in Z[x1..xk], by Horner in the outermost variable
+            if k == 0:
+                return a
+            out, x = 0, _RATFUN_POINT + k
+            for c in reversed(a):
+                out = (out * x + value(c, k - 1)) % p
+            return out
+
+        def psi(payload):
+            den = value(payload[1], depth) % p
+            if not den:
+                return None
+            return value(payload[0], depth) * pow(den, -1, p) % p
+
+        return p, psi
+
+
+class Rationals(IntFractions):
+    """Q, the level k = 0 of :class:`IntFractions`: a payload is a coprime
+    pair (n, d) of ints with d > 0."""
+
+    kind = "Q"
+    depth = 0
+    _unit = 1
+    max_exponent = MAX_EXPONENT
+    max_size = MAX_POWER_BITS
+
+    def _key(self):
+        return ("Q",)
+
+    def spec(self):
+        return "Q"
+
+    def _from_int(self, n):
+        return (n, 1)
+
+    def size(self, a) -> int:
+        """Bit length of |n| * d; 0 for 1."""
+        if a == (1, 1):
+            return 0
+        return (abs(a[0]) * a[1]).bit_length()
+
+    def _to_str(self, a):
+        return str(a[0]) if a[1] == 1 else f"{a[0]}/{a[1]}"
+
+
+_QQ = Rationals()  # the coefficients of the cyclotomic inverse and printer
+
+
+_GEN_NAMES = "tuvw"
 
 
 class FractionField(Ring):
@@ -919,10 +998,10 @@ class FractionField(Ring):
     Over a tower that bottoms out at Q (``ratfun:Q``, ``ratfun:ratfun:Q``,
     ...), the field is an :class:`IntFractionField`: a value of
     Q(x1)...(xk) is a pair (P, D) of polynomials in Z[x1..xk], nested int
-    tuples, coprime (integer content included) with D's leading integer
-    positive.  Over any other base, payloads are (numerator, denominator)
-    pairs of base-value coefficient tuples, gcd-reduced with monic
-    denominator.  Either way, equal values have equal payloads.
+    tuples, with the Henrici core of :class:`IntFractions`, which Q and
+    every such level share.  Over any other base, payloads are (numerator,
+    denominator) pairs of base-value coefficient tuples, gcd-reduced with
+    monic denominator.  Either way, equal values have equal payloads.
 
     The two cores keep their own sums and products, each the faster on its
     payloads.  This generic core multiplies out each sum and product and
@@ -940,7 +1019,7 @@ class FractionField(Ring):
     max_size = MAX_POWER_SIZE
 
     def __new__(cls, base: Ring):
-        if isinstance(base, (Rationals, IntFractionField)):
+        if isinstance(base, IntFractions):
             cls = IntFractionField
         return super().__new__(cls)
 
@@ -1060,57 +1139,14 @@ class FractionField(Ring):
         return gens
 
 
-class IntFractionField(FractionField):
-    """Q(x1)...(xk) on integer payloads: coprime pairs (P, D) in Z[x1..xk]
-    with D's leading integer positive; see :class:`FractionField`.
-
-    Sums and products follow Henrici: they take gcds of the operands'
-    parts, which are smaller than the gcd of the unreduced result.  The
-    generic core's way, one gcd of the multiplied-out result, is slower
-    here.  In single runs from a cold process, with unchanged output,
-    ``qnum --ring ratfun:ratfun:Q --d1 t+u^-1 --d2 u+t^-1 --upto 30`` took
-    0.66-0.70 s with it against 0.32-0.35 s, and ``jw --ring ratfun:Q --d1
-    t+t^-1 --d2 2*t --n 10`` 2.48-2.59 s against 2.29-2.50 s (CPython
-    3.11, one core of an Intel Xeon virtual machine)."""
+class IntFractionField(IntFractions, FractionField):
+    """Q(x1)...(xk), k >= 1, on integer payloads: the levels of
+    :class:`IntFractions` above Q, sharing its arithmetic; printing,
+    generators and embedding are :class:`FractionField`'s."""
 
     def __init__(self, base: Ring):
         super().__init__(base)
         self._unit = _zconst(1, self.depth)
-
-    def _canon(self, num, den):
-        k = self.depth
-        if not den:
-            raise ZeroDivisionError("zero denominator in rational function")
-        if not num:
-            return ((), self._unit)
-        g = _zgcd(num, den, k)
-        if g != self._unit:
-            num, den = _zdiv(num, g, k), _zdiv(den, g, k)
-        if _zlead(den, k) < 0:
-            num, den = _zneg(num, k), _zneg(den, k)
-        return (num, den)
-
-    def _add(self, a, b):
-        k, one = self.depth, self._unit
-        (n1, d1), (n2, d2) = a, b
-        if d1 == d2:
-            if d1 == one:
-                return (_zadd(n1, n2, k), one)
-            return self._canon(_zadd(n1, n2, k), d1)
-        g = _zgcd(d1, d2, k)
-        if g == one:
-            return (_zadd(_zmul(n1, d2, k), _zmul(n2, d1, k), k), _zmul(d1, d2, k))
-        e1, e2 = _zdiv(d1, g, k), _zdiv(d2, g, k)
-        num = _zadd(_zmul(n1, e2, k), _zmul(n2, e1, k), k)
-        if not num:
-            return ((), one)
-        h = _zgcd(num, g, k)
-        if h != one:
-            num, d2 = _zdiv(num, h, k), _zdiv(d2, h, k)
-        return (num, _zmul(e1, d2, k))
-
-    def _neg(self, a):
-        return (_zneg(a[0], self.depth), a[1])
 
     def size(self, a) -> int:
         """Degrees of P and D, each summed over the variables, plus the
@@ -1119,28 +1155,6 @@ class IntFractionField(FractionField):
             return 0
         (dp, bp), (dd, bd) = _zshape(a[0], self.depth), _zshape(a[1], self.depth)
         return dp + dd + max(bp, bd)
-
-    def _mul(self, a, b):
-        k, one = self.depth, self._unit
-        (n1, d1), (n2, d2) = a, b
-        if not n1 or not n2:
-            return ((), one)
-        if d1 == one and d2 == one:
-            return (_zmul(n1, n2, k), one)
-        g1, g2 = _zgcd(n1, d2, k), _zgcd(n2, d1, k)
-        if g1 != one:
-            n1, d2 = _zdiv(n1, g1, k), _zdiv(d2, g1, k)
-        if g2 != one:
-            n2, d1 = _zdiv(n2, g2, k), _zdiv(d1, g2, k)
-        return (_zmul(n1, n2, k), _zmul(d1, d2, k))
-
-    def _invert(self, a):
-        num, den = a
-        if not num:
-            return None
-        if _zlead(num, self.depth) < 0:
-            return (_zneg(den, self.depth), _zneg(num, self.depth))
-        return (den, num)
 
     def _to_str(self, a):
         # rendered through the monic-denominator form of the generic path:
@@ -1153,30 +1167,9 @@ class IntFractionField(FractionField):
         k = self.depth
         return RingValue(self, ((_zconst(0, k - 1), _zconst(1, k - 1)), self._unit))
 
-    def reduction(self):
-        """The generator of depth k (t = 1, u = 2, ...) goes to the residue
-        _RATFUN_POINT + k, and integers as over Q."""
-        p, depth = _reduction_prime(1), self.depth
-
-        def value(a, k):  # a in Z[x1..xk], by Horner in the outermost variable
-            if k == 0:
-                return a
-            out, x = 0, _RATFUN_POINT + k
-            for c in reversed(a):
-                out = (out * x + value(c, k - 1)) % p
-            return out
-
-        def psi(payload):
-            den = value(payload[1], depth) % p
-            if not den:
-                return None
-            return value(payload[0], depth) * pow(den, -1, p) % p
-
-        return p, psi
-
     def _constant(self, a):
         # a base payload is already a coprime pair with positive leading integer
-        num, den = a.as_integer_ratio() if self.depth == 1 else a
+        num, den = a
         return ((num,) if num else (), (den,))
 
 

@@ -20,7 +20,6 @@ from tlab.tldiag import (
     UP,
     NotExists,
     TLMorphism,
-    Word,
     compose,
     hazi_witness,
     jw,

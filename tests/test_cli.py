@@ -4,7 +4,6 @@ import json
 import subprocess
 import time
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

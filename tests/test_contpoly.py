@@ -11,7 +11,7 @@ from tlab.contpoly import (
     qbinom_exponents,
     qnum,
 )
-from tlab.rings import Triple, construct_ring, generic_tower, parse_element
+from tlab.rings import Triple, construct_ring, parse_element
 
 X = IntPolynomial.x()
 Y = IntPolynomial.y()

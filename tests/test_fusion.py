@@ -5,8 +5,6 @@ import re
 import pytest
 
 from tlab.fusion import (
-    BoundReport,
-    FusionRing,
     FusionRingError,
     builtin_ring,
     classify_all,

@@ -1,9 +1,12 @@
-"""Property and differential tests for Q(t) and Q(t)(u) on integer payloads.
+"""Property and differential tests for Q, Q(t) and Q(t)(u) on integer
+payloads, the depths 0, 1 and 2 of one arithmetic.
 
 Field axioms and canonical-form uniqueness are checked with hypothesis;
-reduced forms and gcds are compared with sympy, a test-only oracle."""
+Q is compared with fractions.Fraction, and reduced forms and gcds over Q(t)
+and Q(t)(u) with sympy, both test-only oracles."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +14,18 @@ from hypothesis import strategies as st
 
 from tlab.rings import _zgcd, _zlead, _zmul, construct_ring
 
+Q = construct_ring("Q")
 QT = construct_ring("ratfun:Q")
 QTU = construct_ring("ratfun:ratfun:Q")
-RINGS = {1: QT, 2: QTU}
+RINGS = {0: Q, 1: QT, 2: QTU}
 SETTINGS = settings(max_examples=60, deadline=None)
 
 small = st.integers(-4, 4)
 # polynomials as {exponent tuple: coefficient}; exponents innermost first
+poly0 = st.dictionaries(st.tuples(), st.integers(-60, 60), max_size=1)
 poly1 = st.dictionaries(st.tuples(st.integers(0, 3)), small, max_size=4)
 poly2 = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), small, max_size=4)
-POLYS = {1: poly1, 2: poly2}
+POLYS = {0: poly0, 1: poly1, 2: poly2}
 
 
 def build(ring, terms):
@@ -47,7 +52,7 @@ def int_content(poly, depth):
     return math.gcd(*(int_content(c, depth - 1) for c in poly)) if poly else 0
 
 
-@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("depth", [0, 1, 2])
 def test_field_axioms(depth):
     ring = RINGS[depth]
 
@@ -70,7 +75,7 @@ def test_field_axioms(depth):
     check()
 
 
-@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("depth", [0, 1, 2])
 def test_canonical_form_is_unique(depth):
     unit = RINGS[depth].one.payload[1]
 
@@ -98,7 +103,7 @@ def test_canonical_form_is_unique(depth):
     check()
 
 
-@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("depth", [0, 1, 2])
 def test_reduction_is_a_ring_map_where_defined(depth):
     ring = RINGS[depth]
     p, psi = ring.reduction()
@@ -116,9 +121,39 @@ def test_reduction_is_a_ring_map_where_defined(depth):
             assert inverse is None or inverse * x % p == 1
 
     check()
-    t = ring.generators()["t"]
-    assert psi((t - psi(t.payload)).payload) == 0
-    assert psi((1 / (t - psi(t.payload))).payload) is None
+    if depth:
+        t = ring.generators()["t"]
+        root = t - psi(t.payload)
+    else:
+        root = ring.from_int(p)
+    assert psi(root.payload) == 0
+    assert psi((1 / root).payload) is None
+
+
+def test_rationals_match_fraction():
+    """Q's pairs against fractions.Fraction, a test-only oracle."""
+    numerators = st.integers(-10**20, 10**20)
+    denominators = st.one_of(st.integers(-36, 36), numerators).filter(bool)
+
+    def size(f: Fraction) -> int:
+        return 0 if f == 1 else (abs(f.numerator) * f.denominator).bit_length()
+
+    @SETTINGS
+    @given(numerators, denominators, numerators, denominators)
+    def check(n1, d1, n2, d2):
+        a, b = Q.from_int(n1) / Q.from_int(d1), Q.from_int(n2) / Q.from_int(d2)
+        fa, fb = Fraction(n1, d1), Fraction(n2, d2)
+        cases = [(a, fa), (a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)]
+        if fa:
+            cases.append((a.inverse(), 1 / fa))
+        else:
+            assert a.inverse() is None
+        for got, want in cases:
+            assert got.payload == (want.numerator, want.denominator)
+            assert str(got) == str(want)
+            assert Q.size(got.payload) == size(want)
+
+    check()
 
 
 # -- sympy as an independent oracle -----------------------------------------

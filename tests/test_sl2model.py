@@ -9,7 +9,7 @@ from test_formal_properties import formal_morphisms, formal_objects
 from trace_reference import is_negligible
 from tlab.complexes import FormalComplex, FormalMorphism, FormalObject, build_continuant
 from tlab.contpoly import kappa
-from tlab.rings import Triple, _zmonomial, _zneg, construct_ring, parse_element
+from tlab.rings import _zmonomial, _zneg, construct_ring, parse_element
 from tlab.sl2model import (
     FiberParams,
     ModelError,

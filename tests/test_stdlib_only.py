@@ -1,6 +1,7 @@
-"""The runtime imports nothing outside the Python standard library and no
-name that it does not use, keeps no check in an `assert` statement, which
-`python -O` strips, and loads no `dataclasses` at start-up."""
+"""The runtime imports nothing outside the Python standard library and,
+like the tests, no name that it does not use, keeps no check in an `assert`
+statement, which `python -O` strips, and loads neither `dataclasses` nor
+`fractions` at start-up."""
 
 import ast
 import os
@@ -8,7 +9,8 @@ import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tlab"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tlab"
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -52,10 +54,10 @@ def _unused_imports(tree) -> list:
 
 
 def test_runtime_imports_no_unused_name():
-    """``__init__.py`` is skipped: it imports to re-export."""
+    """Nor do the tests.  ``__init__.py`` is skipped: it imports to re-export."""
     found = [
         f"{path.name}:{line} {name}"
-        for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) if path.name != "__init__.py"
         for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not found, found
@@ -82,8 +84,10 @@ def test_runtime_has_no_assert_statements():
 def test_start_up_loads_no_code_introspection_modules():
     """Importing the package and the CLI loads neither ``dataclasses`` nor
     the modules it pulls in, which cost more start-up time than a small job;
-    the runtime's value classes are written by hand instead."""
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    the runtime's value classes are written by hand instead.  Nor does it
+    load ``fractions`` or the ``decimal`` and ``numbers`` that it imports:
+    Q's payloads are pairs of ints."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "numbers")
     code = f"import tlab, tlab.cli, sys; print(' '.join(m for m in {heavy!r} if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)

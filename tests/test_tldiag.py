@@ -8,7 +8,6 @@ from tlab.contpoly import qbinom, qnum
 from tlab.rings import RingValue, Triple, construct_ring, generic_tower, parse_element
 from tlab.sl2model import FiberParams
 from tlab.tldiag import (
-    DOWN,
     UP,
     DiagramError,
     NotExists,
@@ -244,9 +243,10 @@ def _reduce_from_integer_lift(triple, n, m):
     universal = _jw_by_recursion(Triple(rationals, rationals.from_int(m), rationals.from_int(m)), n)
     terms = {}
     for matching, coeff in universal.terms.items():
-        inv = ring.from_int(coeff.payload.denominator).inverse()
+        num, den = coeff.payload
+        inv = ring.from_int(den).inverse()
         assert inv is not None, f"a denominator of JW_{n} at {m} is divisible by p"
-        terms[matching] = ring.from_int(coeff.payload.numerator) * inv
+        terms[matching] = ring.from_int(num) * inv
     return TLMorphism(triple, Word.alt(n), Word.alt(n), terms)
 
 

@@ -40,11 +40,13 @@ class InputLimitError(ValueError):
 # Largest --n (--upto for `qnum`, --max-n for `bound` and `classify`): the
 # largest value that finished within 60 s without error (CPython 3.11, one
 # core of an Intel Xeon virtual machine), with the default rings unless said
-# otherwise.  `continuant`, lower variant, took 8-9.5 s at n = 20 (183 MB,
-# the text printed one degree at a time) and 21-28 s with --format json
-# (254 MB); at 21 the text took 20 s (359 MB), --format json 66 s and 568 MB,
-# over the time and memory rules: the dense JSON rows set the peak, which
-# about doubles with each n.  `homology` over ratfun:Q, its ranks certified
+# otherwise.  `continuant`, each distinct differential entry built, checked
+# and printed once, took 4.8-5.0 s at n = 20 (148-155 MB, the text printed
+# one degree at a time) and 4.6-5.5 s with --format json (212-215 MB),
+# either variant; at 21 the text took 16 s (308 MB), but --format json 12 s
+# and 499 MB, over the memory rule: the dense JSON rows, one pointer per
+# cell, set the peak, which about doubles with each n.
+# `homology` over ratfun:Q, its ranks certified
 # mod p, took 0.2 s at n = 11, 0.7 s at 12, 1.9-2.3 s at 13 (64 MB),
 # 6.2-6.7 s at 14 (135 MB) and 17-19 s at 15 (376 MB), either variant, text
 # or JSON; at 15 over cyclo:10 at q, Q at q = 10^999, ratfun:ratfun:Q at
@@ -106,10 +108,49 @@ def _triple_from_args(args) -> Triple:
     return Triple(ring, d1, d2)
 
 
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _print_json(payload) -> None:
-    """Stream payload as indented JSON, without building the whole text."""
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Write payload as the bytes of json.dumps(payload, indent=2) and a
+    newline, container by container, without building the whole text.
+
+    json.dump with an indent never reaches the stdlib's C encoder, which
+    runs only without one: it walks every value in pure Python and writes
+    each token separately.  Here each container of scalars (a differential
+    row, a class vector) is one call of the C encoder, whose item separator
+    carries the newline and the indent; only containers of containers are
+    walked in Python, and their keys are written by the same encoder."""
+    write, encoders = sys.stdout.write, {}
+
+    def put(value, newline: str) -> None:  # newline: "\n" and the indent of value's line
+        if isinstance(value, dict):
+            opening, closing, items = "{", "}", value.values()
+        elif isinstance(value, (list, tuple)):
+            opening, closing, items = "[", "]", value
+        else:
+            write(json.dumps(value))
+            return
+        if not value:
+            write(opening + closing)
+            return
+        inner = newline + "  "
+        encoder = encoders.get(inner)
+        if encoder is None:
+            encoder = encoders[inner] = json.JSONEncoder(separators=("," + inner, ": "))
+        if _JSON_SCALARS.issuperset(map(type, items)):
+            write(opening + inner + encoder.encode(value)[1:-1] + newline + closing)
+            return
+        separator = opening + inner
+        for key, item in value.items() if opening == "{" else enumerate(value):
+            # '{"key": 0}' less its braces and the 0: a non-string key as json writes it
+            write(separator + (encoder.encode({key: 0})[1:-2] if opening == "{" else ""))
+            put(item, inner)
+            separator = "," + inner
+        write(newline + closing)
+
+    put(payload, "\n")
+    write("\n")
 
 
 def _emit(args, text: str, payload) -> None:

@@ -152,7 +152,14 @@ class FormalMorphism:
 
         Each output cell sums its products over every k on bare involutions
         (tldiag._add_products); then _store checks each distinct composite
-        of the cell once, zero sums included, and the cell is one TLMorphism."""
+        of the cell, zero sums included, and the cell is one TLMorphism.
+
+        Blocks may share one entry object, as a continuant's do, so two
+        memos keyed on entry identity, and local to this call, do the work
+        once per distinct entry: the product of each (left, right) pair of
+        entries, and each cell by its ordered list of contributing pairs,
+        whose cells are then one shared TLMorphism.  Every entry stays
+        alive in self or other until the call returns, so no id is reused."""
         if other.target != self.source:
             raise ComplexError("matrix shapes do not compose")
         rows, right = {}, {}  # i -> [(k, entry)] and k -> [(j, entry)]
@@ -160,15 +167,28 @@ class FormalMorphism:
             rows.setdefault(i, []).append((k, e))
         for (k, j), e in other.blocks.items():
             right.setdefault(k, []).append((j, e))
-        scaled, blocks = {}, {}  # scaled: the coefficient memo of the whole product
-        for i, row in rows.items():  # one row's sums are held at a time
-            cells: Dict[int, dict] = {}
+        scaled, products, cells, blocks = {}, {}, {}, {}  # scaled: the coefficient memo of the whole product
+        for i, row in rows.items():
+            pairs: Dict[int, list] = {}  # j -> the entry pairs of cell (i, j), in order of k
             for k, left in row:
                 for j, e in right.get(k, ()):
-                    _add_products(left, e, cells.setdefault(j, {}), scaled)
-            for j, terms in cells.items():
-                source, target = other.source.summands[j], self.target.summands[i]
-                blocks[i, j] = TLMorphism(self.triple, source, target, _checked(source, target, terms))
+                    pairs.setdefault(j, []).append((left, e))
+            for j, cell_pairs in pairs.items():
+                key = tuple((id(f), id(g)) for f, g in cell_pairs)
+                cell = cells.get(key)
+                if cell is None:
+                    terms = {}
+                    for f, g in cell_pairs:
+                        product = products.get((id(f), id(g)))
+                        if product is None:
+                            product = products[id(f), id(g)] = {}
+                            _add_products(f, g, product, scaled)
+                        for inv, c in product.items():
+                            old = terms.get(inv)
+                            terms[inv] = c if old is None else old + c
+                    source, target = other.source.summands[j], self.target.summands[i]
+                    cell = cells[key] = TLMorphism(self.triple, source, target, _checked(source, target, terms))
+                blocks[i, j] = cell
         return FormalMorphism._from_blocks(self.triple, other.source, self.target, blocks)
 
     def tensor_letter(self, letter: str) -> "FormalMorphism":
@@ -270,15 +290,27 @@ class FormalComplex:
                 yield f"  d_{i} term counts: {d.term_counts()}"
 
     def to_json_dict(self) -> dict:
+        """Summands, labels and dense differential rows, degree by degree.
+
+        Each distinct entry object is rendered once per complex, and each
+        distinct coefficient once: blocks that share an entry, as a
+        continuant's do, share its text."""
         out = {"degrees": {}}
-        rendered = {}  # each distinct coefficient is rendered once per complex
+        rendered, texts = {}, {}  # coefficient -> text, id(entry) -> text
+
+        def render(e: TLMorphism) -> str:
+            text = texts.get(id(e))
+            if text is None:
+                text = texts[id(e)] = e._format(rendered)
+            return text
+
         for i in sorted(self.terms, reverse=True):
             entry = {"summands": [str(w) for w in self.terms[i].summands]}
             if self.labels is not None and i in self.labels:
                 entry["labels"] = [list(lab) for lab in self.labels[i]]
             d = self.diffs.get(i)
             if d is not None:
-                entry["differential"] = d._cells(lambda e: e._format(rendered), "0")
+                entry["differential"] = d._cells(render, "0")
             out["degrees"][str(i)] = entry
         return out
 
@@ -346,6 +378,13 @@ def build_continuant(
     """Construct the n-th continuant complex of a single letter from the
     closed form of the iterated cone, writing each differential entry once.
 
+    Every summand of a degree has the same alternating word, so blocks
+    repeat: one TLMorphism is built, its matching checked once by
+    PlanarMatching._store, per distinct (source word, target word, cap
+    position, sign), and every block that needs it holds that one object
+    (at n = 12 the 744 blocks share 61 entries).  Entries are never
+    changed in place; a block is changed by storing a new object in it.
+
     Lower variant: the summand with label L in degree -k maps, for each
     adjacent pair P = {p, p+1} disjoint from L, to the summand with label
     L u P, by the cap on P with identity strands elsewhere and the sign
@@ -401,15 +440,19 @@ def build_continuant(
     for k in range(n // 2, 0, -1):
         big, small = direction * k, direction * (k - 1)
         index = {lab: i for i, lab in enumerate(labels[small])}
-        blocks = {}
+        blocks, shared = {}, {}  # shared: (long word, short word, j, sign) -> the one entry
         for a, label in enumerate(labels[big]):
             for r in range(k):  # P is the r-th pair of the label from the bottom
                 b = index[label[:2 * r] + label[2 * r + 2:]]
                 above = k - 1 - r  # the pairs of label - P above P
                 j = n - 2 - label[2 * r] - 2 * above  # P's left end in the longer word
-                matching = _cap(terms[small].summands[b], terms[big].summands[a], j, upper)
-                sign = signs[(r if upper else above) % 2]
-                blocks[(b, a) if upper else (a, b)] = TLMorphism.from_matching(triple, matching, sign)
+                long, short = terms[small].summands[b], terms[big].summands[a]
+                sign = (r if upper else above) % 2
+                entry = shared.get((long, short, j, sign))
+                if entry is None:
+                    matching = _cap(long, short, j, upper)
+                    entry = shared[long, short, j, sign] = TLMorphism.from_matching(triple, matching, signs[sign])
+                blocks[(b, a) if upper else (a, b)] = entry
         source, target = (big, small) if upper else (small, big)
         diffs[source] = FormalMorphism._from_blocks(triple, terms[source], terms[target], blocks)
     return ContinuantBuild(FormalComplex(triple, terms, diffs, labels), n, variant, letter)

@@ -560,3 +560,36 @@ def test_one_process_answers_as_separate_runs(capsys):
         )
         assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
     assert [run(capsys, *argv)[0] for argv in jobs] == [2, 2, 0, 0, 2, 0, 0]
+
+
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-10 ** 300, max_value=10 ** 300),
+    st.floats(),
+    st.sampled_from((-0.0, 1e300, float("nan"), float("inf"), float("-inf"))),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x3000)),
+    st.sampled_from(("", "\x00\x1f\x7f", " \ud800", '"\\/', "é 👍")),
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_PAYLOADS)
+def test_print_json_writes_the_bytes_of_json_dumps(payload):
+    from tlab.cli import _print_json
+
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _print_json(payload)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"

@@ -452,6 +452,24 @@ def test_the_build_composes_nothing(tower, monkeypatch):
     assert all(validate(build).ok for build in builds)
 
 
+def test_the_build_makes_one_entry_per_distinct_cap(tower):
+    # one TLMorphism, and one matching check, per distinct (source, target,
+    # matching, coefficient), shared by every block that needs it
+    from test_compose_reference import counted_stores
+
+    for n in range(11):
+        for variant in ("lower", "upper"):
+            for letter in (UP, DOWN):
+                with counted_stores() as calls:
+                    build = build_continuant(n, variant, tower, letter)
+                blocks = [e for d in build.complex.diffs.values() for e in d.blocks.values()]
+                distinct = {(e.source, e.target, frozenset(e.terms.items())) for e in blocks}
+                assert len({id(e) for e in blocks}) == len(distinct) == len(calls), (n, variant, letter)
+                assert all(len(e.terms) == 1 for e in blocks)
+                if n >= 5:
+                    assert len(distinct) < len(blocks)
+
+
 def test_the_build_peaks_near_what_it_leaves(tower):
     for variant in ("lower", "upper"):
         tracemalloc.start()

@@ -9,7 +9,7 @@ three, over the tower Q(t)(u) and over F_5."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlab.complexes import FormalMorphism, FormalObject, build_continuant
+from tlab.complexes import FormalMorphism, FormalObject, build_continuant, validate
 from tlab.rings import Triple, construct_ring, generic_tower
 from tlab.tldiag import DOWN, UP, TLMorphism, Word, enumerate_basis, tensor
 
@@ -137,7 +137,51 @@ def test_products_check_each_distinct_composite_once_per_cell(case):
     expected = distinct_cells(A, C)
     with counted_stores() as calls:
         A * C
-    assert len(calls) == len(expected) and set(calls) == {inv for _, _, inv in expected}
+    assert len(calls) == len(expected) and set(calls) == {inv for _, inv in expected}
+
+
+def _shared(*matrices):
+    """The matrices with every entry equal to an earlier one, in any of
+    them, replaced by that one object."""
+    pool, out = [], []
+    for M in matrices:
+        blocks = {}
+        for key, e in M.blocks.items():
+            blocks[key] = next((x for x in pool if x == e), e)
+            if blocks[key] is e:
+                pool.append(e)
+        out.append(FormalMorphism._from_blocks(M.triple, M.source, M.target, blocks))
+    return out
+
+
+def _pooled(M):
+    """M with each block's entry replaced by the first entry between the
+    same two words: most entries then repeat, as a continuant's do."""
+    first = {}
+    blocks = {key: first.setdefault((e.source, e.target), e) for key, e in M.blocks.items()}
+    return FormalMorphism._from_blocks(M.triple, M.source, M.target, blocks)
+
+
+def _fresh(M):
+    """M with every block a new copy of its entry."""
+    blocks = {key: TLMorphism(e.triple, e.source, e.target, dict(e.terms)) for key, e in M.blocks.items()}
+    return FormalMorphism._from_blocks(M.triple, M.source, M.target, blocks)
+
+
+@SETTINGS
+@given(cases())
+def test_products_agree_with_entries_shared_or_fresh(case):
+    # the product memos key on entry identity: sharing equal entries as one
+    # object, or copying every block, must not change the product
+    _, A, _, C = case
+    for A, C in ((A, C), (_pooled(A), _pooled(C))):
+        expected = _dense_product(A, C)
+        shared = _shared(A, C)
+        for left, right in (shared, (_fresh(A), _fresh(C)), (shared[0], _fresh(C)), (A, C)):
+            with counted_stores() as calls:
+                product = left * right
+            assert product == expected and _stores_no_zero(product)
+            assert len(calls) == len(distinct_cells(left, right))
 
 
 @SETTINGS
@@ -156,6 +200,29 @@ def test_continuant_builds_store_no_zero():
         for n in range(9):
             for d in build_continuant(n, variant, TOWER).complex.diffs.values():
                 assert _stores_no_zero(d), (variant, n)
+
+
+def test_negating_one_shared_entry_in_one_block_breaks_d_squared():
+    # a new object in one block only: no memo may hand it the shared value,
+    # or hand one cell's sum to another cell
+    for variant in ("lower", "upper"):
+        for letter in (UP, DOWN):
+            build, swapped = build_continuant(7, variant, TOWER, letter), 0
+            diffs = build.complex.diffs
+            for k, d in diffs.items():
+                for key, entry in list(d.blocks.items()):
+                    if sum(e is entry for e in d.blocks.values()) == 1:
+                        continue
+                    d.blocks[key] = -entry
+                    report = validate(build)
+                    for left, right in ((diffs.get(k - 1), d), (d, diffs.get(k + 1))):
+                        if left is not None and right is not None:
+                            assert left * right == _dense_product(left, right), (variant, letter, k, key)
+                    d.blocks[key] = entry
+                    swapped += 1
+                    assert not report.ok, (variant, letter, k, key)
+                    assert {f"d^2 != 0 out of degree {k}", f"d^2 != 0 out of degree {k + 1}"} & set(report.issues)
+            assert swapped > 10 and validate(build).ok
 
 
 def test_zero_matrices_over_different_triples_differ():

@@ -114,14 +114,15 @@ def test_basis_deterministic_order():
 
 def test_printing_computes_each_order_key_once_per_term(monkeypatch):
     """A morphism sorts its terms by _order_key and prints each matching
-    from the same key, so printing costs one key per term."""
+    from the same key, so printing costs one key per term; a complex
+    prints each distinct entry object once, however many blocks share it."""
     import tlab.tldiag as tldiag
     from tlab.complexes import build_continuant
 
     tower = generic_tower()
     morphisms = [jw(tower, 4), TLMorphism.identity(tower, Word.alt(3)), TLMorphism.zero(tower, Word.alt(2), Word.alt(2))]
     complex_ = build_continuant(8, triple=tower).complex
-    entries = [e for d in complex_.diffs.values() for e in d.blocks.values()]
+    entries = {id(e): e for d in complex_.diffs.values() for e in d.blocks.values()}.values()
     expected = [str(m) for m in morphisms]
     calls = []
     original = tldiag._order_key

@@ -98,14 +98,17 @@ def _check_limit(value: int, limit: int, option: str) -> None:
         raise InputLimitError(f"{option} {value} is beyond the limit of {limit}")
 
 
-def _triple_from_args(args) -> Triple:
+def _parse_ring_args(spec: str, *texts: str):
+    """The ring of spec and each text parsed in it; a malformed one is a usage error."""
     try:
-        ring = construct_ring(args.ring)
-        d1 = parse_element(ring, args.d1)
-        d2 = parse_element(ring, args.d2)
+        ring = construct_ring(spec)
+        return ring, *(parse_element(ring, text) for text in texts)
     except (RingSpecError, ElementParseError) as exc:
         raise UsageError(str(exc)) from None
-    return Triple(ring, d1, d2)
+
+
+def _triple_from_args(args) -> Triple:
+    return Triple(*_parse_ring_args(args.ring, args.d1, args.d2))
 
 
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -245,12 +248,7 @@ def cmd_homology(args) -> int:
     _check_limit(args.n, MAX_HOMOLOGY_N, "homology --n")
     if args.n < 0:
         raise complexes.ComplexError("n must be a natural number")
-    try:
-        ring = construct_ring(args.ring)
-        q = parse_element(ring, args.q)
-    except (RingSpecError, ElementParseError) as exc:
-        raise UsageError(str(exc)) from None
-    params = sl2model.FiberParams(ring, q)
+    params = sl2model.FiberParams(*_parse_ring_args(args.ring, args.q))
     if args.model == "sl2" and args.n > MAX_HOMOLOGY_EXACT_N and sl2model._modular_pass(params) is None:
         raise InputLimitError(f"homology --n {args.n} is beyond the limit of {MAX_HOMOLOGY_EXACT_N} over "
                               f"{args.ring} at this q, which has no reduction mod p")

@@ -154,12 +154,12 @@ class FormalMorphism:
         (tldiag._add_products); then _store checks each distinct composite
         of the cell, zero sums included, and the cell is one TLMorphism.
 
-        Blocks may share one entry object, as a continuant's do, so two
-        memos keyed on entry identity, and local to this call, do the work
-        once per distinct entry: the product of each (left, right) pair of
-        entries, and each cell by its ordered list of contributing pairs,
-        whose cells are then one shared TLMorphism.  Every entry stays
-        alive in self or other until the call returns, so no id is reused."""
+        Blocks may share one entry object, as a continuant's do, so a memo
+        keyed on entry identity, and local to this call, does the work once
+        per distinct cell: each cell by its ordered list of contributing
+        pairs, whose cells are then one shared TLMorphism.  Every entry
+        stays alive in self or other until the call returns, so no id is
+        reused."""
         if other.target != self.source:
             raise ComplexError("matrix shapes do not compose")
         rows, right = {}, {}  # i -> [(k, entry)] and k -> [(j, entry)]
@@ -167,7 +167,7 @@ class FormalMorphism:
             rows.setdefault(i, []).append((k, e))
         for (k, j), e in other.blocks.items():
             right.setdefault(k, []).append((j, e))
-        scaled, products, cells, blocks = {}, {}, {}, {}  # scaled: the coefficient memo of the whole product
+        scaled, cells, blocks = {}, {}, {}  # scaled: the coefficient memo of the whole product
         for i, row in rows.items():
             pairs: Dict[int, list] = {}  # j -> the entry pairs of cell (i, j), in order of k
             for k, left in row:
@@ -179,13 +179,7 @@ class FormalMorphism:
                 if cell is None:
                     terms = {}
                     for f, g in cell_pairs:
-                        product = products.get((id(f), id(g)))
-                        if product is None:
-                            product = products[id(f), id(g)] = {}
-                            _add_products(f, g, product, scaled)
-                        for inv, c in product.items():
-                            old = terms.get(inv)
-                            terms[inv] = c if old is None else old + c
+                        _add_products(f, g, terms, scaled)
                     source, target = other.source.summands[j], self.target.summands[i]
                     cell = cells[key] = TLMorphism(self.triple, source, target, _checked(source, target, terms))
                 blocks[i, j] = cell
@@ -278,11 +272,9 @@ class FormalComplex:
             labels = {-i: lab for i, lab in self.labels.items()}
         return FormalComplex(self.triple, terms, diffs, labels)
 
-    def summary(self) -> str:
-        return "\n".join(self._summary_lines())
-
     def _summary_lines(self):
-        """summary() line by line, so a printer holds one degree's rows at a time."""
+        """The text summary, line by line (each degree's summands and term
+        counts), so a printer holds one degree's rows at a time."""
         for i in sorted(self.terms, reverse=True):
             yield f"degree {i}: {self.terms[i]}"
             d = self.diffs.get(i)

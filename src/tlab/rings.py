@@ -413,9 +413,8 @@ class PrimeField(Ring):
 
 # -- dense polynomials over a field --------------------------------------
 #
-# Coefficients are RingValues (of Fp and cyclotomic fields under a fraction
-# field, of Q for the cyclotomic inverse); tuples ascending in degree, with
-# no trailing zero coefficient.
+# Coefficients are RingValues of Fp and cyclotomic fields, for FractionField
+# over those bases; tuples ascending in degree, no trailing zero coefficient.
 
 
 def _trim(cs: list) -> tuple:
@@ -471,19 +470,6 @@ def _pgcd(a, b):
         a, b = b, _pdivmod(a, b)[1]
     inv = 1 / a[-1]
     return tuple(c * inv for c in a)
-
-
-def _pinvmod(a, m, zero):
-    """The inverse of a modulo m, for a coprime to m, by extended Euclid:
-    s1 * a = r1 (mod m) holds throughout."""
-    r0, r1, s0, s1 = m, a, (), (zero + 1,)
-    while len(r1) > 1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1, s0, s1 = r1, r, s1, _padd(s0, _pneg(_pmul(q, s1, zero)))
-    if not r1:
-        raise ZeroDivisionError("polynomial is not invertible modulo m")
-    inv = 1 / r1[0]
-    return tuple(c * inv for c in s1)
 
 
 def _prime_factors(m: int) -> list:
@@ -585,11 +571,24 @@ class CyclotomicField(Ring):
     def _invert(self, a):
         if not a[0]:
             return None
-        # Phi_m is irreducible: extended Euclid over Q, checked by one product
-        coeffs = tuple(RingValue(_QQ, _QQ._canon(c, a[1])) for c in a[0])
-        s = [c.payload for c in _pinvmod(coeffs, tuple(map(_QQ.from_int, self.modulus)), _QQ.zero)]
-        e = math.lcm(*(d for _, d in s))
-        inv = (tuple(n * (e // d) for n, d in s), e)
+        # Phi_m is irreducible and deg P < phi(m), so a fraction-free extended
+        # Euclid in Z[q], keeping s1 P = r1 (mod Phi_m) with each (r, s) divided
+        # by its content, ends at an integer r1 = c != 0: 1/(P/d) = d s1 / c
+        r0, s0, r1, s1 = self.modulus, (), a[0], (1,)
+        while len(r1) > 1:
+            n1, lc = len(r1), r1[-1]
+            scale = lc ** (len(r0) - n1 + 1)
+            r, quo = [scale * c for c in r0], []
+            while len(r) >= n1:  # pseudo-divide: scale r0 = quo r1 + r, exactly
+                quo.append(v := r.pop() // lc)
+                shift = len(r) - n1 + 1
+                for i in range(n1 - 1):
+                    r[shift + i] -= v * r1[i]
+            s = _zsub(tuple(scale * c for c in s0), _zmul(quo[::-1], s1, 1), 1)
+            g = math.gcd(*r, *s)
+            r0, s0, r1, s1 = r1, s1, _trim([c // g for c in r]), tuple(c // g for c in s)
+        sign = 1 if r1[0] > 0 else -1
+        inv = self._canon(tuple(sign * a[1] * c for c in s1), abs(r1[0]))
         if self._mul(a, inv) != self.one.payload:
             raise ArithmeticError(f"inverse check failed in {self}")
         return inv
@@ -986,7 +985,7 @@ class Rationals(IntFractions):
         return str(a[0]) if a[1] == 1 else f"{a[0]}/{a[1]}"
 
 
-_QQ = Rationals()  # the coefficients of the cyclotomic inverse and printer
+_QQ = Rationals()  # the coefficients of the cyclotomic printer
 
 
 _GEN_NAMES = "tuvw"

@@ -480,9 +480,6 @@ class TLMorphism:
             return NotImplemented
         return compose(self, other)
 
-    def __matmul__(self, other: "TLMorphism") -> "TLMorphism":
-        return tensor(self, other)
-
     def dual(self) -> "TLMorphism":
         """Rotate every diagram by 180 degrees (loop values are preserved)."""
         terms = {m.dual(): c for m, c in self.terms.items()}

@@ -454,6 +454,15 @@ def test_raised_jw_ceilings_are_reached_in_seconds(capsys, monkeypatch):
     assert json.loads(out)["jw_exists"] is True
 
 
+def test_a_hostile_cyclotomic_inverse_takes_seconds(capsys):
+    # a sparse low-degree value with a denominator inverted modulo Phi_5040
+    # (degree 1,152); extended Euclid over Q took 9-12 s here
+    d1 = "1/(q^3+2*q-5+q^7/3)"
+    (code, out, _), took = _timed(capsys, "qnum", "--ring", "cyclo:5040", "--d1", d1, "--d2", "1", "--upto", "2")
+    assert code == 0 and took < 3, took
+    assert len(out) > 1000
+
+
 def test_homology_at_a_huge_rational_q_is_certified_in_seconds(capsys):
     # q = 10^999 has 3,320 bits; reduced mod p the ranks cost what they cost
     # at q = 2, where elimination over Q took 5-6 s on its huge entries

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlab import tldiag
+from tlab import complexes, tldiag
 from tlab.complexes import FormalMorphism, FormalObject, build_continuant
 from tlab.rings import generic_tower
 from tlab.tldiag import DOWN, UP, DiagramError, PlanarMatching, TLMorphism, Word, compose, enumerate_basis
@@ -169,11 +169,10 @@ def counted_stores():
         PlanarMatching._store = store
 
 
-def distinct_cells(A, C):
-    """The distinct (contribution list, composite) pairs of A * C, zero sums
-    included.  A cell's contribution list is its (left, right) entry pairs
-    by identity, in the order of A's blocks, so cells whose blocks share
-    the same entries share one list; with no entry shared, a list is a cell."""
+def contribution_lists(A, C):
+    """{cell (i, j) of A * C: its (left, right) entry pairs}, in the order of
+    A's blocks.  Cells whose blocks share the same entries have the same
+    list by identity; with no entry shared, a list is a cell."""
     right = {}
     for (k, j), e in C.blocks.items():
         right.setdefault(k, []).append((j, e))
@@ -181,9 +180,15 @@ def distinct_cells(A, C):
     for (i, k), left in A.blocks.items():
         for j, e in right.get(k, ()):
             lists.setdefault((i, j), []).append((left, e))
+    return lists
+
+
+def distinct_cells(A, C):
+    """The distinct (contribution list, composite) pairs of A * C, zero sums
+    included, a list taken by the identity of its entries."""
     return {
         (tuple((id(f), id(g)) for f, g in pairs), _compose_matchings(mf, mg)[0].inv)
-        for pairs in lists.values()
+        for pairs in contribution_lists(A, C).values()
         for f, g in pairs
         for mf in f.terms
         for mg in g.terms
@@ -216,6 +221,30 @@ def test_matrix_products_check_each_distinct_composite_once_per_cell():
                     with counted_stores() as calls:
                         assert (diffs[k - 1] * d).is_zero()
                     assert len(calls) == expected > 0, (variant, n, k)
+
+
+def test_d_squared_stacks_each_pair_once_per_distinct_contribution_list(monkeypatch):
+    # the cell memo is the only memo of the product: _add_products runs once
+    # for every pair of every distinct contribution list, and never again
+    # for a pair that two distinct lists share
+    calls, add_products = [], complexes._add_products
+
+    def counted(f, g, out, scaled):
+        calls.append((f, g))
+        add_products(f, g, out, scaled)
+
+    monkeypatch.setattr(complexes, "_add_products", counted)
+    for variant in ("lower", "upper"):
+        for n in range(1, 11):
+            built = build_continuant(n, variant, TOWER).complex
+            diffs, expected = built.diffs, 0
+            for k, d in diffs.items():
+                if k - 1 in diffs:
+                    lists = {tuple((id(f), id(g)) for f, g in pairs) for pairs in contribution_lists(diffs[k - 1], d).values()}
+                    expected += sum(len(key) for key in lists)
+            calls.clear()
+            assert built.d_squared_failures() == []
+            assert len(calls) == expected and (expected > 0) == (n >= 4), (variant, n)
 
 
 def test_a_crossing_composite_is_refused_on_both_paths(monkeypatch):

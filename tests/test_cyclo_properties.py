@@ -5,6 +5,8 @@ with hypothesis; Phi_m, products and inverses modulo Phi_m are compared
 with sympy, a test-only oracle."""
 
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,10 +19,7 @@ CYCLO = ["cyclo:1", "cyclo:2", "cyclo:5", "cyclo:8", "cyclo:10", "cyclo:12", "cy
 SPECS = CYCLO + ["Fp:2", "Fp:7", "Fp:101"]
 
 
-def settings_for(ring):
-    """Fewer examples in the degree-48 field cyclo:105, where inverting a
-    random value costs the most."""
-    return settings(max_examples=10 if ring.kind == "cyclo" and ring.m > 12 else 60, deadline=None)
+SETTINGS = settings(max_examples=60, deadline=None)
 
 
 def top_exponent(ring):
@@ -73,7 +72,7 @@ def check_canonical(ring, x):
 def test_field_axioms(spec):
     ring = construct_ring(spec)
 
-    @settings_for(ring)
+    @SETTINGS
     @given(values(ring), values(ring), values(ring))
     def check(a, b, c):
         assert (a + b) + c == a + (b + c)
@@ -98,7 +97,7 @@ def test_canonical_form_is_unique(spec):
     q = ring.generators().get("q", ring.one)
     m = ring.m if ring.kind == "cyclo" else 1
 
-    @settings_for(ring)
+    @SETTINGS
     @given(values(ring), values(ring), values(ring, nonzero=True))
     def check(a, b, c):
         # the same value reached along different paths
@@ -119,7 +118,7 @@ def test_text_round_trip(spec):
     ring = construct_ring(spec)
     gens = list(ring.generators().values())
 
-    @settings_for(ring)
+    @SETTINGS
     @given(st.lists(st.tuples(st.integers(-9, 9), st.lists(st.integers(-3, 12), min_size=len(gens),
                                                            max_size=len(gens))), max_size=4),
            st.integers(1, 6))
@@ -142,7 +141,7 @@ def test_reduction_is_a_ring_map_where_defined(spec):
     ring = construct_ring(spec)
     p, psi = ring.reduction()
 
-    @settings_for(ring)
+    @SETTINGS
     @given(values(ring), values(ring))
     def check(a, b):
         x, y = psi(a.payload), psi(b.payload)
@@ -192,7 +191,7 @@ def test_products_and_inverses_match_sympy(spec):
     phi = sympy.cyclotomic_poly(ring.m, X)
     dens = st.integers(1, 12)
 
-    @settings_for(ring)
+    @SETTINGS
     @given(terms(ring), dens, terms(ring), dens)
     def check(n1, d1, n2, d2):
         a, b = build(ring, n1) / d1, build(ring, n2) / d2
@@ -203,6 +202,42 @@ def test_products_and_inverses_match_sympy(spec):
             assert sympy.expand(to_sympy(a.inverse()) - sympy.invert(sympy.expand(A), phi, X)) == 0
 
     check()
+
+
+def dense(ring, seed):
+    """A value of degree phi - 1 with coefficients in -9..9 over the
+    denominator 5, as {exponent: coefficient}."""
+    rng, top = random.Random(seed), len(ring.modulus) - 2
+    num = {e: rng.randint(-9, 9) for e in range(top)}
+    num[top] = rng.choice([-3, -1, 2, 7])
+    return num
+
+
+@needs_sympy
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_inverses_match_sympy(seed):
+    ring = construct_ring("cyclo:105")  # phi = 48
+    num = dense(ring, seed)
+    a = build(ring, num) / 5
+    want = sympy.invert(sympy_of(num, 5), sympy.cyclotomic_poly(105, X), X)
+    assert sympy.expand(to_sympy(a.inverse()) - want) == 0
+
+
+@needs_sympy
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_inverses_in_a_larger_field_are_fast_and_checked_by_sympy(seed):
+    # phi = 96: extended Euclid over Q took 20 s here, as does sympy.invert
+    # on its pure-Python rationals, so sympy checks the product instead
+    ring = construct_ring("cyclo:420")
+    num = dense(ring, seed)
+    a = build(ring, num) / 5
+    start = time.perf_counter()
+    inverse = a.inverse()
+    assert time.perf_counter() - start < 2
+    check_canonical(ring, inverse)
+    numerator, den = inverse.payload
+    product = sympy.Poly(sympy_of(num, 1), X) * sympy.Poly(sum(c * X**i for i, c in enumerate(numerator)), X)
+    assert sympy.rem(product, sympy.Poly(sympy.cyclotomic_poly(420, X), X)) == sympy.Poly(5 * den, X)
 
 
 @pytest.mark.parametrize("m", list(range(1, 201)) + [5040, MAX_CYCLO_M])

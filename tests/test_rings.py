@@ -55,6 +55,53 @@ def test_cyclotomic_inverse_example():
     assert (q * q.inverse()).is_one()
 
 
+@pytest.mark.parametrize("spec", ["cyclo:1", "cyclo:2", "cyclo:10", "cyclo:12", "cyclo:105"])
+def test_cyclotomic_inverse_edge_cases(spec):
+    # negative constants and constants with a denominator against their
+    # rational inverses; numerators with integer content or a negative
+    # leading coefficient by x * x^-1 = 1 and (x^-1)^-1 = x, in canonical form
+    ring = construct_ring(spec)
+    for text, want in (("-3", "-1/3"), ("5/3", "3/5"), ("-7/4", "-4/7"), ("12", "1/12")):
+        x = parse_element(ring, text)
+        assert x.inverse() == parse_element(ring, want)
+        assert x.inverse().payload[1] > 0
+    for text in ("6*q^2 + 4*q - 2", "(6*q^3 - 9)/4", "-q^3 + 2", "-2*q^2 + q/3", "-4*q - 6", "q^2 - q + 1"):
+        x = parse_element(ring, text)
+        if x.is_zero():
+            assert x.inverse() is None
+            continue
+        inverse = x.inverse()
+        num, den = inverse.payload
+        assert den > 0 and math.gcd(den, *num) == 1 and len(num) < len(ring.modulus)
+        assert (x * inverse).is_one() and inverse.inverse() == x, text
+
+
+def test_cyclotomic_inverses_at_m_1_and_2():
+    # q = 1 in cyclo:1 and q = -1 in cyclo:2, so every value is a rational
+    for spec, q in (("cyclo:1", 1), ("cyclo:2", -1)):
+        ring = construct_ring(spec)
+        for text, value in (("2*q + 1", 2 * q + 1), ("-3*q^2 + 5", 2), ("(q + 3)/6", Fraction(q + 3, 6))):
+            inverse = parse_element(ring, text).inverse()
+            assert inverse.payload == ((Fraction(1, value).numerator,), Fraction(1, value).denominator), spec
+
+
+def test_cyclotomic_field_stays_on_the_integer_core():
+    # the inverse runs fraction-free on Z[q] tuples: no _p* arithmetic, no
+    # field Euclid, and Q values only in the printer
+    import ast
+    import inspect
+
+    from tlab import rings
+
+    assert not hasattr(rings, "_pinvmod")
+    tree = ast.parse(inspect.getsource(rings.CyclotomicField))
+    for method in tree.body[0].body:
+        names = {node.id for node in ast.walk(method) if isinstance(node, ast.Name)}
+        assert not names & {"_padd", "_pneg", "_pmul", "_pdivmod", "_pgcd"}, getattr(method, "name", None)
+        if "_QQ" in names:
+            assert method.name == "_to_str"
+
+
 def test_invert_in_fields_fails_exactly_on_zero():
     for spec in ("Q", "Fp:5", "cyclo:10", "ratfun:Q"):
         ring = construct_ring(spec)

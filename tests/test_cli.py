@@ -457,10 +457,15 @@ def test_raised_jw_ceilings_are_reached_in_seconds(capsys, monkeypatch):
 def test_a_hostile_cyclotomic_inverse_takes_seconds(capsys):
     # a sparse low-degree value with a denominator inverted modulo Phi_5040
     # (degree 1,152); extended Euclid over Q took 9-12 s here
-    d1 = "1/(q^3+2*q-5+q^7/3)"
-    (code, out, _), took = _timed(capsys, "qnum", "--ring", "cyclo:5040", "--d1", d1, "--d2", "1", "--upto", "2")
+    from tlab.rings import construct_ring, parse_element
+
+    (code, out, _), took = _timed(
+        capsys, "qnum", "--ring", "cyclo:5040", "--d1", "1/(q^3+2*q-5+q^7/3)", "--d2", "1", "--upto", "2"
+    )
     assert code == 0 and took < 3, took
-    assert len(out) > 1000
+    ring = construct_ring("cyclo:5040")
+    n, quantum = out.splitlines()[3].split()[:2]  # [2] = d1 at d2 = 1
+    assert n == "2" and (parse_element(ring, quantum) * parse_element(ring, "q^3+2*q-5+q^7/3")).is_one()
 
 
 def test_homology_at_a_huge_rational_q_is_certified_in_seconds(capsys):

@@ -1,9 +1,12 @@
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from tlab import rings
 from tlab.rings import (
     ElementParseError,
     MAX_PRIME,
@@ -88,11 +91,6 @@ def test_cyclotomic_inverses_at_m_1_and_2():
 def test_cyclotomic_field_stays_on_the_integer_core():
     # the inverse runs fraction-free on Z[q] tuples: no _p* arithmetic, no
     # field Euclid, and Q values only in the printer
-    import ast
-    import inspect
-
-    from tlab import rings
-
     assert not hasattr(rings, "_pinvmod")
     tree = ast.parse(inspect.getsource(rings.CyclotomicField))
     for method in tree.body[0].body:
